@@ -3,8 +3,9 @@ them, check homogeneity, run the parameter search and emit fixture
 families.
 
 All reports are deterministic byte streams (sorted-key JSON) so batch
-pipelines can diff them; verdict outcomes never set a nonzero exit code,
-only I/O, parse and transform failures do.
+pipelines can diff them; verdict outcomes never set a nonzero exit code.
+Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
+3 an internal cross-check disagreed (ConsistencyError, a defect here).
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import correspondence, design, generators, homogeneity, search
 from .core import (
     BipartiteGraph,
+    ConsistencyError,
     IncidenceStructure,
     SIDES,
     ToolkitError,
@@ -41,15 +42,20 @@ def _read_json(path: str) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _is_int(x: Any) -> bool:
+    """JSON integers only: ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_design_file(path: str, *, allow_repeated: bool = False) -> IncidenceStructure:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "v" not in doc or "blocks" not in doc:
         raise ParseError(f"{path}: design file needs fields 'v' and 'blocks'")
     v, blocks = doc["v"], doc["blocks"]
-    if not isinstance(v, int) or not isinstance(blocks, list):
+    if not _is_int(v) or not isinstance(blocks, list):
         raise ParseError(f"{path}: 'v' must be an integer and 'blocks' a list")
     for blk in blocks:
-        if not isinstance(blk, list) or not all(isinstance(p, int) for p in blk):
+        if not isinstance(blk, list) or not all(_is_int(p) for p in blk):
             raise ParseError(f"{path}: blocks must be lists of integer point indices")
     try:
         return validate_structure(v, blocks, allow_repeated=allow_repeated)
@@ -64,10 +70,10 @@ def parse_graph_file(path: str) -> tuple[BipartiteGraph, bool]:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError(f"{path}: graph file needs fields 'n' and 'edges'")
     n, edges = doc["n"], doc["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if not _is_int(n) or not isinstance(edges, list):
         raise ParseError(f"{path}: 'n' must be an integer and 'edges' a list")
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(u, int) for u in e):
+        if not isinstance(e, list) or len(e) != 2 or not all(_is_int(u) for u in e):
             raise ParseError(f"{path}: edges must be 2-element integer lists")
     try:
         g = build_bipartite(n, edges)
@@ -79,7 +85,7 @@ def parse_graph_file(path: str) -> tuple[BipartiteGraph, bool]:
         if (
             not isinstance(part, list)
             or len(part) != n
-            or any(p not in (0, 1) for p in part)
+            or any(not _is_int(p) or p not in (0, 1) for p in part)
         ):
             raise ParseError(f"{path}: 'partition' must be a 0/1 list of length n")
         if tuple(part) == g.side:
@@ -126,10 +132,6 @@ def _emit_text(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def analyze_design_report(d: IncidenceStructure) -> dict:
@@ -251,8 +253,8 @@ def homogeneity_report_doc(g: BipartiteGraph, side: str) -> dict:
         "side": side,
         "verdict": rep.verdict,
         "bruteforce_counts": {str(i): list(v) for i, v in rep.bruteforce_counts.items()},
-        "p2ii": {str(i): _frac_str(v) for i, v in rep.p2ii.items()},
-        "delta": {str(i): _frac_str(v) for i, v in rep.delta.items()},
+        "p2ii": {str(i): str(v) for i, v in rep.p2ii.items()},
+        "delta": {str(i): str(v) for i, v in rep.delta.items()},
         "formula_verdict": rep.formula_verdict,
         "formula_skipped": rep.formula_skipped,
     }
@@ -284,26 +286,24 @@ def _emit_report(doc: dict, out: str | None, human: bool) -> None:
         _emit(doc, out)
 
 
+# family -> file document; a size outside a family's range raises ValueError
+_FAMILIES = {
+    "gq22": lambda a: design_file_doc(generators.gq22()),
+    "fano": lambda a: design_file_doc(generators.fano()),
+    "grid": lambda a: design_file_doc(generators.grid_design(a.n)),
+    "complete": lambda a: design_file_doc(generators.complete_bipartite_design(a.v, a.b)),
+    "cycle": lambda a: graph_file_doc(generators.even_cycle(a.n)),
+    "path": lambda a: graph_file_doc(generators.path_graph(a.n)),
+    "subdivision": lambda a: graph_file_doc(generators.subdivision_complete_bipartite(a.n)),
+    "tutte-coxeter": lambda a: graph_file_doc(generators.tutte_coxeter()),
+}
+
+
 def _cmd_generate(args) -> int:
-    family = args.family
-    if family == "gq22":
-        doc = design_file_doc(generators.gq22())
-    elif family == "fano":
-        doc = design_file_doc(generators.fano())
-    elif family == "grid":
-        doc = design_file_doc(generators.grid_design(args.n))
-    elif family == "complete":
-        doc = design_file_doc(generators.complete_bipartite_design(args.v, args.b))
-    elif family == "cycle":
-        doc = graph_file_doc(generators.even_cycle(args.n))
-    elif family == "path":
-        doc = graph_file_doc(generators.path_graph(args.n))
-    elif family == "subdivision":
-        doc = graph_file_doc(generators.subdivision_complete_bipartite(args.n))
-    elif family == "tutte-coxeter":
-        doc = graph_file_doc(generators.tutte_coxeter())
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown family {family}")
+    try:
+        doc = _FAMILIES[args.family](args)
+    except ValueError as exc:
+        raise ParseError(f"{args.family}: {exc}") from exc
     _emit(doc, args.out)
     return 0
 
@@ -344,7 +344,7 @@ def _cmd_check_homogeneous(args) -> int:
 
 def _cmd_search(args) -> int:
     candidates = search.enumerate_candidates(
-        args.max_r, args.max_k, args.target, workers=args.workers, force_y=args.force_y
+        args.max_r, args.max_k, args.target, force_y=args.force_y
     )
     _emit_text(search.candidates_csv(candidates), args.out)
     return 0
@@ -359,10 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a fixture design or graph file")
-    p.add_argument(
-        "family",
-        choices=["gq22", "fano", "grid", "complete", "cycle", "path", "subdivision", "tutte-coxeter"],
-    )
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--n", type=int, default=3, help="size parameter (grid/cycle/path/subdivision)")
     p.add_argument("--v", type=int, default=2, help="points (complete)")
     p.add_argument("--b", type=int, default=2, help="blocks (complete)")
@@ -404,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=list(search.TARGETS), required=True)
     p.add_argument("--max-r", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--force-y", type=int, default=None, help="restrict to one y (diagnostic)")
+    p.add_argument("--force-y", type=int, default=None, help="restrict to one y >= 1 (diagnostic)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 
@@ -422,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ConsistencyError) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,6 +42,11 @@ class OddCycleError(ToolkitError):
     pass
 
 
+class ConsistencyError(ToolkitError):
+    """Two independent routes to the same quantity disagree: a defect in
+    this package, never a verdict about the input."""
+
+
 @dataclass(frozen=True)
 class IncidenceStructure:
     """A point set 0..num_points-1 together with an ordered list of blocks.
@@ -200,6 +205,9 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
             seen.add(key)
             norm.append(key)
     norm.sort()
+    # a connected graph needs n - 1 edges; refuse before allocating O(n)
+    if len(norm) < num_vertices - 1:
+        raise NotConnectedError(f"{len(norm)} edges cannot connect {num_vertices} vertices")
 
     adj: list[list[int]] = [[] for _ in range(num_vertices)]
     for u, v in norm:

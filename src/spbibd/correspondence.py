@@ -2,15 +2,13 @@
 construction, design extraction from distance-semiregular graphs with
 eccentricity 4, and round-trip verification via provenance bijections.
 
-All derived parameters are computed with exact rationals and asserted
-integral; a non-integral value is an internal-consistency failure, never
-rounded.
+All derived parameters are exact integers; a size that the formulas do
+not give as an integer is a DerivationError, never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     BipartiteGraph,
@@ -18,13 +16,12 @@ from .core import (
     IntersectionArray,
     NotConnectedError,
     SIDES,
-    SpbibdParams,
     ToolkitError,
     build_bipartite,
     canonical_block_permutation,
     validate_structure,
 )
-from .graph import NotRegularizedAt, local_intersection_numbers
+from .graph import uniform_array
 
 
 class ResultDisconnectedError(ToolkitError):
@@ -74,14 +71,35 @@ def expected_incidence_arrays(
     return point, block
 
 
+def derived_sizes(r: int, k: int, lambda1: int, t: int) -> tuple[int, int, int]:
+    """Point and block counts of an in-scope design with replication r,
+    block size k, concurrence lambda1 and type (k-1, t), as numerators over
+    one denominator: (v*den, b*den, den) with den = lambda1*t, where
+
+        v = 1 + r(k-1)/lambda1 + (k-1)(r-lambda1)(k-t)/(lambda1*t)
+        b = r + r(k-1)(r-lambda1)/(lambda1*t)
+
+    are the class sizes read off the point-side array of
+    expected_incidence_arrays.  The sizes are integers only when den
+    divides both numerators.
+    """
+    den = lambda1 * t
+    v_num = den + r * (k - 1) * t + (k - 1) * (r - lambda1) * (k - t)
+    b_num = r * den + r * (k - 1) * (r - lambda1)
+    return v_num, b_num, den
+
+
 @dataclass(frozen=True)
 class DerivedDesignParams:
     """Design parameters read off a graph whose chosen class is
     distance-regularized with eccentricity 4 and common array (b_i, c_i):
 
-        v = 1 + b0*b1/c2 + b0*b1*b2*b3/(c2*c3*c4)
-        b = b0 + b0*b1*b2/(c2*c3)
         r = b0,  k = b1 + 1,  lambda1 = c2,  s = b1,  t = c3
+
+    and (v, b) = derived_sizes(r, k, lambda1, t).  That equals the array
+    form v = 1 + b0*b1/c2 + b0*b1*b2*b3/(c2*c3*c4), b = b0 + b0*b1*b2/(c2*c3)
+    because one common array in a connected bipartite graph forces
+    b2 = b0 - c2, b3 = b1 + 1 - c3 and c4 = b0.
 
     ``y`` is the other class's c_2 when that class is also regularized.
     """
@@ -108,25 +126,6 @@ class GraphDesignExtraction:
     block_vertices: tuple[int, ...]
 
 
-def _common_class_array(g: BipartiteGraph, vertices: tuple[int, ...], side: str) -> IntersectionArray:
-    common = None
-    for v in vertices:
-        res = local_intersection_numbers(g, v)
-        if isinstance(res, NotRegularizedAt):
-            raise NotSemiregularError(
-                f"vertex {v} of class {side} is not distance-regularized "
-                f"(witnesses {res.witnesses} at distance {res.distance})"
-            )
-        if common is None:
-            common = res
-        elif res != common:
-            raise NotSemiregularError(
-                f"class {side} has two different intersection arrays (vertex {v})"
-            )
-    assert common is not None
-    return common
-
-
 def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     """Read a graph as the incidence graph of a design whose points are the
     chosen color class ("Y" or "Yprime").
@@ -141,47 +140,39 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     other = SIDES[1 - SIDES.index(points)]
     block_vertices_raw = g.class_vertices(other)
 
-    arr = _common_class_array(g, point_vertices, points)
+    arr, _, witness = uniform_array(g, point_vertices)
+    if witness is not None:
+        raise NotSemiregularError(
+            f"vertex {witness.vertex} of class {points} is not distance-regularized "
+            f"(witnesses {witness.witnesses} at distance {witness.distance})"
+        )
+    if arr is None:
+        raise NotSemiregularError(f"class {points} has no common intersection array")
     if arr.eccentricity != 4:
         raise WrongEccentricityError(
             f"chosen class has eccentricity {arr.eccentricity}, need 4"
         )
-    b0, b1, b2, b3 = arr.b[0], arr.b[1], arr.b[2], arr.b[3]
-    c2, c3, c4 = arr.c[2], arr.c[3], arr.c[4]
-    v_formula = 1 + Fraction(b0 * b1, c2) + Fraction(b0 * b1 * b2 * b3, c2 * c3 * c4)
-    b_formula = b0 + Fraction(b0 * b1 * b2, c2 * c3)
-    if v_formula.denominator != 1 or b_formula.denominator != 1:
-        raise DerivationError(f"non-integral derived sizes v = {v_formula}, b = {b_formula}")
-    if v_formula != len(point_vertices) or b_formula != len(block_vertices_raw):
+    r, k, lambda1, t = arr.b[0], arr.b[1] + 1, arr.c[2], arr.c[3]
+    v_num, b_num, den = derived_sizes(r, k, lambda1, t)
+    if v_num % den or b_num % den:
         raise DerivationError(
-            f"derived sizes ({v_formula}, {b_formula}) disagree with class sizes "
+            f"non-integral derived sizes v = {v_num}/{den}, b = {b_num}/{den}"
+        )
+    v, b = v_num // den, b_num // den
+    if v != len(point_vertices) or b != len(block_vertices_raw):
+        raise DerivationError(
+            f"derived sizes ({v}, {b}) disagree with class sizes "
             f"({len(point_vertices)}, {len(block_vertices_raw)})"
         )
 
     # y = c'_2 when the other class is regularized too; the class valency
-    # identity k = b_1 + 1 = b'_0 is asserted at the same time.
-    y: int | None
-    try:
-        other_arr = _common_class_array(g, block_vertices_raw, other)
-    except NotSemiregularError:
-        y = None
-    else:
-        y = other_arr.c[2]
-        if other_arr.b[0] != b1 + 1:
-            raise DerivationError(
-                f"block valency {other_arr.b[0]} differs from b_1 + 1 = {b1 + 1}"
-            )
+    # identity k = b_1 + 1 = b'_0 is checked at the same time.
+    other_arr, _, _ = uniform_array(g, block_vertices_raw)
+    y = None if other_arr is None else other_arr.c[2]
+    if other_arr is not None and other_arr.b[0] != k:
+        raise DerivationError(f"block valency {other_arr.b[0]} differs from b_1 + 1 = {k}")
 
-    params = DerivedDesignParams(
-        v=int(v_formula),
-        b=int(b_formula),
-        r=b0,
-        k=b1 + 1,
-        lambda1=c2,
-        s=b1,
-        t=c3,
-        y=y,
-    )
+    params = DerivedDesignParams(v=v, b=b, r=r, k=k, lambda1=lambda1, s=k - 1, t=t, y=y)
 
     point_index = {v: i for i, v in enumerate(point_vertices)}
     raw_blocks = [
@@ -194,23 +185,6 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     for raw_idx, canon_idx in enumerate(perm):
         block_vertices[canon_idx] = block_vertices_raw[raw_idx]
     return GraphDesignExtraction(structure, params, point_vertices, tuple(block_vertices))
-
-
-def derived_spbibd_params(ext: GraphDesignExtraction) -> SpbibdParams:
-    """DerivedDesignParams as an SpbibdParams record (lambda2 = 0 scope)."""
-    p = ext.params
-    return SpbibdParams(
-        v=p.v,
-        b=p.b,
-        r=p.r,
-        k=p.k,
-        lambda1=p.lambda1,
-        lambda2=0,
-        s=p.s,
-        t=p.t,
-        x=0 if p.y is not None else None,
-        y=p.y,
-    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import (
+    ConsistencyError,
     IncidenceStructure,
     SpbibdParams,
     ToolkitError,
@@ -180,7 +181,8 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
         y=y,
         lambda2_realized=lambda2_realized,
     )
-    assert params.flag_count_consistent, "v*r == b*k must hold for a uniform structure"
+    if not params.flag_count_consistent:
+        raise ConsistencyError("v*r == b*k must hold for a uniform structure")
     return params
 
 

@@ -122,11 +122,12 @@ class ClassificationResult:
         return self.array_y if side == Y_SIDE else self.array_yprime
 
 
-def _uniform_array(
+def uniform_array(
     g: BipartiteGraph, vertices: tuple[int, ...]
 ) -> tuple[IntersectionArray | None, int, NotRegularizedAt | None]:
-    """Common array of a vertex class (None if absent), max eccentricity,
-    and a non-regularity witness when one exists."""
+    """Scan every vertex of a class: its common array (None unless every
+    vertex is distance-regularized with the same array), its maximum
+    eccentricity, and the first non-regularity witness when one exists."""
     common: IntersectionArray | None = None
     uniform = True
     max_ecc = 0
@@ -158,8 +159,8 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
         raise ValueError("classification needs at least one edge")
     ys = g.class_vertices("Y")
     yps = g.class_vertices("Yprime")
-    array_y, ecc_y, wit_y = _uniform_array(g, ys)
-    array_yp, ecc_yp, wit_yp = _uniform_array(g, yps)
+    array_y, ecc_y, wit_y = uniform_array(g, ys)
+    array_yp, ecc_yp, wit_yp = uniform_array(g, yps)
 
     if array_y is not None and array_yp is not None:
         kind = (
@@ -181,29 +182,3 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
         ecc_yprime=ecc_yp,
         witness=wit_y if wit_y is not None else wit_yp,
     )
-
-
-def girth(g: BipartiteGraph) -> int | None:
-    """Length of a shortest cycle, or None for a forest.
-
-    Computed by deleting each edge in turn and measuring the surviving
-    distance between its endpoints; exact and cheap at this scale.
-    """
-    best: int | None = None
-    for u, v in g.edges:
-        dist = [-1] * g.num_vertices
-        dist[u] = 0
-        queue = deque([u])
-        while queue:
-            a = queue.popleft()
-            for w in g.neighbors(a):
-                if (a, w) == (u, v) or (w, a) == (u, v):
-                    continue
-                if dist[w] == -1:
-                    dist[w] = dist[a] + 1
-                    queue.append(w)
-        if dist[v] != -1:
-            cycle = dist[v] + 1
-            if best is None or cycle < best:
-                best = cycle
-    return best

@@ -8,14 +8,13 @@ exists; every row carries an explicit "unresolved" existence marker.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SpbibdParams, ToolkitError
-from .correspondence import expected_incidence_arrays
+from .core import ConsistencyError, SpbibdParams, ToolkitError
+from .correspondence import derived_sizes, expected_incidence_arrays
 from .design import check_parameter_constraints
-from .homogeneity import delta_value
+from .homogeneity import EQUALITY_LABELS, delta_value, satisfied_equalities
 
 TARGET_ALMOST_P = "almost-p"
 TARGET_FULL_P = "full-p"
@@ -23,9 +22,8 @@ TARGET_ALMOST_B = "almost-b"
 TARGET_FULL_B = "full-b"
 TARGETS = (TARGET_ALMOST_P, TARGET_FULL_P, TARGET_ALMOST_B, TARGET_FULL_B)
 
-# Which Delta-vanishing equalities a target demands: K3 <=> Delta_2(P) = 0,
-# K4 <=> Delta_3(P) = 0, K30 <=> Delta_2(B) = 0, K40 <=> Delta_3(B) = 0.
-EQUALITY_LABELS = ("K3", "K4", "K30", "K40")
+# Which Delta-vanishing equalities (homogeneity.EQUALITY_LABELS) a target
+# demands.
 _TARGET_NEEDS = {
     TARGET_ALMOST_P: ("K3",),
     TARGET_FULL_P: ("K3", "K4"),
@@ -48,8 +46,6 @@ class CandidateTuple:
     v: int
     b: int
     satisfied: frozenset[str]
-    admissible: bool = True
-    reasons: tuple[str, ...] = ()
     existence: str = "unresolved"
 
     def sort_key(self) -> tuple[int, int, int, int, int]:
@@ -104,52 +100,14 @@ def admissibility_failures(r: int, k: int, lambda1: int, t: int, y: int) -> list
         reasons.append("needs lambda1 < t*lambda1/y")
     if not c3p < r:
         reasons.append("needs t*lambda1/y < r")
-    v, b = _derived_size_fractions(r, k, lambda1, t)
-    if v.denominator != 1:
-        reasons.append(f"v = {v} not integral")
-    if b.denominator != 1:
-        reasons.append(f"b = {b} not integral")
-    if not reasons:
-        assert v * r == b * k, "flag double counting must balance"
+    v_num, b_num, den = derived_sizes(r, k, lambda1, t)
+    if v_num % den:
+        reasons.append(f"v = {v_num}/{den} not integral")
+    if b_num % den:
+        reasons.append(f"b = {b_num}/{den} not integral")
+    if not reasons and v_num * r != b_num * k:
+        raise ConsistencyError(f"flag double counting does not balance at {(r, k, lambda1, t, y)}")
     return reasons
-
-
-def _derived_size_fractions(r: int, k: int, lambda1: int, t: int) -> tuple[Fraction, Fraction]:
-    v = 1 + Fraction(r * (k - 1), lambda1) + Fraction(
-        (k - 1) * (r - lambda1) * (k - t), lambda1 * t
-    )
-    b = r + Fraction(r * (k - 1) * (r - lambda1), lambda1 * t)
-    return v, b
-
-
-def derived_sizes(r: int, k: int, lambda1: int, t: int) -> tuple[int, int]:
-    """Point and block counts of a hypothetical design with these
-    parameters, from the class-size formulas."""
-    v, b = _derived_size_fractions(r, k, lambda1, t)
-    if v.denominator != 1 or b.denominator != 1:
-        raise ValueError(f"non-integral sizes v = {v}, b = {b}")
-    return int(v), int(b)
-
-
-def satisfied_equalities(r: int, k: int, lambda1: int, t: int, y: int) -> frozenset[str]:
-    """Which of the four factored equalities hold, each equivalent to one
-    Delta scalar vanishing."""
-    c3p = Fraction(t * lambda1, y)
-    out = set()
-    if lambda1 * (k - 2) * (t - y) == (y - 1) * (r - lambda1) * (t - 1):
-        out.add("K3")
-    if y > 1:
-        if r * (k - 1) - t * lambda1 == Fraction(lambda1 * (k - y - 1) * (k - 1), y - 1):
-            out.add("K4")
-    elif (k - y - 1) * (k - 1) == 0:
-        out.add("K4")
-    if lambda1 * (r - 2) * (t - y) == (k - y) * (c3p - 1) * (lambda1 - 1):
-        out.add("K30")
-    if ((k - t) * (r - 1) + t * (r - lambda1 - 1)) * (lambda1 - 1) == y * (r - 1) * (
-        r - lambda1 - 1
-    ):
-        out.add("K40")
-    return frozenset(out)
 
 
 def deltas_from_arrays(r: int, k: int, lambda1: int, t: int, y: int) -> dict[str, Fraction]:
@@ -182,12 +140,16 @@ def _candidates_for_k(
                         continue
                     deltas = deltas_from_arrays(r, k, lambda1, t, y)
                     for label in EQUALITY_LABELS:
-                        assert (deltas[label] == 0) == (label in sat), (
-                            f"equality/Delta disagreement at {(r, k, lambda1, t, y)}"
+                        if (deltas[label] == 0) != (label in sat):
+                            raise ConsistencyError(
+                                f"{label} equality/Delta disagreement at {(r, k, lambda1, t, y)}"
+                            )
+                    v_num, b_num, den = derived_sizes(r, k, lambda1, t)
+                    cand = CandidateTuple(r, k, lambda1, t, y, v_num // den, b_num // den, sat)
+                    if not check_parameter_constraints(cand.as_spbibd_params()).all_pass:
+                        raise ConsistencyError(
+                            f"admissible tuple {(r, k, lambda1, t, y)} fails the parameter constraints"
                         )
-                    v, b = derived_sizes(r, k, lambda1, t)
-                    cand = CandidateTuple(r, k, lambda1, t, y, v, b, sat)
-                    assert check_parameter_constraints(cand.as_spbibd_params()).all_pass
                     out.append(cand)
     out.sort(key=CandidateTuple.sort_key)
     return out
@@ -198,30 +160,24 @@ def enumerate_candidates(
     max_k: int,
     target: str,
     *,
-    workers: int = 1,
     force_y: int | None = None,
 ) -> list[CandidateTuple]:
     """All admissible tuples with r <= max_r, k <= max_k meeting the target
     equalities, in (k, r, lambda1, y, t) lexicographic order.
 
-    ``force_y`` restricts the sweep to one y value (y = 1 gives the
+    ``force_y`` restricts the sweep to one y >= 1 (y = 1 gives the
     out-of-problem diagnostic mode).  The result is a pure function of
-    (bounds, target, force_y); the worker count only partitions the
-    k-range.
+    (bounds, target, force_y).  Every emitted tuple is re-checked against
+    deltas_from_arrays and check_parameter_constraints; a disagreement
+    raises ConsistencyError.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")
     if max_r < 4 or max_k < 4:
         raise BoundsTooSmallError("y > 1 forces k >= 4 and r >= 4; raise the bounds")
-    ks = range(4, max_k + 1)
-    if workers <= 1:
-        chunks = [_candidates_for_k(k, max_r, target, force_y) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda k: _candidates_for_k(k, max_r, target, force_y), ks)
-            )
-    return [c for chunk in chunks for c in chunk]
+    if force_y is not None and force_y < 1:
+        raise BoundsTooSmallError(f"force_y = {force_y}; y must be at least 1")
+    return [c for k in range(4, max_k + 1) for c in _candidates_for_k(k, max_r, target, force_y)]
 
 
 CSV_HEADER = "r,k,lambda1,t,y,v,b,targets_satisfied,existence=unresolved"

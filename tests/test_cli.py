@@ -82,6 +82,41 @@ def test_malformed_files_exit_nonzero(tmp_path, capsys):
     assert run_cli(capsys, "analyze-graph", str(tmp_path / "nope.json"))[0] == 1
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("analyze-design", {"v": True, "blocks": [[0]]}),
+        ("analyze-design", {"v": 2, "blocks": [[0, True]]}),
+        ("analyze-graph", {"n": True, "edges": []}),
+        ("analyze-graph", {"n": 2, "edges": [[0, True]]}),
+        ("analyze-graph", {"n": 2, "edges": [[0, 1]], "partition": [False, True]}),
+        ("analyze-graph", {"n": 2, "edges": [[0, 1]], "partition": [0.0, 1.0]}),
+    ],
+)
+def test_json_booleans_and_floats_are_not_integers(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("grid", "--n", "1"),
+        ("cycle", "--n", "3"),
+        ("path", "--n", "1"),
+        ("subdivision", "--n", "1"),
+        ("complete", "--v", "0"),
+    ],
+)
+def test_generate_out_of_range_size_is_a_one_line_error(capsys, args):
+    code, out, err = run_cli(capsys, "generate", *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_duplicate_blocks_need_flag(tmp_path, capsys):
     path = tmp_path / "dup.json"
     write_json(path, {"v": 2, "blocks": [[0, 1], [0, 1]]})
@@ -201,8 +236,7 @@ def test_search_csv_deterministic(tmp_path, capsys):
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0
     _, out2, _ = run_cli(capsys, *args)
-    _, out3, _ = run_cli(capsys, *args, "--workers", "3")
-    assert out1 == out2 == out3
+    assert out1 == out2
     lines = out1.strip().split("\n")
     assert lines[0] == "r,k,lambda1,t,y,v,b,targets_satisfied,existence=unresolved"
     assert all(line.endswith(",unresolved") for line in lines[1:])
@@ -211,6 +245,11 @@ def test_search_csv_deterministic(tmp_path, capsys):
 def test_search_bounds_error_exit(capsys):
     code, _, err = run_cli(capsys, "search", "--target", "almost-p", "--max-r", "3", "--max-k", "3")
     assert code == 1
+    assert "BoundsTooSmall" in err
+    code, out, err = run_cli(
+        capsys, "search", "--target", "almost-p", "--max-r", "10", "--max-k", "10", "--force-y", "0"
+    )
+    assert code == 1 and out == ""
     assert "BoundsTooSmall" in err
 
 

@@ -1,8 +1,12 @@
+import ast
 import random
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import spbibd
 from spbibd.core import (
     DuplicateBlockError,
     EmptyBlockError,
@@ -114,6 +118,28 @@ def test_self_loop_rejected():
 def test_two_disjoint_edges_not_connected():
     with pytest.raises(NotConnectedError):
         build_bipartite(4, [(0, 1), (2, 3)])
+    # enough edges, still disconnected: a 4-cycle plus an isolated vertex
+    with pytest.raises(NotConnectedError):
+        build_bipartite(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
+
+
+def test_too_few_edges_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotConnectedError):
+            build_bipartite(10**6, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_no_assert_statements_in_package():
+    # cross-checks must still run under python -O
+    for path in sorted(Path(spbibd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"
 
 
 def test_edge_vertex_range_checked():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
@@ -11,7 +12,7 @@ from spbibd.correspondence import (
     NotSemiregularError,
     ResultDisconnectedError,
     WrongEccentricityError,
-    derived_spbibd_params,
+    derived_sizes,
     design_from_graph,
     expected_incidence_arrays,
     incidence_graph,
@@ -28,8 +29,16 @@ from spbibd.generators import (
     subdivision_complete_bipartite,
     tutte_coxeter,
 )
-from spbibd.graph import classify, girth, local_intersection_numbers
-from util import contract_degree_two, hypercube_design, hypercube_graph, nx_graph
+from spbibd.graph import classify, local_intersection_numbers
+from util import (
+    array_class_sizes,
+    contract_degree_two,
+    derived_spbibd_params,
+    girth,
+    hypercube_design,
+    hypercube_graph,
+    nx_graph,
+)
 
 
 def test_incidence_graph_gq22_is_tutte_coxeter_shape():
@@ -139,6 +148,25 @@ def test_k23_rejected_wrong_eccentricity():
     g = build_bipartite(5, [(i, 2 + j) for i in range(2) for j in range(3)])
     with pytest.raises(WrongEccentricityError):
         design_from_graph(g, "Y")
+
+
+def test_derived_sizes_match_array_form_on_graphs():
+    graphs = (
+        tutte_coxeter(),
+        hypercube_graph(4),
+        incidence_graph(grid_design(5)),
+        even_cycle(8),
+        subdivision_complete_bipartite(4),
+    )
+    for g in graphs:
+        cls = classify(g)
+        for side, other in (("Y", "Yprime"), ("Yprime", "Y")):
+            arr = cls.array_for(side)
+            assert arr.eccentricity == 4
+            v_num, b_num, den = derived_sizes(arr.b[0], arr.b[1] + 1, arr.c[2], arr.c[3])
+            sizes = (Fraction(v_num, den), Fraction(b_num, den))
+            assert sizes == array_class_sizes(arr)
+            assert sizes == (len(g.class_vertices(side)), len(g.class_vertices(other)))
 
 
 def test_path4_rejected_not_semiregular():

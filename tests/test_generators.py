@@ -23,7 +23,7 @@ from spbibd.graph import (
     classify,
     eccentricity,
 )
-from util import nx_graph
+from util import girth, nx_graph
 
 
 def test_complete_design_star():
@@ -98,8 +98,6 @@ def test_gq22_dual_is_spbibd_with_same_parameters():
 
 
 def test_tutte_coxeter_is_cubic_30_girth_8():
-    from spbibd.graph import girth
-
     g = tutte_coxeter()
     assert g.num_vertices == 30
     assert all(g.degree(v) == 3 for v in range(30))

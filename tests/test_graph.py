@@ -22,10 +22,9 @@ from spbibd.graph import (
     bfs_distances,
     classify,
     eccentricity,
-    girth,
     local_intersection_numbers,
 )
-from util import nx_graph, oracle_distances, random_connected_bipartite, relabeled_graph
+from util import girth, nx_graph, oracle_distances, random_connected_bipartite, relabeled_graph
 
 
 def complete_bipartite_graph(a: int, b: int):

@@ -27,11 +27,10 @@ from spbibd.homogeneity import (
     homogeneity_report,
     homogeneous_by_bruteforce,
     homogeneous_by_formula,
-    p2ii_direct_counts,
     p2ii_formula,
     parameter_homogeneity,
 )
-from util import hypercube_design, hypercube_graph
+from util import hypercube_design, hypercube_graph, p2ii_direct_counts
 
 
 TUTTE_ARRAYS = expected_incidence_arrays(3, 3, 1, 1, 1)

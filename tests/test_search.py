@@ -2,6 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from spbibd import search
+from spbibd.cli import main as cli_main
+from spbibd.core import ConsistencyError
+from spbibd.correspondence import derived_sizes, expected_incidence_arrays
 from spbibd.design import check_parameter_constraints
 from spbibd.search import (
     CSV_HEADER,
@@ -12,6 +16,7 @@ from spbibd.search import (
     enumerate_candidates,
     satisfied_equalities,
 )
+from util import array_class_sizes
 
 
 def eqq2_delta2p(r, k, lambda1, t, y):
@@ -32,6 +37,8 @@ def test_bounds_too_small():
         enumerate_candidates(3, 3, "almost-p")
     with pytest.raises(BoundsTooSmallError):
         enumerate_candidates(20, 3, "full-b")
+    with pytest.raises(BoundsTooSmallError):
+        enumerate_candidates(10, 10, "almost-p", force_y=0)
 
 
 def test_unknown_target():
@@ -65,12 +72,11 @@ def test_emitted_tuples_repass_parameter_constraints():
             assert c.existence == "unresolved"
 
 
-def test_deterministic_across_runs_and_workers():
+def test_deterministic_across_runs():
     a = enumerate_candidates(20, 20, "almost-p")
     b = enumerate_candidates(20, 20, "almost-p")
-    c = enumerate_candidates(20, 20, "almost-p", workers=4)
-    assert a == b == c
-    assert candidates_csv(a) == candidates_csv(c)
+    assert a == b
+    assert candidates_csv(a) == candidates_csv(b)
 
 
 def test_lexicographic_order():
@@ -108,13 +114,13 @@ def test_self_dual_tuple_4422_is_found():
 
 
 def test_satisfied_equalities_against_delta_arrays():
-    # sample the admissible space and confirm the factored equations track
-    # the Delta scalars, not just on emitted tuples
+    # sample the admissible space, y = 1 included, and confirm the factored
+    # equations track the Delta scalars, not just on emitted tuples
     for r in range(4, 9):
         for k in range(4, 9):
             for lambda1 in range(1, r):
-                for y in range(2, k - 1):
-                    for t in range(y + 1, min(k, r)):
+                for y in range(1, k - 1):
+                    for t in range(y + 1 if y > 1 else y, min(k, r)):
                         if admissibility_failures(r, k, lambda1, t, y):
                             continue
                         sat = satisfied_equalities(r, k, lambda1, t, y)
@@ -141,3 +147,27 @@ def test_csv_shape():
         assert len(fields) == 9
         assert fields[-1] == "unresolved"
         assert "K30" in fields[7]
+
+
+def test_equality_delta_disagreement_raises(monkeypatch, capsys):
+    def wrong(r, k, lambda1, t, y):
+        return {"K3": Fraction(1), "K4": Fraction(1), "K30": Fraction(1), "K40": Fraction(1)}
+
+    monkeypatch.setattr(search, "deltas_from_arrays", wrong)
+    with pytest.raises(ConsistencyError):
+        enumerate_candidates(10, 10, "almost-p")
+    code = cli_main(["search", "--target", "almost-p", "--max-r", "10", "--max-k", "10"])
+    assert code == 3
+    assert "ConsistencyError" in capsys.readouterr().err
+
+
+def test_derived_sizes_match_the_array_form():
+    for r in range(2, 13):
+        for k in range(2, 13):
+            for lambda1 in range(1, r):
+                for t in range(1, k):
+                    # y = t keeps t*lambda1/y integral; the point array
+                    # does not depend on y
+                    point, _ = expected_incidence_arrays(r, k, lambda1, t, t)
+                    v_num, b_num, den = derived_sizes(r, k, lambda1, t)
+                    assert (Fraction(v_num, den), Fraction(b_num, den)) == array_class_sizes(point)

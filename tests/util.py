@@ -7,11 +7,22 @@ with the package's own BFS.
 from __future__ import annotations
 
 import random
+from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 
-from spbibd.core import BipartiteGraph, IncidenceStructure, build_bipartite, validate_structure
+from spbibd.core import (
+    BipartiteGraph,
+    IncidenceStructure,
+    IntersectionArray,
+    SpbibdParams,
+    build_bipartite,
+    validate_structure,
+)
+from spbibd.correspondence import GraphDesignExtraction
+from spbibd.graph import all_distances
 
 
 def nx_graph(g: BipartiteGraph) -> nx.Graph:
@@ -115,3 +126,71 @@ def contract_degree_two(g: BipartiteGraph) -> nx.Graph:
             a, b = g.neighbors(v)
             h.add_edge(a, b)
     return h
+
+
+def girth(g: BipartiteGraph) -> int | None:
+    """Length of a shortest cycle, or None for a forest.
+
+    Computed by deleting each edge in turn and measuring the surviving
+    distance between its endpoints; exact and cheap at this scale.
+    """
+    best: int | None = None
+    for u, v in g.edges:
+        dist = [-1] * g.num_vertices
+        dist[u] = 0
+        queue = deque([u])
+        while queue:
+            a = queue.popleft()
+            for w in g.neighbors(a):
+                if (a, w) == (u, v) or (w, a) == (u, v):
+                    continue
+                if dist[w] == -1:
+                    dist[w] = dist[a] + 1
+                    queue.append(w)
+        if dist[v] != -1:
+            cycle = dist[v] + 1
+            if best is None or cycle < best:
+                best = cycle
+    return best
+
+
+def p2ii_direct_counts(g: BipartiteGraph, side: str, i: int) -> set[int]:
+    """Exhaustive |Gamma_2(x) n Gamma_i(z)| over every x in the class and
+    every z in Gamma_i(x); the independent oracle for p2ii_formula."""
+    dist = all_distances(g)
+    counts = set()
+    for x in g.class_vertices(side):
+        dx = dist[x]
+        two = [w for w in range(g.num_vertices) if dx[w] == 2]
+        for z in range(g.num_vertices):
+            if dx[z] == i:
+                counts.add(sum(1 for w in two if dist[z][w] == i))
+    return counts
+
+
+def derived_spbibd_params(ext: GraphDesignExtraction) -> SpbibdParams:
+    """DerivedDesignParams as an SpbibdParams record (lambda2 = 0 scope)."""
+    p = ext.params
+    return SpbibdParams(
+        v=p.v,
+        b=p.b,
+        r=p.r,
+        k=p.k,
+        lambda1=p.lambda1,
+        lambda2=0,
+        s=p.s,
+        t=p.t,
+        x=0 if p.y is not None else None,
+        y=p.y,
+    )
+
+
+def array_class_sizes(arr: IntersectionArray) -> tuple[Fraction, Fraction]:
+    """(v, b) of the design read off a class array of eccentricity 4, in the
+    array form: v = 1 + k_2 + k_4 and b = k_1 + k_3 with
+    k_i = b_0 ... b_{i-1} / (c_1 ... c_i); the oracle for derived_sizes."""
+    b0, b1, b2, b3 = arr.b[:4]
+    c2, c3, c4 = arr.c[2:5]
+    v = 1 + Fraction(b0 * b1, c2) + Fraction(b0 * b1 * b2 * b3, c2 * c3 * c4)
+    b = b0 + Fraction(b0 * b1 * b2, c2 * c3)
+    return v, b
