@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any
@@ -118,12 +119,7 @@ def graph_file_doc(g: BipartiteGraph) -> dict:
 
 
 def _emit(doc: Any, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -149,12 +145,7 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
 
     if d.num_blocks >= 2:
         qs = design.block_intersections(d)
-        report["quasi_symmetry"] = {
-            "sizes": list(qs.sizes),
-            "x": qs.x,
-            "y": qs.y,
-            "proper": qs.proper,
-        }
+        report["quasi_symmetry"] = dataclasses.asdict(qs)
     else:
         report["quasi_symmetry"] = None
 
@@ -166,19 +157,7 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
         report["parameter_homogeneity"] = None
         return report
 
-    report["spbibd"] = {
-        "v": params.v,
-        "b": params.b,
-        "r": params.r,
-        "k": params.k,
-        "lambda1": params.lambda1,
-        "lambda2": params.lambda2,
-        "lambda2_realized": params.lambda2_realized,
-        "s": params.s,
-        "t": params.t,
-        "x": params.x,
-        "y": params.y,
-    }
+    report["spbibd"] = dataclasses.asdict(params)
     report["flags"] = {
         "two_design_degenerate": params.two_design_degenerate,
         "in_scope": params.in_scope,
@@ -187,23 +166,12 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
     }
     try:
         cons = design.check_parameter_constraints(params)
-        report["constraints"] = {
-            "all_pass": cons.all_pass,
-            "checks": [
-                {"name": c.name, "holds": c.holds, "detail": c.detail} for c in cons.checks
-            ],
-        }
+        report["constraints"] = {"all_pass": cons.all_pass, **dataclasses.asdict(cons)}
     except design.NotInScopeError as exc:
         report["constraints"] = {"not_in_scope": str(exc)}
     try:
         props = homogeneity.parameter_homogeneity(params)
-        report["parameter_homogeneity"] = {
-            "almost_2p": props.almost_2p,
-            "full_2p": props.full_2p,
-            "almost_2b": props.almost_2b,
-            "full_2b": props.full_2b,
-            "notes": list(props.notes),
-        }
+        report["parameter_homogeneity"] = dataclasses.asdict(props)
     except design.NotInScopeError as exc:
         report["parameter_homogeneity"] = {"not_in_scope": str(exc)}
     return report
@@ -212,19 +180,9 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
 def analyze_graph_report(g: BipartiteGraph) -> dict:
     cls = classify(g)
 
-    def arr(a):
-        return None if a is None else {"b": list(a.b), "c": list(a.c)}
+    def asdict(x):
+        return None if x is None else dataclasses.asdict(x)
 
-    witness = None
-    if cls.witness is not None:
-        w = cls.witness
-        witness = {
-            "vertex": w.vertex,
-            "distance": w.distance,
-            "count_kind": w.count_kind,
-            "witnesses": list(w.witnesses),
-            "counts": list(w.counts),
-        }
     return {
         "schema": "spbibd.analyze-graph/1",
         "counts": {
@@ -234,8 +192,8 @@ def analyze_graph_report(g: BipartiteGraph) -> dict:
         },
         "kind": cls.kind,
         "eccentricities": {"Y": cls.ecc_y, "Yprime": cls.ecc_yprime},
-        "arrays": {"Y": arr(cls.array_y), "Yprime": arr(cls.array_yprime)},
-        "witness": witness,
+        "arrays": {"Y": asdict(cls.array_y), "Yprime": asdict(cls.array_yprime)},
+        "witness": asdict(cls.witness),
     }
 
 
@@ -266,14 +224,14 @@ def _render_human(doc: Any, indent: int = 0) -> str:
         lines = []
         for key in sorted(doc):
             val = doc[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_human(val, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {val}")
         return "\n".join(lines)
-    if isinstance(doc, list):
-        if all(not isinstance(v, (dict, list)) for v in doc):
+    if isinstance(doc, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in doc):
             return f"{pad}{', '.join(str(v) for v in doc)}"
         return "\n".join(_render_human(v, indent) for v in doc)
     return f"{pad}{doc}"

@@ -1,9 +1,11 @@
 """Shared data model: incidence structures, bipartite graphs, intersection
-arrays and design parameter records.
+arrays and design parameter records, plus the one BFS of the package.
 
 All types are immutable after construction and safe to share between
 threads.  Validation happens in the constructor functions
-(``validate_structure``, ``build_bipartite``), never lazily.
+(``validate_structure``, ``build_bipartite``), never lazily.  Derived
+views (block sets, point degrees, adjacency lists and the graph's
+distance matrix) are cached properties, computed at most once per object.
 """
 
 from __future__ import annotations
@@ -169,6 +171,11 @@ class BipartiteGraph:
             adj[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in adj)
 
+    @cached_property
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """Distance matrix, one BFS per vertex; every graph check reads it."""
+        return tuple(bfs(self.adjacency, v) for v in range(self.num_vertices))
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
@@ -183,12 +190,27 @@ class BipartiteGraph:
         return tuple(v for v in range(self.num_vertices) if self.side[v] == want)
 
 
-def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> BipartiteGraph:
-    """Build a connected bipartite graph, certifying the 2-coloring by BFS
-    from vertex 0.
+def bfs(adjacency: Sequence[Sequence[int]], source: int) -> tuple[int, ...]:
+    """Shortest-path distances from ``source`` over adjacency lists, -1 for
+    an unreachable vertex."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return tuple(dist)
 
-    Raises ``OddCycleError`` if the graph is not bipartite (including
-    self-loops) and ``NotConnectedError`` if it is not connected.
+
+def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> BipartiteGraph:
+    """Build a connected bipartite graph, colouring each vertex by the parity
+    of its distance from vertex 0.
+
+    Raises ``NotConnectedError`` if the graph is not connected and
+    ``OddCycleError`` if it is not bipartite (including self-loops).
     """
     if num_vertices < 1:
         raise NotConnectedError("graph needs at least one vertex")
@@ -213,22 +235,12 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     for u, v in norm:
         adj[u].append(v)
         adj[v].append(u)
-
-    color = [-1] * num_vertices
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                raise OddCycleError(f"odd cycle through edge ({u}, {w})")
-    missing = [v for v in range(num_vertices) if color[v] == -1]
-    if missing:
-        raise NotConnectedError(f"vertex {missing[0]} is unreachable from vertex 0")
-    return BipartiteGraph(num_vertices, tuple(norm), tuple(color))
+    dist = bfs(adj, 0)
+    if -1 in dist:
+        raise NotConnectedError(f"vertex {dist.index(-1)} is unreachable from vertex 0")
+    # a parity colouring of a connected graph is proper iff there is no odd
+    # cycle; BipartiteGraph refuses any edge inside one class
+    return BipartiteGraph(num_vertices, tuple(norm), tuple(d % 2 for d in dist))
 
 
 @dataclass(frozen=True)

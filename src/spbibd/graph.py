@@ -1,19 +1,20 @@
-"""Distance computations and distance-regularity classification for
-connected bipartite graphs.
+"""Distance-regularity classification for connected bipartite graphs.
 
-Every test is exhaustive: the graphs in scope are desk-scale, so an
-O(V*E) sweep of BFS runs per classification is acceptable.
+Every check reads the graph's one cached distance matrix
+(``BipartiteGraph.distances``, one BFS per vertex, built at most once per
+graph).  Every test is exhaustive: the graphs in scope are desk-scale, so
+an O(V*E) sweep per classification is acceptable.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
     BipartiteGraph,
     IntersectionArray,
     SIDES,
+    ToolkitError,
     Y_SIDE,
 )
 
@@ -24,20 +25,15 @@ KIND_SEMIREGULAR_YPRIME_ONLY = "distance-semiregular-Yprime-only"
 KIND_NOT_REGULARIZED = "not-distance-regularized"
 
 
+class NoEdgesError(ToolkitError):
+    """Classification needs at least one edge."""
+
+
 def bfs_distances(g: BipartiteGraph, v: int) -> tuple[int, ...]:
     """Exact shortest-path distances from v to every vertex."""
     if v < 0 or v >= g.num_vertices:
         raise IndexError(f"vertex {v} out of range")
-    dist = [-1] * g.num_vertices
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return tuple(dist)
+    return g.distances[v]
 
 
 def eccentricity(g: BipartiteGraph, v: int) -> int:
@@ -45,8 +41,8 @@ def eccentricity(g: BipartiteGraph, v: int) -> int:
 
 
 def all_distances(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
-    """Full distance matrix, one BFS per vertex."""
-    return tuple(bfs_distances(g, v) for v in range(g.num_vertices))
+    """Full distance matrix."""
+    return g.distances
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,8 @@ def local_intersection_numbers(
     first_rep: list[int | None] = [None] * (ecc + 1)
     for y in range(g.num_vertices):
         i = dist[y]
-        nb = sum(1 for w in g.neighbors(y) if dist[w] == i + 1)
         nc = sum(1 for w in g.neighbors(y) if dist[w] == i - 1)
+        nb = g.degree(y) - nc  # a_i = 0 in a bipartite graph
         if first_rep[i] is None:
             first_rep[i] = y
             b[i] = nb
@@ -128,24 +124,11 @@ def uniform_array(
     """Scan every vertex of a class: its common array (None unless every
     vertex is distance-regularized with the same array), its maximum
     eccentricity, and the first non-regularity witness when one exists."""
-    common: IntersectionArray | None = None
-    uniform = True
-    max_ecc = 0
-    witness = None
-    for v in vertices:
-        res = local_intersection_numbers(g, v)
-        if isinstance(res, NotRegularizedAt):
-            uniform = False
-            if witness is None:
-                witness = res
-            max_ecc = max(max_ecc, eccentricity(g, v))
-            continue
-        max_ecc = max(max_ecc, res.eccentricity)
-        if common is None:
-            common = res
-        elif res != common:
-            uniform = False
-    return (common if uniform else None), max_ecc, witness
+    arrays = [local_intersection_numbers(g, v) for v in vertices]
+    witness = next((a for a in arrays if isinstance(a, NotRegularizedAt)), None)
+    uniform = witness is None and all(a == arrays[0] for a in arrays)
+    common = arrays[0] if arrays and uniform else None
+    return common, max((max(g.distances[v]) for v in vertices), default=0), witness
 
 
 def classify(g: BipartiteGraph) -> ClassificationResult:
@@ -156,7 +139,7 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
     regular); semiregular-one-side when only one class is uniform.
     """
     if not g.edges:
-        raise ValueError("classification needs at least one edge")
+        raise NoEdgesError("classification needs at least one edge")
     ys = g.class_vertices("Y")
     yps = g.class_vertices("Yprime")
     array_y, ecc_y, wit_y = uniform_array(g, ys)

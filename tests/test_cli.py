@@ -101,6 +101,15 @@ def test_json_booleans_and_floats_are_not_integers(tmp_path, capsys, command, do
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["analyze-graph", "check-homogeneous"])
+def test_graph_without_edges_is_a_one_line_error(tmp_path, capsys, command):
+    path = tmp_path / "one.json"
+    write_json(path, {"n": 1, "edges": []})
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

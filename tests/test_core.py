@@ -4,7 +4,9 @@ import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spbibd
 from spbibd.core import (
@@ -121,6 +123,36 @@ def test_two_disjoint_edges_not_connected():
     # enough edges, still disconnected: a 4-cycle plus an isolated vertex
     with pytest.raises(NotConnectedError):
         build_bipartite(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
+
+
+@st.composite
+def small_graphs(draw):
+    """A vertex count and an edge list without self-loops; pairs may repeat
+    and come in either orientation."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return n, edges
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(small_graphs())
+def test_build_bipartite_matches_networkx(graph):
+    n, edges = graph
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    if not nx.is_connected(h):
+        with pytest.raises(NotConnectedError):
+            build_bipartite(n, edges)
+    elif not nx.is_bipartite(h):
+        with pytest.raises(OddCycleError):
+            build_bipartite(n, edges)
+    else:
+        g = build_bipartite(n, edges)
+        lengths = dict(nx.all_pairs_shortest_path_length(h))
+        assert g.distances == tuple(tuple(lengths[u][v] for v in range(n)) for u in range(n))
+        assert g.side[0] == 0 and all(g.side[u] != g.side[v] for u, v in edges)
 
 
 def test_too_few_edges_rejected_before_allocating():

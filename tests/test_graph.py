@@ -192,18 +192,26 @@ def test_classify_invariant_under_relabeling():
 
 def oracle_intersection_array(g, x):
     """From-scratch extraction over the networkx distance dict: returns
-    (b, c) tuples or None when some level has inconsistent counts."""
+    (b, c) tuples, or the first witness when some level has inconsistent
+    counts (vertices in order, the b-count compared before the c-count)."""
     dist = oracle_distances(g, x)
     ecc = max(dist.values())
-    b, c = {}, {}
+    first = {}
     for y in range(g.num_vertices):
         i = dist[y]
-        nb = sum(1 for w in g.neighbors(y) if dist[w] == i + 1)
-        nc = sum(1 for w in g.neighbors(y) if dist[w] == i - 1)
-        if i in b and (b[i], c[i]) != (nb, nc):
-            return None
-        b[i], c[i] = nb, nc
-    return tuple(b[i] for i in range(ecc + 1)), tuple(c[i] for i in range(ecc + 1))
+        counts = {
+            "b": sum(1 for w in g.neighbors(y) if dist[w] == i + 1),
+            "c": sum(1 for w in g.neighbors(y) if dist[w] == i - 1),
+        }
+        if i not in first:
+            first[i] = (y, counts)
+            continue
+        rep, rep_counts = first[i]
+        for kind in ("b", "c"):
+            if counts[kind] != rep_counts[kind]:
+                return NotRegularizedAt(x, i, kind, (rep, y), (rep_counts[kind], counts[kind]))
+    levels = [first[i][1] for i in range(ecc + 1)]
+    return tuple(lv["b"] for lv in levels), tuple(lv["c"] for lv in levels)
 
 
 def test_local_intersection_numbers_match_independent_oracle():
@@ -214,8 +222,8 @@ def test_local_intersection_numbers_match_independent_oracle():
         for x in range(g.num_vertices):
             expected = oracle_intersection_array(g, x)
             got = local_intersection_numbers(g, x)
-            if expected is None:
-                assert isinstance(got, NotRegularizedAt)
+            if isinstance(expected, NotRegularizedAt):
+                assert got == expected
             else:
                 assert (got.b, got.c) == expected
 
@@ -243,7 +251,7 @@ def test_classify_kind_matches_independent_reconstruction():
         per_side = []
         for side in ("Y", "Yprime"):
             arrays = [oracle_intersection_array(g, v) for v in g.class_vertices(side)]
-            uniform = all(a is not None for a in arrays) and len(set(arrays)) == 1
+            uniform = len(set(arrays)) == 1 and not isinstance(arrays[0], NotRegularizedAt)
             per_side.append(arrays[0] if uniform and arrays else None)
         y_arr, yp_arr = per_side
         if y_arr is not None and yp_arr is not None:

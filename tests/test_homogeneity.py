@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spbibd import core
 from spbibd.core import IntersectionArray, SpbibdParams, build_bipartite
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
 from spbibd.design import NotInScopeError, spbibd_type
@@ -341,3 +342,17 @@ def test_parameter_homogeneity_not_in_scope():
         parameter_homogeneity(
             SpbibdParams(v=9, b=6, r=2, k=3, lambda1=2, lambda2=0, s=2, t=1, x=0, y=1)
         )
+
+
+def test_homogeneity_report_runs_one_bfs_per_vertex(monkeypatch):
+    g = tutte_coxeter()
+    sources = []
+
+    def counting_bfs(adjacency, source):
+        sources.append(source)
+        return real_bfs(adjacency, source)
+
+    real_bfs = core.bfs
+    monkeypatch.setattr(core, "bfs", counting_bfs)
+    homogeneity_report(g, "Y")
+    assert sorted(sources) == list(range(30))
