@@ -249,6 +249,7 @@ _FAMILIES = {
     "gq22": lambda a: design_file_doc(generators.gq22()),
     "fano": lambda a: design_file_doc(generators.fano()),
     "grid": lambda a: design_file_doc(generators.grid_design(a.n)),
+    "wq": lambda a: design_file_doc(generators.symplectic_gq(a.n)),
     "complete": lambda a: design_file_doc(generators.complete_bipartite_design(a.v, a.b)),
     "cycle": lambda a: graph_file_doc(generators.even_cycle(a.n)),
     "path": lambda a: graph_file_doc(generators.path_graph(a.n)),
@@ -318,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a fixture design or graph file")
     p.add_argument("family", choices=list(_FAMILIES))
-    p.add_argument("--n", type=int, default=3, help="size parameter (grid/cycle/path/subdivision)")
+    p.add_argument(
+        "--n", type=int, default=3, help="size parameter (grid/cycle/path/subdivision; prime q for wq)"
+    )
     p.add_argument("--v", type=int, default=2, help="points (complete)")
     p.add_argument("--b", type=int, default=2, help="blocks (complete)")
     p.add_argument("--out")

@@ -1,19 +1,20 @@
 """Shared data model: incidence structures, bipartite graphs, intersection
-arrays and design parameter records, plus the one BFS of the package.
+arrays and design parameter records, plus the one BFS of the package (over
+adjacency bitsets, yielding distance layers).
 
 All types are immutable after construction and safe to share between
 threads.  Validation happens in the constructor functions
 (``validate_structure``, ``build_bipartite``), never lazily.  Derived
-views (block sets, point degrees, adjacency lists and the graph's
-distance matrix) are cached properties, computed at most once per object.
+views (block sets, point degrees, the graph's adjacency bitsets and its
+distance layers) are cached properties, computed at most once per
+object.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ToolkitError(Exception):
@@ -164,23 +165,25 @@ class BipartiteGraph:
                 raise OddCycleError(f"edge ({u}, {v}) joins two vertices of the same class")
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in adj)
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighbourhood of each vertex as an int bitset (bit w is vertex w)."""
+        return edge_masks(self.num_vertices, self.edges)
 
     @cached_property
-    def distances(self) -> tuple[tuple[int, ...], ...]:
-        """Distance matrix, one BFS per vertex; every graph check reads it."""
-        return tuple(bfs(self.adjacency, v) for v in range(self.num_vertices))
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """Distance layers: ``layers[v][i]`` is the bitset of the vertices at
+        distance i from v, for i = 0..eccentricity(v).  One layer BFS per
+        vertex; every graph check reads it.  Each layer is an n-bit int, so
+        the view takes about n^2 * (D + 1) / 8 bytes for diameter D: less
+        than a distance matrix for the small diameters in scope, more on
+        long paths and cycles."""
+        return tuple(layer_bfs(self.adjacency_masks, v) for v in range(self.num_vertices))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return tuple(bits(self.adjacency_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adjacency_masks[v].bit_count()
 
     def class_vertices(self, side: str) -> tuple[int, ...]:
         """Vertices of one color class, by side name ("Y" or "Yprime")."""
@@ -190,19 +193,48 @@ class BipartiteGraph:
         return tuple(v for v in range(self.num_vertices) if self.side[v] == want)
 
 
-def bfs(adjacency: Sequence[Sequence[int]], source: int) -> tuple[int, ...]:
-    """Shortest-path distances from ``source`` over adjacency lists, -1 for
-    an unreachable vertex."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return tuple(dist)
+def edge_masks(num_vertices: int, edges: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Neighbourhood of each vertex as an int bitset (bit w is vertex w)."""
+    masks = [0] * num_vertices
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def layer_bfs(masks: Sequence[int], source: int) -> tuple[int, ...]:
+    """Distance layers from ``source`` over adjacency bitsets: entry i is
+    the bitset of the vertices at distance i; unreachable vertices are in
+    no layer."""
+    frontier = seen = 1 << source
+    layers = [frontier]
+    while True:
+        reach = 0
+        for u in bits(frontier):
+            reach |= masks[u]
+        frontier = reach & ~seen
+        if not frontier:
+            return tuple(layers)
+        seen |= frontier
+        layers.append(frontier)
+
+
+def distance_row(layers: Sequence[int], num_vertices: int) -> list[int]:
+    """Distances from one vertex to every vertex, read off its layers (0
+    for a vertex in no layer)."""
+    row = [0] * num_vertices
+    for i, layer in enumerate(layers):
+        for v in bits(layer):
+            row[v] = i
+    return row
 
 
 def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> BipartiteGraph:
@@ -231,16 +263,16 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     if len(norm) < num_vertices - 1:
         raise NotConnectedError(f"{len(norm)} edges cannot connect {num_vertices} vertices")
 
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v in norm:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = bfs(adj, 0)
-    if -1 in dist:
-        raise NotConnectedError(f"vertex {dist.index(-1)} is unreachable from vertex 0")
+    layers = layer_bfs(edge_masks(num_vertices, norm), 0)
+    # the layers are disjoint, so their sum is their union
+    missing = ~sum(layers) & ((1 << num_vertices) - 1)
+    if missing:
+        vertex = (missing & -missing).bit_length() - 1
+        raise NotConnectedError(f"vertex {vertex} is unreachable from vertex 0")
     # a parity colouring of a connected graph is proper iff there is no odd
     # cycle; BipartiteGraph refuses any edge inside one class
-    return BipartiteGraph(num_vertices, tuple(norm), tuple(d % 2 for d in dist))
+    side = tuple(d % 2 for d in distance_row(layers, num_vertices))
+    return BipartiteGraph(num_vertices, tuple(norm), side)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Witness families and negative controls used throughout the test
-suites: grids, the duad-syntheme generalized quadrangle, complete designs,
-cycles, paths, the Fano plane and subdivisions of complete bipartite
-graphs."""
+suites: grids, the duad-syntheme generalized quadrangle, the symplectic
+quadrangles W(q), complete designs, cycles, paths, the Fano plane and
+subdivisions of complete bipartite graphs."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from math import isqrt
 
 from .core import BipartiteGraph, IncidenceStructure, build_bipartite, validate_structure
 from .correspondence import incidence_graph
@@ -69,6 +70,50 @@ def gq22() -> IncidenceStructure:
         for matching in _perfect_matchings(tuple(range(6)))
     ]
     return validate_structure(len(duads), blocks)
+
+
+def symplectic_gq(q: int) -> IncidenceStructure:
+    """The symplectic generalized quadrangle W(q) for prime q: the points of
+    PG(3, q) and the lines totally isotropic under the alternating form
+    x0*y1 - x1*y0 + x2*y3 - x3*y2 (Payne-Thas, Finite Generalized
+    Quadrangles, 3.1).
+
+    Parameters ((q+1)(q^2+1), (q+1)(q^2+1), q+1, q+1, 1, 0) of type (q, 1)
+    with x = 0, y = 1; W(2) is isomorphic to gq22().
+    """
+    if q < 2 or any(q % p == 0 for p in range(2, isqrt(q) + 1)):
+        raise ValueError(f"q must be a prime, got {q}")
+
+    def normalized(x: tuple[int, ...]) -> tuple[int, ...]:
+        """The representative of x's projective point: first nonzero entry 1."""
+        inv = pow(next(c for c in x if c), -1, q)
+        return tuple(c * inv % q for c in x)
+
+    points = sorted({normalized(x) for x in product(range(q), repeat=4) if any(x)})
+    index = {p: i for i, p in enumerate(points)}
+    lines = []
+    # each line is a 2-dimensional subspace, met once through its reduced
+    # row echelon basis (u, w) with pivots in columns i < j
+    for i, j in combinations(range(4), 2):
+        free_u = [c for c in range(i + 1, 4) if c != j]
+        for u_vals, w_vals in product(
+            product(range(q), repeat=len(free_u)), product(range(q), repeat=3 - j)
+        ):
+            u = [0] * 4
+            u[i] = 1
+            for c, a in zip(free_u, u_vals):
+                u[c] = a
+            w = [0] * 4
+            w[j] = 1
+            w[j + 1 :] = w_vals
+            if (u[0] * w[1] - u[1] * w[0] + u[2] * w[3] - u[3] * w[2]) % q:
+                continue
+            # the q + 1 points of the line: u, and a*u + w for every a
+            span = [tuple(u)] + [
+                normalized(tuple((a * uc + wc) % q for uc, wc in zip(u, w))) for a in range(q)
+            ]
+            lines.append([index[p] for p in span])
+    return validate_structure(len(points), lines)
 
 
 def fano() -> IncidenceStructure:

@@ -1,9 +1,12 @@
 """Distance-regularity classification for connected bipartite graphs.
 
-Every check reads the graph's one cached distance matrix
-(``BipartiteGraph.distances``, one BFS per vertex, built at most once per
-graph).  Every test is exhaustive: the graphs in scope are desk-scale, so
-an O(V*E) sweep per classification is acceptable.
+Every check reads the graph's one cached view of distance layers
+(``BipartiteGraph.layers``: per vertex, the int bitset of the vertices at
+each distance, one bitset BFS per vertex, built at most once per graph).
+Intersection numbers are popcounts: c_i of y is the number of y's
+neighbours in the layer i-1, and b_i = degree - c_i.  Every test is
+exhaustive: the graphs in scope are desk-scale, so an O(V*E) sweep per
+classification is acceptable.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .core import (
     SIDES,
     ToolkitError,
     Y_SIDE,
+    distance_row,
 )
 
 KIND_DISTANCE_REGULAR = "distance-regular"
@@ -33,16 +37,12 @@ def bfs_distances(g: BipartiteGraph, v: int) -> tuple[int, ...]:
     """Exact shortest-path distances from v to every vertex."""
     if v < 0 or v >= g.num_vertices:
         raise IndexError(f"vertex {v} out of range")
-    return g.distances[v]
-
-
-def eccentricity(g: BipartiteGraph, v: int) -> int:
-    return max(bfs_distances(g, v))
+    return tuple(distance_row(g.layers[v], g.num_vertices))
 
 
 def all_distances(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     """Full distance matrix."""
-    return g.distances
+    return tuple(tuple(distance_row(layers, g.num_vertices)) for layers in g.layers)
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,18 @@ def local_intersection_numbers(
     constant; the first (y1, y2) with differing counts is returned
     otherwise.
     """
-    dist = bfs_distances(g, x)
-    ecc = max(dist)
+    layers = g.layers[x]
+    below = (0, *layers)  # below[i] is the layer i - 1, empty for i = 0
+    masks = g.adjacency_masks
+    ecc = len(layers) - 1
     b = [0] * (ecc + 1)
     c = [0] * (ecc + 1)
     first_rep: list[int | None] = [None] * (ecc + 1)
-    for y in range(g.num_vertices):
-        i = dist[y]
-        nc = sum(1 for w in g.neighbors(y) if dist[w] == i - 1)
-        nb = g.degree(y) - nc  # a_i = 0 in a bipartite graph
+    # vertex order, not layer order: it fixes which witness comes first
+    for y, i in enumerate(distance_row(layers, g.num_vertices)):
+        nbrs = masks[y]
+        nc = (nbrs & below[i]).bit_count()
+        nb = nbrs.bit_count() - nc  # degree - c_i: a_i = 0 in a bipartite graph
         if first_rep[i] is None:
             first_rep[i] = y
             b[i] = nb
@@ -121,14 +124,18 @@ class ClassificationResult:
 def uniform_array(
     g: BipartiteGraph, vertices: tuple[int, ...]
 ) -> tuple[IntersectionArray | None, int, NotRegularizedAt | None]:
-    """Scan every vertex of a class: its common array (None unless every
+    """Scan a class in vertex order: its common array (None unless every
     vertex is distance-regularized with the same array), its maximum
-    eccentricity, and the first non-regularity witness when one exists."""
-    arrays = [local_intersection_numbers(g, v) for v in vertices]
-    witness = next((a for a in arrays if isinstance(a, NotRegularizedAt)), None)
-    uniform = witness is None and all(a == arrays[0] for a in arrays)
-    common = arrays[0] if arrays and uniform else None
-    return common, max((max(g.distances[v]) for v in vertices), default=0), witness
+    eccentricity, and the first non-regularity witness when one exists.
+    The scan stops at that witness."""
+    ecc = max((len(g.layers[v]) - 1 for v in vertices), default=0)
+    arrays = set()
+    for v in vertices:
+        arr = local_intersection_numbers(g, v)
+        if isinstance(arr, NotRegularizedAt):
+            return None, ecc, arr
+        arrays.add(arr)
+    return arrays.pop() if len(arrays) == 1 else None, ecc, None
 
 
 def classify(g: BipartiteGraph) -> ClassificationResult:

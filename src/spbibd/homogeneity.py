@@ -18,9 +18,10 @@ from .core import (
     SIDES,
     SpbibdParams,
     ToolkitError,
+    bits,
 )
 from .design import NotInScopeError
-from .graph import all_distances, classify
+from .graph import classify
 
 VERDICT_TWO_HOMOGENEOUS = "2-homogeneous"
 VERDICT_ALMOST_ONLY = "almost-only"
@@ -120,38 +121,68 @@ class BruteForceResult:
         return len(self.level_counts.get(i, ())) <= 1
 
 
+def _distinct_counts(zs: int, sets: list[int]) -> set[int]:
+    """The distinct values of |{s in sets : z in s}| over the vertices z of
+    the bitset ``zs``.  The counts are kept bit-sliced: ``planes[j]`` holds
+    bit j of every vertex's count, and each set is added to them by a
+    ripple carry."""
+    planes: list[int] = []
+    for s in sets:
+        carry = s & zs
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    found = set()
+    for count in range(1 << len(planes)):
+        members = zs
+        for j, plane in enumerate(planes):
+            members &= plane if count >> j & 1 else ~plane
+        if members:
+            found.add(count)
+            zs &= ~members
+            if not zs:
+                break
+    return found
+
+
 def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     """Decide (almost) 2-homogeneity with respect to ``side`` by exhaustive
     triple enumeration.
 
-    Levels run over 1..D-1; a level with no eligible z is vacuously
-    constant.  2-homogeneous needs every level constant, almost needs
-    levels 1..D-2.
+    For every x in the class, every y in Gamma_2(x) above x and every level
+    i, the z in Gamma_{i,i}(x, y) are one bitset and each common neighbour
+    w of x and y adds its layer Gamma_{i-1}(w) to bit-sliced counters, so
+    every z gets its own count.  Levels run over 1..D-1; a level with no
+    eligible z is vacuously constant.  2-homogeneous needs every level
+    constant, almost needs levels 1..D-2.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     vertices = g.class_vertices(side)
-    dist = all_distances(g)
-    eccs = {max(dist[v]) for v in vertices}
+    layers = g.layers
+    eccs = {len(layers[v]) - 1 for v in vertices}
     if len(eccs) != 1:
         raise EccentricityNotUniformError(
             f"class {side} has mixed eccentricities {sorted(eccs)}"
         )
     d = eccs.pop()
+    masks = g.adjacency_masks
     observed: dict[int, set[int]] = {i: set() for i in range(1, d)}
-    for pos, x in enumerate(vertices):
-        dx = dist[x]
-        for y in vertices[pos + 1 :]:
-            if dx[y] != 2:
-                continue
-            dy = dist[y]
-            common = [w for w in g.neighbors(x) if dy[w] == 1]
-            for z in range(g.num_vertices):
-                i = dx[z]
-                if i < 1 or i > d - 1 or dy[z] != i:
-                    continue
-                dz = dist[z]
-                observed[i].add(sum(1 for w in common if dz[w] == i - 1))
+    # below eccentricity 2 there is no Gamma_2(x), so no triple to count
+    for x in vertices if d >= 2 else ():
+        lx = layers[x]
+        for y in bits(lx[2] >> (x + 1) << (x + 1)):
+            ly = layers[y]
+            # a neighbour of x has eccentricity >= d - 1, so layer i - 1 exists
+            common = [layers[w] for w in bits(masks[x] & masks[y])]
+            for i in range(1, d):
+                zs = lx[i] & ly[i]
+                if zs:
+                    observed[i] |= _distinct_counts(zs, [lw[i - 1] for lw in common])
     counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
     full = all(len(counts[i]) <= 1 for i in range(1, d))
     almost = all(len(counts[i]) <= 1 for i in range(1, d - 1))

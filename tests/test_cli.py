@@ -31,6 +31,15 @@ def test_generate_writes_design_file(gq22_file):
     assert len(doc["blocks"]) == 15
 
 
+def test_generate_wq_is_a_generalized_quadrangle(tmp_path, capsys):
+    path = tmp_path / "w3.json"
+    assert run_cli(capsys, "generate", "wq", "--n", "3", "--out", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "analyze-design", str(path))
+    assert code == 0
+    sp = json.loads(out)["spbibd"]
+    assert (sp["v"], sp["b"], sp["r"], sp["k"], sp["lambda1"]) == (40, 40, 4, 4, 1)
+
+
 def test_analyze_design_gq22(capsys, gq22_file):
     code, out, _ = run_cli(capsys, "analyze-design", str(gq22_file))
     assert code == 0
@@ -118,6 +127,8 @@ def test_graph_without_edges_is_a_one_line_error(tmp_path, capsys, command):
         ("path", "--n", "1"),
         ("subdivision", "--n", "1"),
         ("complete", "--v", "0"),
+        ("wq", "--n", "1"),
+        ("wq", "--n", "4"),
     ],
 )
 def test_generate_out_of_range_size_is_a_one_line_error(capsys, args):

@@ -23,6 +23,7 @@ from spbibd.core import (
     canonical_block_permutation,
     validate_structure,
 )
+from spbibd.graph import all_distances
 from util import oracle_distances, random_connected_bipartite
 
 
@@ -143,7 +144,11 @@ def test_build_bipartite_matches_networkx(graph):
     h.add_nodes_from(range(n))
     h.add_edges_from(edges)
     if not nx.is_connected(h):
-        with pytest.raises(NotConnectedError):
+        # the message names the lowest unreachable vertex, unless there are
+        # too few edges to connect the graph at all
+        lowest = min(set(range(n)) - nx.node_connected_component(h, 0))
+        match = "cannot connect" if len(set(map(frozenset, edges))) < n - 1 else f"vertex {lowest} is"
+        with pytest.raises(NotConnectedError, match=match):
             build_bipartite(n, edges)
     elif not nx.is_bipartite(h):
         with pytest.raises(OddCycleError):
@@ -151,7 +156,7 @@ def test_build_bipartite_matches_networkx(graph):
     else:
         g = build_bipartite(n, edges)
         lengths = dict(nx.all_pairs_shortest_path_length(h))
-        assert g.distances == tuple(tuple(lengths[u][v] for v in range(n)) for u in range(n))
+        assert all_distances(g) == tuple(tuple(lengths[u][v] for v in range(n)) for u in range(n))
         assert g.side[0] == 0 and all(g.side[u] != g.side[v] for u, v in edges)
 
 

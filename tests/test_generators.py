@@ -3,7 +3,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from spbibd.core import SpbibdParams
+from spbibd.core import IntersectionArray, SpbibdParams
 from spbibd.correspondence import incidence_graph
 from spbibd.design import replication_and_block_size, spbibd_type
 from spbibd.generators import (
@@ -14,6 +14,7 @@ from spbibd.generators import (
     grid_design,
     path_graph,
     subdivision_complete_bipartite,
+    symplectic_gq,
     tutte_coxeter,
 )
 from spbibd.graph import (
@@ -21,9 +22,8 @@ from spbibd.graph import (
     KIND_DISTANCE_REGULAR,
     KIND_NOT_REGULARIZED,
     classify,
-    eccentricity,
 )
-from util import girth, nx_graph
+from util import eccentricity, girth, nx_graph
 
 
 def test_complete_design_star():
@@ -107,6 +107,24 @@ def test_tutte_coxeter_is_cubic_30_girth_8():
     assert cls.ecc_y == cls.ecc_yprime == 4
 
 
+def test_symplectic_gq_w3_parameters():
+    p = spbibd_type(symplectic_gq(3))
+    assert (p.v, p.b, p.r, p.k, p.lambda1) == (40, 40, 4, 4, 1)
+    assert (p.s, p.t, p.x, p.y) == (3, 1, 0, 1)
+    assert p.is_generalized_quadrangle
+
+
+def test_symplectic_gq_incidence_arrays_both_classes():
+    for q in (2, 3, 5):
+        cls = classify(incidence_graph(symplectic_gq(q)))
+        expected = IntersectionArray(b=(q + 1, q, q, q, 0), c=(0, 1, 1, 1, q + 1))
+        assert cls.array_y == cls.array_yprime == expected
+
+
+def test_symplectic_gq_w2_is_gq22():
+    assert nx.is_isomorphic(nx_graph(incidence_graph(symplectic_gq(2))), nx_graph(tutte_coxeter()))
+
+
 def test_fano_negative_control():
     d = fano()
     assert d.num_points == 7 and d.num_blocks == 7
@@ -137,3 +155,6 @@ def test_generator_input_validation():
         subdivision_complete_bipartite(1)
     with pytest.raises(ValueError):
         complete_bipartite_design(0, 1)
+    for q in (-2, 0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            symplectic_gq(q)

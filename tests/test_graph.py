@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 
+from spbibd import graph
 from spbibd.core import build_bipartite
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
 from spbibd.generators import (
@@ -21,10 +22,10 @@ from spbibd.graph import (
     all_distances,
     bfs_distances,
     classify,
-    eccentricity,
     local_intersection_numbers,
+    uniform_array,
 )
-from util import girth, nx_graph, oracle_distances, random_connected_bipartite, relabeled_graph
+from util import eccentricity, girth, nx_graph, oracle_distances, random_connected_bipartite, relabeled_graph
 
 
 def complete_bipartite_graph(a: int, b: int):
@@ -226,6 +227,35 @@ def test_local_intersection_numbers_match_independent_oracle():
                 assert got == expected
             else:
                 assert (got.b, got.c) == expected
+
+
+def test_uniform_array_stops_at_first_witness(monkeypatch):
+    rng = random.Random(31)
+    graphs = [path_graph(8)] + [random_connected_bipartite(rng, max_side=8) for _ in range(20)]
+    real = local_intersection_numbers
+    scanned = []
+
+    def counting(g, v):
+        scanned.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(graph, "local_intersection_numbers", counting)
+    skipped = 0
+    for g in graphs:
+        for side in ("Y", "Yprime"):
+            vertices = g.class_vertices(side)
+            arrays = [real(g, v) for v in vertices]
+            witnesses = [a for a in arrays if isinstance(a, NotRegularizedAt)]
+            scanned.clear()
+            arr, ecc, witness = uniform_array(g, vertices)
+            assert ecc == max(eccentricity(g, v) for v in vertices)
+            if not witnesses:
+                assert witness is None and scanned == list(vertices)
+                continue
+            assert arr is None and witness == witnesses[0]
+            assert scanned == list(vertices[: vertices.index(witness.vertex) + 1])
+            skipped += len(witnesses) - 1
+    assert skipped > 0  # later witnesses exist and were never computed
 
 
 def test_array_invariants_on_every_successful_extraction():

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from spbibd import core
@@ -13,6 +15,7 @@ from spbibd.generators import (
     grid_design,
     path_graph,
     subdivision_complete_bipartite,
+    symplectic_gq,
     tutte_coxeter,
 )
 from spbibd.graph import classify
@@ -31,7 +34,13 @@ from spbibd.homogeneity import (
     p2ii_formula,
     parameter_homogeneity,
 )
-from util import hypercube_design, hypercube_graph, p2ii_direct_counts
+from util import (
+    bruteforce_oracle,
+    hypercube_design,
+    hypercube_graph,
+    p2ii_direct_counts,
+    random_connected_bipartite,
+)
 
 
 TUTTE_ARRAYS = expected_incidence_arrays(3, 3, 1, 1, 1)
@@ -193,6 +202,35 @@ def test_bruteforce_requires_uniform_eccentricity():
         homogeneous_by_bruteforce(path_graph(4), "Y")
 
 
+def test_bruteforce_matches_per_z_oracle():
+    rng = random.Random(43)
+    graphs = [
+        incidence_graph(symplectic_gq(3)),
+        incidence_graph(symplectic_gq(2)),  # GQ(2,2), labelled apart from tutte_coxeter()
+        tutte_coxeter(),
+        incidence_graph(grid_design(2)),
+        incidence_graph(grid_design(5)),
+        even_cycle(12),
+        hypercube_graph(8),
+        subdivision_complete_bipartite(5),
+        build_bipartite(20, nx.desargues_graph().edges()),  # verdict "neither"
+    ]
+    graphs += [random_connected_bipartite(rng) for _ in range(40)]
+    mixed = 0
+    for g in graphs:
+        for side in ("Y", "Yprime"):
+            try:
+                counts, verdict = bruteforce_oracle(g, side)
+            except EccentricityNotUniformError:
+                mixed += 1
+                with pytest.raises(EccentricityNotUniformError):
+                    homogeneous_by_bruteforce(g, side)
+                continue
+            res = homogeneous_by_bruteforce(g, side)
+            assert (res.level_counts, res.verdict) == (counts, verdict), side
+    assert mixed > 0
+
+
 def test_formula_and_bruteforce_agree_when_hypotheses_hold():
     cases = [
         (tutte_coxeter(), "Y"),
@@ -348,11 +386,11 @@ def test_homogeneity_report_runs_one_bfs_per_vertex(monkeypatch):
     g = tutte_coxeter()
     sources = []
 
-    def counting_bfs(adjacency, source):
+    def counting_bfs(masks, source):
         sources.append(source)
-        return real_bfs(adjacency, source)
+        return real_bfs(masks, source)
 
-    real_bfs = core.bfs
-    monkeypatch.setattr(core, "bfs", counting_bfs)
+    real_bfs = core.layer_bfs
+    monkeypatch.setattr(core, "layer_bfs", counting_bfs)
     homogeneity_report(g, "Y")
     assert sorted(sources) == list(range(30))

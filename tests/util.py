@@ -22,7 +22,13 @@ from spbibd.core import (
     validate_structure,
 )
 from spbibd.correspondence import GraphDesignExtraction
-from spbibd.graph import all_distances
+from spbibd.graph import all_distances, bfs_distances
+from spbibd.homogeneity import (
+    VERDICT_ALMOST_ONLY,
+    VERDICT_NEITHER,
+    VERDICT_TWO_HOMOGENEOUS,
+    EccentricityNotUniformError,
+)
 
 
 def nx_graph(g: BipartiteGraph) -> nx.Graph:
@@ -34,6 +40,10 @@ def nx_graph(g: BipartiteGraph) -> nx.Graph:
 
 def oracle_distances(g: BipartiteGraph, v: int) -> dict[int, int]:
     return nx.single_source_shortest_path_length(nx_graph(g), v)
+
+
+def eccentricity(g: BipartiteGraph, v: int) -> int:
+    return max(bfs_distances(g, v))
 
 
 def pair_coverage_oracle(d: IncidenceStructure) -> dict[tuple[int, int], int]:
@@ -194,3 +204,37 @@ def array_class_sizes(arr: IntersectionArray) -> tuple[Fraction, Fraction]:
     v = 1 + Fraction(b0 * b1, c2) + Fraction(b0 * b1 * b2 * b3, c2 * c3 * c4)
     b = b0 + Fraction(b0 * b1 * b2, c2 * c3)
     return v, b
+
+
+def bruteforce_oracle(g: BipartiteGraph, side: str) -> tuple[dict[int, tuple[int, ...]], str]:
+    """Level counts and verdict of homogeneous_by_bruteforce, one z at a time
+    over networkx distances: |Gamma(x) n Gamma(y) n Gamma_{i-1}(z)| for
+    every x in the class, every y at distance 2 above x and every z in
+    Gamma_{i,i}(x, y); the oracle for the bit-sliced counting."""
+    vertices = g.class_vertices(side)
+    dist = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    eccs = {max(dist[v].values()) for v in vertices}
+    if len(eccs) != 1:
+        raise EccentricityNotUniformError(f"class {side} has mixed eccentricities {sorted(eccs)}")
+    d = eccs.pop()
+    observed: dict[int, set[int]] = {i: set() for i in range(1, d)}
+    for pos, x in enumerate(vertices):
+        dx = dist[x]
+        for y in vertices[pos + 1 :]:
+            if dx[y] != 2:
+                continue
+            dy = dist[y]
+            common = [w for w in g.neighbors(x) if dy[w] == 1]
+            for z in range(g.num_vertices):
+                i = dx[z]
+                if i < 1 or i > d - 1 or dy[z] != i:
+                    continue
+                dz = dist[z]
+                observed[i].add(sum(1 for w in common if dz[w] == i - 1))
+    counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
+    full = all(len(counts[i]) <= 1 for i in range(1, d))
+    almost = all(len(counts[i]) <= 1 for i in range(1, d - 1))
+    verdict = (
+        VERDICT_TWO_HOMOGENEOUS if full else VERDICT_ALMOST_ONLY if almost else VERDICT_NEITHER
+    )
+    return counts, verdict
