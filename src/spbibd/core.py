@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ToolkitError(Exception):
@@ -89,12 +90,14 @@ class IncidenceStructure:
         return tuple(frozenset(b) for b in self.blocks)
 
     @cached_property
-    def point_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.num_points
+    def point_degrees(self) -> Mapping[int, int]:
+        """Blocks through each covered point; an uncovered point (degree 0)
+        has no entry, so the view is O(sum of block sizes), not O(v)."""
+        deg: dict[int, int] = {}
         for blk in self.blocks:
             for p in blk:
-                deg[p] += 1
-        return tuple(deg)
+                deg[p] = deg.get(p, 0) + 1
+        return MappingProxyType(deg)
 
 
 def validate_structure(

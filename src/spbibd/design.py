@@ -47,10 +47,17 @@ def replication_and_block_size(d: IncidenceStructure) -> tuple[int, int] | NotUn
         if len(blk) != k:
             return NotUniform("block-size", (0, j), (k, len(blk)))
     deg = d.point_degrees
-    r = deg[0]
-    for p, dp in enumerate(deg):
-        if dp != r:
-            return NotUniform("replication", (0, p), (r, dp))
+    r = deg.get(0, 0)
+    # the first point whose degree is not r; an uncovered point differs
+    # only when point 0 is covered, and the first one is met within
+    # len(deg) + 1 steps
+    differing = [p for p, dp in deg.items() if dp != r]
+    uncovered = next((p for p in range(d.num_points) if p not in deg), None)
+    if r and uncovered is not None:
+        differing.append(uncovered)
+    if differing:
+        p = min(differing)
+        return NotUniform("replication", (0, p), (r, deg.get(p, 0)))
     return r, k
 
 

@@ -251,21 +251,38 @@ def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:
 EQUALITY_LABELS = ("K3", "K4", "K30", "K40")
 
 
+def r_coefficients(label: str, k: int, lambda1: int, t: int, y: int) -> tuple[int, int]:
+    """(a, c) such that the equality ``label``, K3 or K30, holds exactly
+    when a*r == c; both are linear in r:
+
+        K3:  (y-1)(t-1) * r = lambda1*((k-2)(t-y) + (y-1)(t-1))
+        K30: lambda1*y*(t-y) * r = (k-y)(t*lambda1-y)(lambda1-1) + 2*lambda1*y*(t-y)
+    """
+    if label == "K3":
+        a = (y - 1) * (t - 1)
+        return a, lambda1 * ((k - 2) * (t - y) + a)
+    if label == "K30":
+        a = lambda1 * y * (t - y)
+        return a, (k - y) * (t * lambda1 - y) * (lambda1 - 1) + 2 * a
+    raise ValueError(f"{label} is not one of the equalities linear in r (K3, K30)")
+
+
 def satisfied_equalities(r: int, k: int, lambda1: int, t: int, y: int) -> frozenset[str]:
     """Which of the four Delta-vanishing equalities hold for the design
     parameters (r, k, lambda1, t, y), y >= 1.
 
     Each is one Delta scalar of expected_incidence_arrays(r, k, lambda1, t,
     y) set to zero, factored and cleared of denominators, so every test is
-    an integer equality even where t*lambda1/y is not integral.
+    an integer equality even where t*lambda1/y is not integral.  K3 and
+    K30 are tested in their r_coefficients form.
     """
     out = set()
-    if lambda1 * (k - 2) * (t - y) == (y - 1) * (r - lambda1) * (t - 1):
-        out.add("K3")
+    for label in ("K3", "K30"):
+        a, c = r_coefficients(label, k, lambda1, t, y)
+        if a * r == c:
+            out.add(label)
     if (r * (k - 1) - t * lambda1) * (y - 1) == lambda1 * (k - y - 1) * (k - 1):
         out.add("K4")
-    if lambda1 * (r - 2) * (t - y) * y == (k - y) * (t * lambda1 - y) * (lambda1 - 1):
-        out.add("K30")
     if ((k - t) * (r - 1) + t * (r - lambda1 - 1)) * (lambda1 - 1) == y * (r - 1) * (
         r - lambda1 - 1
     ):

@@ -2,6 +2,12 @@
 (r, k, lambda1, t, y) with y > 1 whose incidence graph would be (almost)
 2-homogeneous with respect to the point or block class.
 
+Every target needs K3 (Delta_2 of the point class) or K30 (Delta_2 of the
+block class), and both are linear in r (homogeneity.r_coefficients), so
+the enumeration runs over (lambda1, y, t) and solves the target's first
+equality for r instead of sweeping r.  The old sweep over every r is kept
+only as the test oracle.
+
 Emitting a tuple never asserts that a design with these parameters
 exists; every row carries an explicit "unresolved" existence marker.
 """
@@ -14,7 +20,7 @@ from fractions import Fraction
 from .core import ConsistencyError, SpbibdParams, ToolkitError
 from .correspondence import derived_sizes, expected_incidence_arrays
 from .design import check_parameter_constraints
-from .homogeneity import EQUALITY_LABELS, delta_value, satisfied_equalities
+from .homogeneity import EQUALITY_LABELS, delta_value, r_coefficients, satisfied_equalities
 
 TARGET_ALMOST_P = "almost-p"
 TARGET_FULL_P = "full-p"
@@ -23,7 +29,7 @@ TARGET_FULL_B = "full-b"
 TARGETS = (TARGET_ALMOST_P, TARGET_FULL_P, TARGET_ALMOST_B, TARGET_FULL_B)
 
 # Which Delta-vanishing equalities (homogeneity.EQUALITY_LABELS) a target
-# demands.
+# demands; r is solved from the first, which is linear in r.
 _TARGET_NEEDS = {
     TARGET_ALMOST_P: ("K3",),
     TARGET_FULL_P: ("K3", "K4"),
@@ -122,20 +128,41 @@ def deltas_from_arrays(r: int, k: int, lambda1: int, t: int, y: int) -> dict[str
     }
 
 
+def _solved_r(
+    label: str, k: int, lambda1: int, t: int, y: int, max_r: int
+) -> range | tuple[int, ...]:
+    """Every r in max(4, lambda1 + 1, t + 1)..max_r meeting the equality
+    ``label`` (K3 or K30) at (k, lambda1, t, y).
+
+    a*r = c has at most one solution when a != 0; a = 0 only happens for
+    y = 1 (K3) or t = y = 1 (K30), and then every r or none fits.
+    """
+    r_min = max(4, lambda1 + 1, t + 1)
+    a, c = r_coefficients(label, k, lambda1, t, y)
+    if a == 0:
+        return range(r_min, max_r + 1) if c == 0 else ()
+    r, rem = divmod(c, a)
+    return (r,) if rem == 0 and r_min <= r <= max_r else ()
+
+
 def _candidates_for_k(
     k: int, max_r: int, target: str, force_y: int | None
 ) -> list[CandidateTuple]:
     needed = _TARGET_NEEDS[target]
+    solved_from = needed[0]
     out = []
-    for r in range(4, max_r + 1):
-        for lambda1 in range(1, r):
-            y_range = range(2, k - 1) if force_y is None else (force_y,)
-            for y in y_range:
-                t_start = y + 1 if y > 1 else y
-                for t in range(t_start, min(k, r)):
+    y_range = range(2, k - 1) if force_y is None else (force_y,)
+    for lambda1 in range(1, max_r):
+        for y in y_range:
+            for t in range(y + 1 if y > 1 else y, min(k, max_r)):
+                for r in _solved_r(solved_from, k, lambda1, t, y, max_r):
                     if admissibility_failures(r, k, lambda1, t, y):
                         continue
                     sat = satisfied_equalities(r, k, lambda1, t, y)
+                    if solved_from not in sat:
+                        raise ConsistencyError(
+                            f"r = {r} solved from {solved_from} misses it at {(r, k, lambda1, t, y)}"
+                        )
                     if not all(label in sat for label in needed):
                         continue
                     deltas = deltas_from_arrays(r, k, lambda1, t, y)
@@ -165,11 +192,13 @@ def enumerate_candidates(
     """All admissible tuples with r <= max_r, k <= max_k meeting the target
     equalities, in (k, r, lambda1, y, t) lexicographic order.
 
-    ``force_y`` restricts the sweep to one y >= 1 (y = 1 gives the
-    out-of-problem diagnostic mode).  The result is a pure function of
-    (bounds, target, force_y).  Every emitted tuple is re-checked against
-    deltas_from_arrays and check_parameter_constraints; a disagreement
-    raises ConsistencyError.
+    r is solved from the target's first equality (K3 or K30) for each
+    (lambda1, y, t).  ``force_y`` restricts the search to one y >= 1
+    (y = 1 gives the out-of-problem diagnostic mode).  The result is a pure
+    function of (bounds, target, force_y).  An admissible solved r that
+    misses its equality, and an emitted tuple that disagrees with
+    deltas_from_arrays or check_parameter_constraints, raise
+    ConsistencyError.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -294,3 +295,24 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["v"] == 9 and len(doc["blocks"]) == 6
+
+
+def test_sparse_design_with_huge_v_is_analyzed_in_small_memory(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    write_json(path, {"v": 10**8, "blocks": [[0, 1], [1, 2]]})
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "analyze-design", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+    report = json.loads(out)
+    assert report["uniform"] == {
+        "witness": {"what": "replication", "indices": [0, 1], "values": [1, 2]}
+    }
+    assert report["spbibd"] == {
+        "rejected": "not-uniform",
+        "detail": "replication differs: (1, 2) at (0, 1)",
+    }

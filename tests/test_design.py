@@ -37,6 +37,28 @@ def test_non_uniform_witness():
     assert res.what == "block-size"
 
 
+def test_replication_witness_matches_a_full_degree_scan():
+    # the degree view holds covered points only; the witness is still the
+    # first point, in index order, whose degree differs from point 0's
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(500):
+        v = rng.randint(1, 8)
+        k = rng.randint(1, v)
+        blocks = [rng.sample(range(v), k) for _ in range(rng.randint(1, 5))]
+        d = validate_structure(v, blocks, allow_repeated=True)
+        deg = [sum(p in blk for blk in d.blocks) for p in range(v)]
+        first = next((p for p in range(v) if deg[p] != deg[0]), None)
+        res = replication_and_block_size(d)
+        if first is None:
+            assert res == (deg[0], k)
+            kinds.add("uniform")
+        else:
+            assert res == NotUniform("replication", (0, first), (deg[0], deg[first]))
+            kinds.add("point 0 uncovered" if deg[0] == 0 else "uncovered" if deg[first] == 0 else "covered")
+    assert kinds == {"uniform", "point 0 uncovered", "uncovered", "covered"}
+
+
 def test_pair_concurrences_match_oracle():
     rng = random.Random(23)
     for d in (fano(), grid_design(3), gq22(), relabeled_structure(gq22(), rng)):

@@ -1,14 +1,23 @@
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import spbibd
 from spbibd import search
 from spbibd.cli import main as cli_main
 from spbibd.core import ConsistencyError
 from spbibd.correspondence import derived_sizes, expected_incidence_arrays
 from spbibd.design import check_parameter_constraints
+from spbibd.homogeneity import r_coefficients
 from spbibd.search import (
     CSV_HEADER,
+    TARGETS,
     BoundsTooSmallError,
     admissibility_failures,
     candidates_csv,
@@ -16,7 +25,23 @@ from spbibd.search import (
     enumerate_candidates,
     satisfied_equalities,
 )
-from util import array_class_sizes
+from util import array_class_sizes, product_form_equalities, sweep_candidates
+
+# Rows and SHA-256 of `search --max-r 20 --max-k 20` per target, as the
+# search first produced them; every later version must reproduce them.
+SEARCH_20 = {
+    "almost-p": (106, "b2e969d730c639096e600c64ab0f64e7666367a2d9b6a2f0a184e4f81a269ea1"),
+    "full-p": (46, "de9b95281c85f2e598d4f82a13c5e793dbd4d8a15b1a1e00183ad855d0e16ddb"),
+    "almost-b": (56, "2589e5e39071e2e7b170f9df7f09a2b7495871b437a3d93435a1829c6efbe256"),
+    "full-b": (9, "797323c76151b4faf33e071335b69c98a0b4610d1b48ab54a6f439f32e7ec36e"),
+}
+# The same at --max-r 30 --max-k 30: rows and SHA-256 prefix.
+SEARCH_30 = {
+    "almost-p": (279, "671e3ca8cf5fe869"),
+    "full-p": (105, "8b5015058ee79196"),
+    "almost-b": (116, "97c7e2fe25dda282"),
+    "full-b": (14, "8bc859fde66d8887"),
+}
 
 
 def eqq2_delta2p(r, k, lambda1, t, y):
@@ -171,3 +196,90 @@ def test_derived_sizes_match_the_array_form():
                     point, _ = expected_incidence_arrays(r, k, lambda1, t, t)
                     v_num, b_num, den = derived_sizes(r, k, lambda1, t)
                     assert (Fraction(v_num, den), Fraction(b_num, den)) == array_class_sizes(point)
+
+
+def _csv_digest(bound, target):
+    cands = enumerate_candidates(bound, bound, target)
+    return len(cands), hashlib.sha256(candidates_csv(cands).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_search_csv_is_pinned_at_20_and_30(target):
+    assert _csv_digest(20, target) == SEARCH_20[target]
+    rows, digest = _csv_digest(30, target)
+    assert (rows, digest[:16]) == SEARCH_30[target]
+
+
+@pytest.mark.parametrize("bound", (12, 16))
+@pytest.mark.parametrize("force_y", (None, 1, 2, 3))
+def test_solved_search_equals_the_r_sweep(bound, force_y):
+    for target in TARGETS:
+        solved = enumerate_candidates(bound, bound, target, force_y=force_y)
+        assert solved == sweep_candidates(bound, bound, target, force_y), (target, force_y)
+
+
+def test_linear_form_tracks_the_equalities():
+    # a*r == c exactly when the label is satisfied, and the product forms
+    # agree; y = 1 and lambda1 = 1 reach the a = 0 and c = 0 branches
+    branches = set()
+    for k in range(2, 13):
+        for lambda1 in range(1, 13):
+            for y in range(1, k):
+                for t in range(y, k):
+                    for label in ("K3", "K30"):
+                        a, c = r_coefficients(label, k, lambda1, t, y)
+                        branches.add((label, a == 0, c == 0))
+                        for r in range(1, 13):
+                            sat = satisfied_equalities(r, k, lambda1, t, y)
+                            assert (a * r == c) == (label in sat)
+                            assert (label in sat) == (label in product_form_equalities(r, k, lambda1, t, y))
+    assert {("K3", True, True), ("K3", True, False), ("K30", True, True), ("K30", True, False)} <= branches
+    with pytest.raises(ValueError):
+        r_coefficients("K4", 4, 1, 2, 1)
+
+
+def _shift_solved_r(monkeypatch):
+    real = search.r_coefficients
+
+    def shifted(label, k, lambda1, t, y):
+        a, c = real(label, k, lambda1, t, y)
+        return a, c + a  # moves every solved r up by one
+
+    monkeypatch.setattr(search, "r_coefficients", shifted)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_solved_r_missing_its_equality_raises(monkeypatch, capsys, target):
+    _shift_solved_r(monkeypatch)
+    with pytest.raises(ConsistencyError, match="misses"):
+        enumerate_candidates(12, 12, target)
+    code = cli_main(["search", "--target", target, "--max-r", "12", "--max-k", "12"])
+    assert code == 3
+    assert "ConsistencyError" in capsys.readouterr().err
+
+
+def test_solved_r_cross_check_survives_optimize():
+    script = textwrap.dedent(
+        """
+        import sys
+        from spbibd import search
+        from spbibd.cli import main
+
+        if not sys.flags.optimize:
+            raise SystemExit("not running under -O")
+        real = search.r_coefficients
+
+        def shifted(*args):
+            a, c = real(*args)
+            return a, c + a
+
+        search.r_coefficients = shifted
+        raise SystemExit(main(["search", "--target", "almost-b", "--max-r", "12", "--max-k", "12"]))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(spbibd.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "ConsistencyError" in proc.stderr

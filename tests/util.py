@@ -21,7 +21,7 @@ from spbibd.core import (
     build_bipartite,
     validate_structure,
 )
-from spbibd.correspondence import GraphDesignExtraction
+from spbibd.correspondence import GraphDesignExtraction, derived_sizes
 from spbibd.graph import all_distances, bfs_distances
 from spbibd.homogeneity import (
     VERDICT_ALMOST_ONLY,
@@ -29,6 +29,7 @@ from spbibd.homogeneity import (
     VERDICT_TWO_HOMOGENEOUS,
     EccentricityNotUniformError,
 )
+from spbibd.search import _TARGET_NEEDS, CandidateTuple, admissibility_failures
 
 
 def nx_graph(g: BipartiteGraph) -> nx.Graph:
@@ -238,3 +239,45 @@ def bruteforce_oracle(g: BipartiteGraph, side: str) -> tuple[dict[int, tuple[int
         VERDICT_TWO_HOMOGENEOUS if full else VERDICT_ALMOST_ONLY if almost else VERDICT_NEITHER
     )
     return counts, verdict
+
+
+def product_form_equalities(r: int, k: int, lambda1: int, t: int, y: int) -> frozenset[str]:
+    """K3, K4, K30 and K40 as products, each side factored the way the
+    Delta_2 and Delta_3 scalars clear their denominators; the oracle for
+    the a*r == c form of satisfied_equalities."""
+    out = set()
+    if lambda1 * (k - 2) * (t - y) == (y - 1) * (r - lambda1) * (t - 1):
+        out.add("K3")
+    if (r * (k - 1) - t * lambda1) * (y - 1) == lambda1 * (k - y - 1) * (k - 1):
+        out.add("K4")
+    if lambda1 * (r - 2) * (t - y) * y == (k - y) * (t * lambda1 - y) * (lambda1 - 1):
+        out.add("K30")
+    if ((k - t) * (r - 1) + t * (r - lambda1 - 1)) * (lambda1 - 1) == y * (r - 1) * (
+        r - lambda1 - 1
+    ):
+        out.add("K40")
+    return frozenset(out)
+
+
+def sweep_candidates(
+    max_r: int, max_k: int, target: str, force_y: int | None = None
+) -> list[CandidateTuple]:
+    """enumerate_candidates by sweeping every r, lambda1, y and t in the
+    bounds and keeping the admissible tuples whose product-form equalities
+    include the target's; the oracle for solving K3/K30 for r."""
+    out = []
+    for k in range(4, max_k + 1):
+        for r in range(4, max_r + 1):
+            for lambda1 in range(1, r):
+                for y in range(2, k - 1) if force_y is None else (force_y,):
+                    for t in range(y + 1 if y > 1 else y, min(k, r)):
+                        if admissibility_failures(r, k, lambda1, t, y):
+                            continue
+                        sat = product_form_equalities(r, k, lambda1, t, y)
+                        if all(label in sat for label in _TARGET_NEEDS[target]):
+                            v_num, b_num, den = derived_sizes(r, k, lambda1, t)
+                            out.append(
+                                CandidateTuple(r, k, lambda1, t, y, v_num // den, b_num // den, sat)
+                            )
+    out.sort(key=CandidateTuple.sort_key)
+    return out
