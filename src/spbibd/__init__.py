@@ -15,8 +15,6 @@ from .correspondence import (
     design_from_graph,
     expected_incidence_arrays,
     incidence_graph,
-    round_trip_design,
-    round_trip_graph,
 )
 from .design import (
     QuasiSymmetryInfo,
@@ -67,8 +65,6 @@ __all__ = [
     "p2ii_formula",
     "parameter_homogeneity",
     "replication_and_block_size",
-    "round_trip_design",
-    "round_trip_graph",
     "spbibd_type",
     "validate_structure",
 ]

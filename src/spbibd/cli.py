@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Any
@@ -130,6 +129,16 @@ def _emit_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _plain(x: Any) -> Any:
+    """A report section as JSON-shaped data: a record becomes a dict of its
+    fields and a tuple a list, recursively."""
+    if hasattr(x, "_asdict"):
+        return {key: _plain(val) for key, val in x._asdict().items()}
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    return x
+
+
 def analyze_design_report(d: IncidenceStructure) -> dict:
     report: dict[str, Any] = {
         "schema": "spbibd.analyze-design/1",
@@ -145,7 +154,7 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
 
     if d.num_blocks >= 2:
         qs = design.block_intersections(d)
-        report["quasi_symmetry"] = dataclasses.asdict(qs)
+        report["quasi_symmetry"] = _plain(qs)
     else:
         report["quasi_symmetry"] = None
 
@@ -157,7 +166,7 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
         report["parameter_homogeneity"] = None
         return report
 
-    report["spbibd"] = dataclasses.asdict(params)
+    report["spbibd"] = _plain(params)
     report["flags"] = {
         "two_design_degenerate": params.two_design_degenerate,
         "in_scope": params.in_scope,
@@ -166,12 +175,12 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
     }
     try:
         cons = design.check_parameter_constraints(params)
-        report["constraints"] = {"all_pass": cons.all_pass, **dataclasses.asdict(cons)}
+        report["constraints"] = {"all_pass": cons.all_pass, **_plain(cons)}
     except design.NotInScopeError as exc:
         report["constraints"] = {"not_in_scope": str(exc)}
     try:
         props = homogeneity.parameter_homogeneity(params)
-        report["parameter_homogeneity"] = dataclasses.asdict(props)
+        report["parameter_homogeneity"] = _plain(props)
     except design.NotInScopeError as exc:
         report["parameter_homogeneity"] = {"not_in_scope": str(exc)}
     return report
@@ -179,10 +188,6 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
 
 def analyze_graph_report(g: BipartiteGraph) -> dict:
     cls = classify(g)
-
-    def asdict(x):
-        return None if x is None else dataclasses.asdict(x)
-
     return {
         "schema": "spbibd.analyze-graph/1",
         "counts": {
@@ -192,8 +197,8 @@ def analyze_graph_report(g: BipartiteGraph) -> dict:
         },
         "kind": cls.kind,
         "eccentricities": {"Y": cls.ecc_y, "Yprime": cls.ecc_yprime},
-        "arrays": {"Y": asdict(cls.array_y), "Yprime": asdict(cls.array_yprime)},
-        "witness": asdict(cls.witness),
+        "arrays": {"Y": _plain(cls.array_y), "Yprime": _plain(cls.array_yprime)},
+        "witness": _plain(cls.witness),
     }
 
 
@@ -224,14 +229,14 @@ def _render_human(doc: Any, indent: int = 0) -> str:
         lines = []
         for key in sorted(doc):
             val = doc[key]
-            if isinstance(val, (dict, list, tuple)):
+            if isinstance(val, (dict, list)):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_human(val, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {val}")
         return "\n".join(lines)
-    if isinstance(doc, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in doc):
+    if isinstance(doc, list):
+        if all(not isinstance(v, (dict, list)) for v in doc):
             return f"{pad}{', '.join(str(v) for v in doc)}"
         return "\n".join(_render_human(v, indent) for v in doc)
     return f"{pad}{doc}"

@@ -2,20 +2,25 @@
 arrays and design parameter records, plus the one BFS of the package (over
 adjacency bitsets, yielding distance layers).
 
-All types are immutable after construction and safe to share between
-threads.  Validation happens in the constructor functions
-(``validate_structure``, ``build_bipartite``), never lazily.  Derived
-views (block sets, point degrees, the graph's adjacency bitsets and its
-distance layers) are cached properties, computed at most once per
-object.
+Every record of the package is a ``typing.NamedTuple``: its fields are
+immutable and it is safe to share between threads.  A record compares
+equal to a plain tuple of the same field values; that is a side effect
+of the representation, and no caller may rely on it.  Validation happens
+in the constructor: ``IncidenceStructure``, ``BipartiteGraph`` and
+``IntersectionArray`` subclass a NamedTuple of their fields and check
+them in ``__init__`` (``_make`` and ``_replace`` skip the check), and the
+constructor functions (``validate_structure``, ``build_bipartite``)
+canonicalize raw input first; nothing is validated lazily.  The
+subclasses keep an instance ``__dict__``, so their derived views (block
+sets, point degrees, the graph's adjacency bitsets and its distance
+layers) are cached properties, computed at most once per object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ToolkitError(Exception):
@@ -51,8 +56,12 @@ class ConsistencyError(ToolkitError):
     this package, never a verdict about the input."""
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class _IncidenceFields(NamedTuple):
+    num_points: int
+    blocks: tuple[tuple[int, ...], ...]
+
+
+class IncidenceStructure(_IncidenceFields):
     """A point set 0..num_points-1 together with an ordered list of blocks.
 
     Instances are canonical: each block is a strictly increasing tuple of
@@ -60,10 +69,7 @@ class IncidenceStructure:
     through :func:`validate_structure`.
     """
 
-    num_points: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.num_points < 1:
             raise NoPointsError("structure needs at least one point")
         for blk in self.blocks:
@@ -149,8 +155,13 @@ YPRIME_SIDE = "Yprime"
 SIDES = (Y_SIDE, YPRIME_SIDE)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class _GraphFields(NamedTuple):
+    num_vertices: int
+    edges: tuple[tuple[int, int], ...]
+    side: tuple[int, ...]
+
+
+class BipartiteGraph(_GraphFields):
     """Connected bipartite graph with a certified 2-coloring.
 
     ``side[v]`` is 0 for the color class of vertex 0 (called Y) and 1 for
@@ -158,11 +169,7 @@ class BipartiteGraph:
     u < v.  Build through :func:`build_bipartite`.
     """
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    side: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         for u, v in self.edges:
             if self.side[u] == self.side[v]:
                 raise OddCycleError(f"edge ({u}, {v}) joins two vertices of the same class")
@@ -278,18 +285,19 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     return BipartiteGraph(num_vertices, tuple(norm), side)
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+class _ArrayFields(NamedTuple):
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+
+
+class IntersectionArray(_ArrayFields):
     """The b_i / c_i sequence of a distance-regularized vertex.
 
     ``b`` and ``c`` run over i = 0..D where D is the eccentricity.  The
     a_i are identically zero (bipartite) and never stored.
     """
 
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         d = len(self.b) - 1
         if d < 0 or len(self.c) != len(self.b):
             raise ToolkitError("b and c must have equal positive length")
@@ -322,8 +330,7 @@ class IntersectionArray:
         return self.c[i] if 0 <= i <= self.eccentricity else 0
 
 
-@dataclass(frozen=True)
-class SpbibdParams:
+class SpbibdParams(NamedTuple):
     """Parameters (v, b, r, k, lambda1, lambda2) of type (s, t), plus the
     block intersection numbers (x, y) when the design is quasi-symmetric.
 

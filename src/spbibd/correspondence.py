@@ -1,6 +1,6 @@
 """The two directions of the design/graph correspondence: incidence graph
-construction, design extraction from distance-semiregular graphs with
-eccentricity 4, and round-trip verification via provenance bijections.
+construction and design extraction from distance-semiregular graphs with
+eccentricity 4, with vertex provenance for the extracted points and blocks.
 
 All derived parameters are exact integers; a size that the formulas do
 not give as an integer is a DerivationError, never rounded.
@@ -8,7 +8,7 @@ not give as an integer is a DerivationError, never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BipartiteGraph,
@@ -89,8 +89,7 @@ def derived_sizes(r: int, k: int, lambda1: int, t: int) -> tuple[int, int, int]:
     return v_num, b_num, den
 
 
-@dataclass(frozen=True)
-class DerivedDesignParams:
+class DerivedDesignParams(NamedTuple):
     """Design parameters read off a graph whose chosen class is
     distance-regularized with eccentricity 4 and common array (b_i, c_i):
 
@@ -114,8 +113,7 @@ class DerivedDesignParams:
     y: int | None
 
 
-@dataclass(frozen=True)
-class GraphDesignExtraction:
+class GraphDesignExtraction(NamedTuple):
     """Design extracted from a graph, with vertex provenance: point i of
     ``structure`` is graph vertex ``point_vertices[i]``, block j is graph
     vertex ``block_vertices[j]``."""
@@ -185,58 +183,3 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     for raw_idx, canon_idx in enumerate(perm):
         block_vertices[canon_idx] = block_vertices_raw[raw_idx]
     return GraphDesignExtraction(structure, params, point_vertices, tuple(block_vertices))
-
-
-@dataclass(frozen=True)
-class RoundTripReport:
-    ok: bool
-    details: tuple[str, ...]
-
-
-def round_trip_design(d: IncidenceStructure) -> RoundTripReport:
-    """design -> incidence graph -> design must reproduce the canonical
-    form and parameters exactly."""
-    g = incidence_graph(d)
-    ext = design_from_graph(g, "Y")
-    details = []
-    ok = True
-    if ext.structure != d:
-        ok = False
-        details.append("extracted structure differs from input canonical form")
-    if ext.params.v != d.num_points or ext.params.b != d.num_blocks:
-        ok = False
-        details.append(f"derived (v, b) = ({ext.params.v}, {ext.params.b}) does not match input")
-    if ok:
-        details.append("exact round trip")
-    return RoundTripReport(ok, tuple(details))
-
-
-def round_trip_graph(g: BipartiteGraph, points: str) -> RoundTripReport:
-    """graph -> design -> incidence graph must preserve adjacency under the
-    provenance bijection (chosen-class vertex i -> i, block vertex -> v+j)."""
-    ext = design_from_graph(g, points)
-    g2 = incidence_graph(ext.structure)
-    v = ext.structure.num_points
-    phi = {}
-    for i, vertex in enumerate(ext.point_vertices):
-        phi[vertex] = i
-    for j, vertex in enumerate(ext.block_vertices):
-        phi[vertex] = v + j
-    details = []
-    ok = len(phi) == g.num_vertices == g2.num_vertices
-    if not ok:
-        details.append("provenance maps do not cover the vertex set")
-    else:
-        g2_edges = set(g2.edges)
-        for u, w in g.edges:
-            a, b = phi[u], phi[w]
-            if (min(a, b), max(a, b)) not in g2_edges:
-                ok = False
-                details.append(f"edge ({u}, {w}) lost through the round trip")
-                break
-        if ok and len(g.edges) != len(g2.edges):
-            ok = False
-            details.append("edge counts differ")
-    if ok:
-        details.append("adjacency preserved under the provenance bijection")
-    return RoundTripReport(ok, tuple(details))

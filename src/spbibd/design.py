@@ -7,9 +7,9 @@ sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     ConsistencyError,
@@ -28,8 +28,7 @@ class NotInScopeError(ToolkitError):
     """Raised when an operation's parameter preconditions fail."""
 
 
-@dataclass(frozen=True)
-class NotUniform:
+class NotUniform(NamedTuple):
     """Witness that replication or block size is not constant."""
 
     what: str  # "block-size" or "replication"
@@ -61,8 +60,7 @@ def replication_and_block_size(d: IncidenceStructure) -> tuple[int, int] | NotUn
     return r, k
 
 
-@dataclass(frozen=True)
-class QuasiSymmetryInfo:
+class QuasiSymmetryInfo(NamedTuple):
     """Distinct block intersection sizes and the (x, y) pair when at most
     two sizes are realized.  ``proper`` means exactly two."""
 
@@ -73,13 +71,19 @@ class QuasiSymmetryInfo:
 
 
 def block_intersections(d: IncidenceStructure) -> QuasiSymmetryInfo:
-    """Exact multiset of |B n B'| over distinct block pairs."""
+    """Exact set of |B n B'| over distinct block pairs, counted through the
+    points (O(sum of r^2)): a pair of blocks through no common point meets
+    in 0."""
     if d.num_blocks < 2:
         raise FewerThanTwoBlocksError("need at least two blocks")
-    sizes = set()
-    sets = d.block_sets
-    for a, b in combinations(sets, 2):
-        sizes.add(len(a & b))
+    through: dict[int, list[int]] = {}  # covered points only, as in point_degrees
+    for j, blk in enumerate(d.blocks):
+        for p in blk:
+            through.setdefault(p, []).append(j)
+    meets = _covered_pairs(through.values())
+    sizes = set(meets.values())
+    if len(meets) < d.num_blocks * (d.num_blocks - 1) // 2:
+        sizes.add(0)
     ordered = tuple(sorted(sizes))
     if len(ordered) == 2:
         return QuasiSymmetryInfo(ordered, ordered[0], ordered[1], True)
@@ -88,23 +92,28 @@ def block_intersections(d: IncidenceStructure) -> QuasiSymmetryInfo:
     return QuasiSymmetryInfo(ordered, None, None, False)
 
 
-@dataclass(frozen=True)
-class NotSpbibd:
+class NotSpbibd(NamedTuple):
     """Structured rejection: which condition failed and a witness."""
 
     reason: str
     detail: str
 
 
-def pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
-    """Number of blocks containing each pair of distinct points."""
+def _covered_pairs(sets: Iterable[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """How many of ``sets`` (each strictly increasing) contain each pair
+    that at least one of them contains."""
     counts: dict[tuple[int, int], int] = {}
-    for blk in d.blocks:
-        for pair in combinations(blk, 2):
+    for members in sets:
+        for pair in combinations(members, 2):
             counts[pair] = counts.get(pair, 0) + 1
-    for pair in combinations(range(d.num_points), 2):
-        counts.setdefault(pair, 0)
     return counts
+
+
+def pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
+    """Number of blocks containing each pair of distinct points that some
+    block covers; an absent pair is in no block.  O(sum of k^2), not
+    O(v^2)."""
+    return _covered_pairs(d.blocks)
 
 
 def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
@@ -123,13 +132,18 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
     r, k = rk
 
     conc = pair_concurrences(d)
-    values = sorted(set(conc.values()), reverse=True)
+    # the lexicographically first pair in no block, met within len(conc) + 1
+    # steps; concurrence 0 is realized exactly when it exists
+    uncovered = next((pair for pair in combinations(range(d.num_points), 2) if pair not in conc), None)
+    values = sorted(set(conc.values()) | ({0} if uncovered is not None else set()), reverse=True)
     if len(values) > 2:
         witnesses = {}
         for pair, count in conc.items():
             witnesses.setdefault(count, pair)
             if len(witnesses) > 2:
                 break
+        if len(witnesses) < 3:
+            witnesses[0] = uncovered
         shown = ", ".join(f"{pair} in {count}" for count, pair in sorted(witnesses.items()))
         return NotSpbibd("concurrence", f"more than two pair concurrences realized: {shown}")
     if len(values) == 2:
@@ -141,7 +155,7 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
         lambda1, lambda2, lambda2_realized = 0, 0, False
 
     def lam(p: int, q: int) -> int:
-        return conc[(p, q) if p < q else (q, p)]
+        return conc.get((p, q) if p < q else (q, p), 0)
 
     s_val: int | None = None
     for j, blk in enumerate(d.blocks):
@@ -152,9 +166,10 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
             elif s_here != s_val:
                 return NotSpbibd("flag-count", f"flag ({p}, block {j}) sees {s_here}, expected {s_val}")
 
+    # lambda1 = 0 means no pair is covered, so every non-flag sees all k
+    # points of its block: t = k without a scan
     t_val: int | None = None
-    block_sets = d.block_sets
-    for j, bs in enumerate(block_sets):
+    for j, bs in enumerate(d.block_sets if lambda1 else ()):
         for p in range(d.num_points):
             if p in bs:
                 continue
@@ -164,8 +179,8 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
             elif t_here != t_val:
                 return NotSpbibd("nonflag-count", f"non-flag ({p}, block {j}) sees {t_here}, expected {t_val}")
     if t_val is None:
-        # no non-flag exists: every pair shares lambda1 blocks, the
-        # 2-design degeneracy, reported as t = k
+        # lambda1 = 0, or no non-flag exists: every pair shares lambda1
+        # blocks, the 2-design degeneracy, reported as t = k
         t_val = k
     if s_val is None:
         s_val = 0
@@ -213,15 +228,13 @@ def dual_blocks_raw(d: IncidenceStructure) -> list[tuple[int, ...]]:
     return [tuple(b) for b in raw]
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     name: str
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     checks: tuple[ConstraintCheck, ...]
 
     @property

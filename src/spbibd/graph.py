@@ -11,7 +11,7 @@ classification is acceptable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BipartiteGraph,
@@ -45,8 +45,7 @@ def all_distances(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(distance_row(layers, g.num_vertices)) for layers in g.layers)
 
 
-@dataclass(frozen=True)
-class NotRegularizedAt:
+class NotRegularizedAt(NamedTuple):
     """Witness that a vertex is not distance-regularized: two vertices at
     the same distance from ``vertex`` with different b- or c-counts."""
 
@@ -91,8 +90,7 @@ def local_intersection_numbers(
     return IntersectionArray(tuple(b), tuple(c))
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Outcome of testing distance-regularity at every vertex.
 
     ``ecc_y`` / ``ecc_yprime`` are the maximum eccentricities over each

@@ -8,8 +8,8 @@ All scalars are exact rationals; zero tests are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     BipartiteGraph,
@@ -107,8 +107,7 @@ def homogeneous_by_formula(
     return VERDICT_ALMOST_ONLY if almost else VERDICT_NEITHER
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     """Observed values of |Gamma(x) n Gamma(y) n Gamma_{i-1}(z)| per level
     i, over all x in the class, y in Gamma_2(x), z in Gamma_{i,i}(x, y)."""
 
@@ -116,9 +115,6 @@ class BruteForceResult:
     eccentricity: int
     level_counts: dict[int, tuple[int, ...]]
     verdict: str
-
-    def constant_at(self, i: int) -> bool:
-        return len(self.level_counts.get(i, ())) <= 1
 
 
 def _distinct_counts(zs: int, sets: list[int]) -> set[int]:
@@ -194,8 +190,7 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     return BruteForceResult(side, d, counts, verdict)
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(NamedTuple):
     """Combined view: brute-force verdict (always computed, authoritative)
     plus the formula path when the graph is distance-regularized on both
     sides and satisfies the k' >= 3, D >= 3 hypotheses."""
@@ -290,8 +285,7 @@ def satisfied_equalities(r: int, k: int, lambda1: int, t: int, y: int) -> frozen
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ParameterHomogeneity:
+class ParameterHomogeneity(NamedTuple):
     """Parameter-level homogeneity of a design's incidence graph, with
     respect to the point class (2p) and the block class (2b)."""
 

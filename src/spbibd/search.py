@@ -14,8 +14,8 @@ exists; every row carries an explicit "unresolved" existence marker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import ConsistencyError, SpbibdParams, ToolkitError
 from .correspondence import derived_sizes, expected_incidence_arrays
@@ -42,8 +42,7 @@ class BoundsTooSmallError(ToolkitError):
     pass
 
 
-@dataclass(frozen=True)
-class CandidateTuple:
+class CandidateTuple(NamedTuple):
     r: int
     k: int
     lambda1: int

@@ -14,8 +14,6 @@ from spbibd.correspondence import (
     design_from_graph,
     expected_incidence_arrays,
     incidence_graph,
-    round_trip_design,
-    round_trip_graph,
 )
 from spbibd.design import check_parameter_constraints, dual, spbibd_type
 from spbibd.generators import (
@@ -49,6 +47,8 @@ from util import (
     p2ii_direct_counts,
     random_structure,
     relabeled_structure,
+    round_trip_design,
+    round_trip_graph,
 )
 
 

@@ -1,7 +1,10 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +319,105 @@ def test_sparse_design_with_huge_v_is_analyzed_in_small_memory(tmp_path, capsys)
         "rejected": "not-uniform",
         "detail": "replication differs: (1, 2) at (0, 1)",
     }
+
+
+def test_singleton_blocks_are_analyzed_in_small_memory(tmp_path, capsys):
+    # 1500 points in 1500 one-point blocks: no pair of points shares a block
+    # and no pair of blocks a point, so nothing may be stored per pair
+    path = tmp_path / "singletons.json"
+    write_json(path, {"v": 1500, "blocks": [[p] for p in range(1500)]})
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "analyze-design", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5_000_000
+    # recorded when every pair was stored (126 MB peak RSS, 2.6-3.9 s)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "de48284a6252198025f422a0c2aa4404125075656344cd7fe63f60d758d67bef"
+    )
+
+
+_GOLDEN_GENERATED = {
+    "gq22": ("gq22",),
+    "fano": ("fano",),
+    "grid3": ("grid", "--n", "3"),
+    "tutte": ("tutte-coxeter",),
+    "cycle12": ("cycle", "--n", "12"),
+    "path8": ("path", "--n", "8"),
+    "subdivision4": ("subdivision", "--n", "4"),
+}
+_GOLDEN_WRITTEN = {
+    "nonuniform": {"v": 3, "blocks": [[0, 1], [0, 1, 2]]},
+    "repeated": {"v": 4, "blocks": [[0, 1], [0, 1], [2, 3], [2, 3]]},
+    # translates of {0, 1, 2} in Z_9: concurrences 2, 1 and 0
+    "cyclic9": {"v": 9, "blocks": [[(i + j) % 9 for j in range(3)] for i in range(9)]},
+}
+# SHA-256 of stdout, recorded before the report records became NamedTuples
+# (they were frozen dataclasses serialized by dataclasses.asdict).  Between
+# them the reports serialize every record of a report section:
+# QuasiSymmetryInfo, SpbibdParams, ConstraintReport with its
+# ConstraintChecks, ParameterHomogeneity, IntersectionArray,
+# NotRegularizedAt, and NotUniform and NotSpbibd in the rejections.
+GOLDEN_REPORTS = {
+    ("analyze-design", "gq22"): "d3f1e8bcfee1768f5ee0ad0c97bdad09cae0f3fd476a5a1b883eb6e2a54bd640",
+    ("analyze-design", "gq22", "--human"): "5dd2b303682dcc5895d09df77ca26dd6caaaeb3fdae2b8ba050afcf6add2a46b",
+    ("analyze-design", "fano"): "3666e4c6a2ae34f26c72a834247a275e6cdb1a257f875e629e650fc9d27a5fa3",
+    ("analyze-design", "fano", "--human"): "5e37ab0dccb5eddab860ea17c338ddbb4d1477d9acc50f20b9b8cab3a0c28662",
+    ("analyze-design", "grid3"): "ea45a7b8a5453692f42985b9b22875b66af9fbe61b75a3602ac9c19049513467",
+    ("analyze-design", "grid3", "--human"): "cf8f5f3c8e56ea922ba0f2964077d69b30d30fb2e780fe75b0d4f23bed4a781d",
+    ("analyze-design", "nonuniform"): "e22b996d2d19279645fa67b88a14ecf319e7d0a5a6c865e1ae7fc43f018aec0b",
+    ("analyze-design", "nonuniform", "--human"): "33c28d087c1f19ce8f5d0063fabb9267629b0ffb4ace7585374cfb75c97708c9",
+    ("analyze-design", "cyclic9"): "2737a669f90a65ee0d59e6987294cc4643eb2e0897874425d07c0f71dd65cc59",
+    ("analyze-design", "cyclic9", "--human"): "714a42722a81e340cefbc6f776fc5d51c318b2c1cbee56d310db9aa8648c8744",
+    ("analyze-design", "repeated", "--allow-repeated"): "eea9e318f888681c6e2a037775e4b2e79132ee2e0bebe8cb71d49696c5652128",
+    ("analyze-design", "repeated", "--allow-repeated", "--human"): (
+        "d56032adfda661fe6a074396e30927e308f05265d2c5d66d024c0f9eedd95152"
+    ),
+    ("analyze-graph", "tutte"): "454d9dc1472fa0416a500faa5387ff786124db7b3962b927163abfe1217044fe",
+    ("analyze-graph", "cycle12"): "0fe85902ce8a7ca095b89f9502043b04535c04953d2357c2f412b66823f068d6",
+    ("analyze-graph", "path8"): "d3f7aaebbc57c09e4807877b413170c5d662f97e435ce3398f1cbd6d51514968",
+    ("check-homogeneous", "tutte", "--side", "Y"): "523c8c9e24a78639a1bf932ba816e473f2c367c1bd16b60eebfbbc2b2a9705cd",
+    ("check-homogeneous", "tutte", "--side", "Yprime"): "2d0da9cfb61897a947045764013626e6ec524eb2b818c14e7e191b85b5b305c2",
+    ("check-homogeneous", "subdivision4", "--side", "Y"): (
+        "7b191424ba479df82601c92b590e7e66d32f3b2d87521d6cd837834b8f058112"
+    ),
+    ("check-homogeneous", "subdivision4", "--side", "Yprime"): (
+        "4aeb47b408a7a976ad3b7688ae6e84058d5348d72c6a0e0b9c3d84df43481276"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
+def test_report_bytes_are_pinned(tmp_path, capsys, argv):
+    command, name, *flags = argv
+    path = tmp_path / f"{name}.json"
+    if name in _GOLDEN_WRITTEN:
+        write_json(path, _GOLDEN_WRITTEN[name])
+    else:
+        assert run_cli(capsys, "generate", *_GOLDEN_GENERATED[name], "--out", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, command, str(path), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # measured against a bare interpreter, so a site that already loads
+    # them does not count against the package
+    probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def modules(statement):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe.format(statement)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    bare = modules("")
+    loaded = modules("import spbibd.cli; ")
+    assert "spbibd.cli" in loaded
+    assert not {"dataclasses", "inspect"} & (loaded - bare)

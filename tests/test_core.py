@@ -229,3 +229,29 @@ def test_spbibd_params_flags():
         v=7, b=7, r=3, k=3, lambda1=1, lambda2=0, s=2, t=3, x=1, y=None, lambda2_realized=False
     )
     assert fano.two_design_degenerate and not fano.in_scope
+
+
+def test_records_validate_in_the_constructor_and_cache_their_views():
+    from spbibd.core import BipartiteGraph, IncidenceStructure
+
+    # the validation of the constructor holds positionally and by keyword
+    with pytest.raises(ToolkitError):
+        IncidenceStructure(3, ((1, 0),))
+    with pytest.raises(ToolkitError):
+        IncidenceStructure(num_points=3, blocks=((1, 0),))
+    with pytest.raises(ToolkitError):
+        IntersectionArray(b=(2, 1), c=(0, 1))
+    with pytest.raises(ToolkitError):
+        IntersectionArray((2, 1), (0, 1))
+    with pytest.raises(OddCycleError):
+        BipartiteGraph(2, ((0, 1),), (0, 0))
+    # fields are read-only; derived views are computed once per object
+    d = validate_structure(7, FANO_RAW)
+    g = build_bipartite(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(AttributeError):
+        d.num_points = 8
+    with pytest.raises(AttributeError):
+        g.side = (0, 0, 0, 0)
+    assert d.block_sets is d.block_sets and d.point_degrees is d.point_degrees
+    assert g.layers is g.layers and g.adjacency_masks is g.adjacency_masks
+    assert g.layers[0] == (0b0001, 0b1010, 0b0100)

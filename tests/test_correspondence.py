@@ -16,8 +16,6 @@ from spbibd.correspondence import (
     design_from_graph,
     expected_incidence_arrays,
     incidence_graph,
-    round_trip_design,
-    round_trip_graph,
 )
 from spbibd.design import spbibd_type
 from spbibd.generators import (
@@ -38,6 +36,8 @@ from util import (
     hypercube_design,
     hypercube_graph,
     nx_graph,
+    round_trip_design,
+    round_trip_graph,
 )
 
 

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from spbibd import design
 from spbibd.core import DuplicateBlockError, SpbibdParams, validate_structure
 from spbibd.design import (
     ConstraintReport,
@@ -19,7 +20,14 @@ from spbibd.design import (
     spbibd_type,
 )
 from spbibd.generators import complete_bipartite_design, fano, gq22, grid_design
-from util import hypercube_design, pair_coverage_oracle, relabeled_structure
+from util import (
+    block_intersection_sizes_oracle,
+    full_pair_concurrences,
+    hypercube_design,
+    pair_coverage_oracle,
+    random_structure,
+    relabeled_structure,
+)
 
 
 def test_fano_replication_and_block_size():
@@ -62,7 +70,50 @@ def test_replication_witness_matches_a_full_degree_scan():
 def test_pair_concurrences_match_oracle():
     rng = random.Random(23)
     for d in (fano(), grid_design(3), gq22(), relabeled_structure(gq22(), rng)):
-        assert pair_concurrences(d) == pair_coverage_oracle(d)
+        assert pair_concurrences(d) == {pair: n for pair, n in pair_coverage_oracle(d).items() if n}
+
+
+def _cyclic_structure(rng):
+    """Translates of one or two random base blocks in Z_v: uniform, so
+    spbibd_type reaches the concurrence count, often with uncovered pairs
+    and three or more concurrences."""
+    v = rng.randint(2, 13)
+    k = rng.randint(1, v)
+    blocks = set()
+    for _ in range(rng.randint(1, 2)):
+        base = rng.sample(range(v), k)
+        blocks |= {tuple(sorted((p + i) % v for p in base)) for i in range(v)}
+    return validate_structure(v, blocks)
+
+
+def test_sparse_concurrences_decide_like_the_full_fill(monkeypatch):
+    # spbibd_type on the covered pairs only must return what it returns on
+    # the O(v^2) fill with explicit zeros, detail strings included
+    rng = random.Random(41)
+    kinds = set()
+    for n in range(300):
+        d = _cyclic_structure(rng) if n % 3 else random_structure(rng)
+        if d is None:
+            continue
+        full = full_pair_concurrences(d)
+        assert pair_concurrences(d) == {pair: c for pair, c in full.items() if c}
+        sparse = spbibd_type(d)
+        with monkeypatch.context() as m:
+            m.setattr(design, "pair_concurrences", full_pair_concurrences)
+            filled = spbibd_type(d)
+        assert type(sparse) is type(filled) and sparse == filled, d
+        if 0 in full.values():
+            kinds.add("uncovered")
+        if isinstance(sparse, NotSpbibd) and sparse.reason == "concurrence":
+            kinds.add("concurrence, 0 shown" if " in 0" in sparse.detail else "concurrence, 0 not shown")
+        if isinstance(sparse, SpbibdParams) and 0 in full.values():
+            kinds.add("accepted with uncovered pairs")
+    assert kinds == {
+        "uncovered",
+        "concurrence, 0 shown",
+        "concurrence, 0 not shown",
+        "accepted with uncovered pairs",
+    }
 
 
 def test_gq22_spbibd_parameters():
@@ -163,6 +214,17 @@ def test_block_intersections_disjoint():
     qs = block_intersections(d)
     assert qs.sizes == (0,)
     assert not qs.proper
+
+
+def test_block_intersections_match_every_block_pair():
+    # sizes counted through the points, with 0 for block pairs through no
+    # common point, equal the sizes over every pair of blocks
+    rng = random.Random(43)
+    for _ in range(300):
+        v = rng.randint(1, 9)
+        blocks = [rng.sample(range(v), rng.randint(1, v)) for _ in range(rng.randint(2, 7))]
+        d = validate_structure(v, blocks, allow_repeated=True)
+        assert block_intersections(d).sizes == block_intersection_sizes_oracle(d)
 
 
 def test_block_intersections_needs_two_blocks():

@@ -36,6 +36,7 @@ from spbibd.homogeneity import (
 )
 from util import (
     bruteforce_oracle,
+    constant_at,
     hypercube_design,
     hypercube_graph,
     p2ii_direct_counts,
@@ -173,14 +174,14 @@ def test_bruteforce_subdivision_cell_side_almost_only():
         g = subdivision_complete_bipartite(n)
         res = homogeneous_by_bruteforce(g, "Yprime")
         assert res.verdict == VERDICT_ALMOST_ONLY
-        assert res.constant_at(2) and not res.constant_at(3)
+        assert constant_at(res, 2) and not constant_at(res, 3)
 
 
 def test_bruteforce_tutte_levels():
     res = homogeneous_by_bruteforce(tutte_coxeter(), "Y")
     assert res.verdict == VERDICT_ALMOST_ONLY
-    assert res.constant_at(2)
-    assert not res.constant_at(3)
+    assert constant_at(res, 2)
+    assert not constant_at(res, 3)
     assert len(res.level_counts[3]) == 2
 
 
@@ -286,7 +287,7 @@ def test_verdict_lattice_is_monotone():
     ):
         res = homogeneous_by_bruteforce(g, side)
         assert res.verdict == VERDICT_TWO_HOMOGENEOUS
-        assert all(res.constant_at(i) for i in range(1, res.eccentricity - 1))
+        assert all(constant_at(res, i) for i in range(1, res.eccentricity - 1))
 
 
 def pairs_design_graph():
@@ -309,7 +310,7 @@ def test_unequal_eccentricities_block_side_neither():
     rep = homogeneity_report(g, "Yprime")
     assert rep.formula_verdict == VERDICT_NEITHER
     assert rep.verdict == VERDICT_NEITHER
-    assert not homogeneous_by_bruteforce(g, "Yprime").constant_at(2)
+    assert not constant_at(homogeneous_by_bruteforce(g, "Yprime"), 2)
 
 
 def test_unequal_eccentricities_point_side_homogeneous():

@@ -10,6 +10,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -21,12 +22,13 @@ from spbibd.core import (
     build_bipartite,
     validate_structure,
 )
-from spbibd.correspondence import GraphDesignExtraction, derived_sizes
+from spbibd.correspondence import GraphDesignExtraction, derived_sizes, design_from_graph, incidence_graph
 from spbibd.graph import all_distances, bfs_distances
 from spbibd.homogeneity import (
     VERDICT_ALMOST_ONLY,
     VERDICT_NEITHER,
     VERDICT_TWO_HOMOGENEOUS,
+    BruteForceResult,
     EccentricityNotUniformError,
 )
 from spbibd.search import _TARGET_NEEDS, CandidateTuple, admissibility_failures
@@ -53,6 +55,24 @@ def pair_coverage_oracle(d: IncidenceStructure) -> dict[tuple[int, int], int]:
     for p, q in combinations(range(d.num_points), 2):
         out[(p, q)] = sum(1 for blk in d.block_sets if p in blk and q in blk)
     return out
+
+
+def full_pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
+    """Blocks through every pair of distinct points, uncovered pairs
+    included as 0: the O(v^2) fill that design.pair_concurrences replaced,
+    kept as the oracle for its sparse form."""
+    counts: dict[tuple[int, int], int] = {}
+    for blk in d.blocks:
+        for pair in combinations(blk, 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    for pair in combinations(range(d.num_points), 2):
+        counts.setdefault(pair, 0)
+    return counts
+
+
+def block_intersection_sizes_oracle(d: IncidenceStructure) -> tuple[int, ...]:
+    """Distinct |B n B'| over every pair of blocks, by direct intersection."""
+    return tuple(sorted({len(a & b) for a, b in combinations(d.block_sets, 2)}))
 
 
 def random_connected_bipartite(rng: random.Random, max_side: int = 6) -> BipartiteGraph:
@@ -281,3 +301,62 @@ def sweep_candidates(
                             )
     out.sort(key=CandidateTuple.sort_key)
     return out
+
+
+def constant_at(result: BruteForceResult, i: int) -> bool:
+    """One observed count at level i (a level with none is vacuously constant)."""
+    return len(result.level_counts.get(i, ())) <= 1
+
+
+class RoundTripReport(NamedTuple):
+    ok: bool
+    details: tuple[str, ...]
+
+
+def round_trip_design(d: IncidenceStructure) -> RoundTripReport:
+    """design -> incidence graph -> design must reproduce the canonical
+    form and parameters exactly."""
+    g = incidence_graph(d)
+    ext = design_from_graph(g, "Y")
+    details = []
+    ok = True
+    if ext.structure != d:
+        ok = False
+        details.append("extracted structure differs from input canonical form")
+    if ext.params.v != d.num_points or ext.params.b != d.num_blocks:
+        ok = False
+        details.append(f"derived (v, b) = ({ext.params.v}, {ext.params.b}) does not match input")
+    if ok:
+        details.append("exact round trip")
+    return RoundTripReport(ok, tuple(details))
+
+
+def round_trip_graph(g: BipartiteGraph, points: str) -> RoundTripReport:
+    """graph -> design -> incidence graph must preserve adjacency under the
+    provenance bijection (chosen-class vertex i -> i, block vertex -> v+j)."""
+    ext = design_from_graph(g, points)
+    g2 = incidence_graph(ext.structure)
+    v = ext.structure.num_points
+    phi = {}
+    for i, vertex in enumerate(ext.point_vertices):
+        phi[vertex] = i
+    for j, vertex in enumerate(ext.block_vertices):
+        phi[vertex] = v + j
+    details = []
+    ok = len(phi) == g.num_vertices == g2.num_vertices
+    if not ok:
+        details.append("provenance maps do not cover the vertex set")
+    else:
+        g2_edges = set(g2.edges)
+        for u, w in g.edges:
+            a, b = phi[u], phi[w]
+            if (min(a, b), max(a, b)) not in g2_edges:
+                ok = False
+                details.append(f"edge ({u}, {w}) lost through the round trip")
+                break
+        if ok and len(g.edges) != len(g2.edges):
+            ok = False
+            details.append("edge counts differ")
+    if ok:
+        details.append("adjacency preserved under the provenance bijection")
+    return RoundTripReport(ok, tuple(details))
