@@ -1,70 +1,76 @@
 """Toolkit for the correspondence between quasi-symmetric SPBIBDs and
-bipartite distance-regularized graphs with vertices of eccentricity 4."""
+bipartite distance-regularized graphs with vertices of eccentricity 4.
 
-from .core import (
-    BipartiteGraph,
-    IncidenceStructure,
-    IntersectionArray,
-    SpbibdParams,
-    ToolkitError,
-    build_bipartite,
-    validate_structure,
-)
-from .correspondence import (
-    DerivedDesignParams,
-    design_from_graph,
-    expected_incidence_arrays,
-    incidence_graph,
-)
-from .design import (
-    QuasiSymmetryInfo,
-    block_intersections,
-    check_parameter_constraints,
-    dual,
-    replication_and_block_size,
-    spbibd_type,
-)
-from .graph import ClassificationResult, bfs_distances, classify, local_intersection_numbers
-from .homogeneity import (
-    HomogeneityReport,
-    delta_value,
-    homogeneity_report,
-    homogeneous_by_bruteforce,
-    homogeneous_by_formula,
-    p2ii_formula,
-    parameter_homogeneity,
-)
-from .search import CandidateTuple, enumerate_candidates
+Every CLI command uses ``core`` and ``graph``, so they are imported here.
+The other submodules are registered in ``sys.modules`` through
+``importlib.util.LazyLoader``: a process compiles and runs a module's code
+only at its first attribute access, so each command loads only what it
+runs.  The public names below resolve on first use (PEP 562).
+"""
 
-__all__ = [
-    "BipartiteGraph",
-    "CandidateTuple",
-    "ClassificationResult",
-    "DerivedDesignParams",
-    "HomogeneityReport",
-    "IncidenceStructure",
-    "IntersectionArray",
-    "QuasiSymmetryInfo",
-    "SpbibdParams",
-    "ToolkitError",
-    "bfs_distances",
-    "block_intersections",
-    "build_bipartite",
-    "check_parameter_constraints",
-    "classify",
-    "delta_value",
-    "design_from_graph",
-    "dual",
-    "enumerate_candidates",
-    "expected_incidence_arrays",
-    "homogeneity_report",
-    "homogeneous_by_bruteforce",
-    "homogeneous_by_formula",
-    "incidence_graph",
-    "local_intersection_numbers",
-    "p2ii_formula",
-    "parameter_homogeneity",
-    "replication_and_block_size",
-    "spbibd_type",
-    "validate_structure",
-]
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+from . import core, graph
+
+# defining module -> the public names it provides
+_PUBLIC = {
+    "core": (
+        "BipartiteGraph",
+        "IncidenceStructure",
+        "IntersectionArray",
+        "SpbibdParams",
+        "ToolkitError",
+        "build_bipartite",
+        "validate_structure",
+    ),
+    "correspondence": (
+        "DerivedDesignParams",
+        "design_from_graph",
+        "expected_incidence_arrays",
+        "incidence_graph",
+    ),
+    "design": (
+        "QuasiSymmetryInfo",
+        "block_intersections",
+        "check_parameter_constraints",
+        "dual",
+        "replication_and_block_size",
+        "spbibd_type",
+    ),
+    "graph": ("ClassificationResult", "bfs_distances", "classify", "local_intersection_numbers"),
+    "homogeneity": (
+        "HomogeneityReport",
+        "delta_value",
+        "homogeneity_report",
+        "homogeneous_by_bruteforce",
+        "homogeneous_by_formula",
+        "p2ii_formula",
+        "parameter_homogeneity",
+    ),
+    "search": ("CandidateTuple", "enumerate_candidates"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def _register_lazily(module: str):
+    spec = find_spec(f"{__name__}.{module}")
+    spec.loader = LazyLoader(spec.loader)
+    lazy = module_from_spec(spec)
+    sys.modules[spec.name] = lazy
+    spec.loader.exec_module(lazy)
+    return lazy
+
+
+correspondence = _register_lazily("correspondence")
+design = _register_lazily("design")
+generators = _register_lazily("generators")
+homogeneity = _register_lazily("homogeneity")
+search = _register_lazily("search")
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)

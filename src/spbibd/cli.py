@@ -20,7 +20,9 @@ from .core import (
     BipartiteGraph,
     ConsistencyError,
     IncidenceStructure,
+    NotInScopeError,
     SIDES,
+    TARGETS,
     ToolkitError,
     build_bipartite,
     validate_structure,
@@ -176,12 +178,12 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
     try:
         cons = design.check_parameter_constraints(params)
         report["constraints"] = {"all_pass": cons.all_pass, **_plain(cons)}
-    except design.NotInScopeError as exc:
+    except NotInScopeError as exc:
         report["constraints"] = {"not_in_scope": str(exc)}
     try:
         props = homogeneity.parameter_homogeneity(params)
         report["parameter_homogeneity"] = _plain(props)
-    except design.NotInScopeError as exc:
+    except NotInScopeError as exc:
         report["parameter_homogeneity"] = {"not_in_scope": str(exc)}
     return report
 
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_homogeneous)
 
     p = sub.add_parser("search", help="enumerate admissible parameter tuples as CSV")
-    p.add_argument("--target", choices=list(search.TARGETS), required=True)
+    p.add_argument("--target", choices=list(TARGETS), required=True)
     p.add_argument("--max-r", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--force-y", type=int, default=None, help="restrict to one y >= 1 (diagnostic)")

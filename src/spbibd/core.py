@@ -56,6 +56,10 @@ class ConsistencyError(ToolkitError):
     this package, never a verdict about the input."""
 
 
+class NotInScopeError(ToolkitError):
+    """Raised when an operation's parameter preconditions fail."""
+
+
 class _IncidenceFields(NamedTuple):
     num_points: int
     blocks: tuple[tuple[int, ...], ...]
@@ -153,6 +157,10 @@ def canonical_block_permutation(raw_blocks: Sequence[tuple[int, ...]]) -> tuple[
 Y_SIDE = "Y"
 YPRIME_SIDE = "Yprime"
 SIDES = (Y_SIDE, YPRIME_SIDE)
+
+# the parameter search's targets (search.enumerate_candidates); kept here
+# so that naming them, as the CLI's --target choices do, does not load search
+TARGETS = ("almost-p", "full-p", "almost-b", "full-b")
 
 
 class _GraphFields(NamedTuple):

@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import (
     ConsistencyError,
     IncidenceStructure,
+    NotInScopeError,
     SpbibdParams,
     ToolkitError,
     validate_structure,
@@ -22,10 +23,6 @@ from .core import (
 
 class FewerThanTwoBlocksError(ToolkitError):
     pass
-
-
-class NotInScopeError(ToolkitError):
-    """Raised when an operation's parameter preconditions fail."""
 
 
 class NotUniform(NamedTuple):
@@ -116,6 +113,47 @@ def pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
     return _covered_pairs(d.blocks)
 
 
+def nonflag_counts(
+    d: IncidenceStructure, conc: dict[tuple[int, int], int], lambda1: int
+) -> tuple[int | None, tuple[int, int, int] | None]:
+    """For lambda1 > 0, the count of a non-flag (p, block j): the points of
+    block j that share lambda1 blocks with p.  (t, None) when every
+    non-flag counts the same t (t is None when there is no non-flag), else
+    (t, (p, j, count)) for the first non-flag, in block-then-point order,
+    whose count differs from t, the first non-flag's count.
+
+    Only lambda1-pairs are visited: a point with no lambda1-mate in the
+    block counts 0 unvisited, so the work grows with the covered pairs,
+    not with b*v*k."""
+    mates: dict[int, list[int]] = {}
+    for (p, q), count in conc.items():
+        if count == lambda1:
+            mates.setdefault(p, []).append(q)
+            mates.setdefault(q, []).append(p)
+    t_val: int | None = None
+    for j, bs in enumerate(d.block_sets):
+        seen: dict[int, int] = {}
+        for q in bs:
+            for p in mates.get(q, ()):
+                if p not in bs:
+                    seen[p] = seen.get(p, 0) + 1
+        if t_val is None:
+            first = next((p for p in range(d.num_points) if p not in bs), None)
+            if first is None:
+                continue
+            t_val = seen.get(first, 0)
+        differing = [p for p, count in seen.items() if count != t_val]
+        if t_val:
+            # the first non-flag counting 0, met within len(bs) + len(seen) + 1 steps
+            unseen = next((p for p in range(d.num_points) if p not in bs and p not in seen), None)
+            if unseen is not None:
+                differing.append(unseen)
+        if differing:
+            p = min(differing)
+            return t_val, (p, j, seen.get(p, 0))
+    return t_val, None
+
+
 def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
     """Full SPBIBD parameter extraction, or a structured rejection.
 
@@ -168,16 +206,10 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
 
     # lambda1 = 0 means no pair is covered, so every non-flag sees all k
     # points of its block: t = k without a scan
-    t_val: int | None = None
-    for j, bs in enumerate(d.block_sets if lambda1 else ()):
-        for p in range(d.num_points):
-            if p in bs:
-                continue
-            t_here = sum(1 for q in bs if lam(p, q) == lambda1)
-            if t_val is None:
-                t_val = t_here
-            elif t_here != t_val:
-                return NotSpbibd("nonflag-count", f"non-flag ({p}, block {j}) sees {t_here}, expected {t_val}")
+    t_val, differing = nonflag_counts(d, conc, lambda1) if lambda1 else (None, None)
+    if differing is not None:
+        p, j, t_here = differing
+        return NotSpbibd("nonflag-count", f"non-flag ({p}, block {j}) sees {t_here}, expected {t_val}")
     if t_val is None:
         # lambda1 = 0, or no non-flag exists: every pair shares lambda1
         # blocks, the 2-design degeneracy, reported as t = k

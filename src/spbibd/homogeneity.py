@@ -15,12 +15,12 @@ from .core import (
     BipartiteGraph,
     ConsistencyError,
     IntersectionArray,
+    NotInScopeError,
     SIDES,
     SpbibdParams,
     ToolkitError,
     bits,
 )
-from .design import NotInScopeError
 from .graph import classify
 
 VERDICT_TWO_HOMOGENEOUS = "2-homogeneous"

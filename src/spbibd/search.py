@@ -17,16 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import ConsistencyError, SpbibdParams, ToolkitError
+from .core import TARGETS, ConsistencyError, SpbibdParams, ToolkitError
 from .correspondence import derived_sizes, expected_incidence_arrays
 from .design import check_parameter_constraints
 from .homogeneity import EQUALITY_LABELS, delta_value, r_coefficients, satisfied_equalities
 
-TARGET_ALMOST_P = "almost-p"
-TARGET_FULL_P = "full-p"
-TARGET_ALMOST_B = "almost-b"
-TARGET_FULL_B = "full-b"
-TARGETS = (TARGET_ALMOST_P, TARGET_FULL_P, TARGET_ALMOST_B, TARGET_FULL_B)
+TARGET_ALMOST_P, TARGET_FULL_P, TARGET_ALMOST_B, TARGET_FULL_B = TARGETS
 
 # Which Delta-vanishing equalities (homogeneity.EQUALITY_LABELS) a target
 # demands; r is solved from the first, which is linear in r.

@@ -24,6 +24,7 @@ from util import (
     block_intersection_sizes_oracle,
     full_pair_concurrences,
     hypercube_design,
+    nonflag_counts_oracle,
     pair_coverage_oracle,
     random_structure,
     relabeled_structure,
@@ -113,6 +114,45 @@ def test_sparse_concurrences_decide_like_the_full_fill(monkeypatch):
         "concurrence, 0 shown",
         "concurrence, 0 not shown",
         "accepted with uncovered pairs",
+    }
+
+
+def test_nonflag_counts_match_the_full_scan(monkeypatch):
+    # the scan over lambda1-mates must give the oracle's t and first
+    # differing non-flag for every realized concurrence, and spbibd_type
+    # the same record, detail strings included
+    rng = random.Random(43)
+    kinds = set()
+    fixed = [gq22(), grid_design(3), grid_design(4), hypercube_design(), fano()]
+    drawn = (_cyclic_structure(rng) if n % 3 else random_structure(rng) for n in range(300))
+    for d in (*fixed, *drawn):
+        if d is None:
+            continue
+        conc = pair_concurrences(d)
+        for lambda1 in set(conc.values()):
+            t, differing = nonflag_counts_oracle(d, conc, lambda1)
+            assert design.nonflag_counts(d, conc, lambda1) == (t, differing), (d, lambda1)
+            if differing is None:
+                kinds.add("constant")
+            else:
+                kinds.add("witness counts 0" if differing[2] == 0 else "witness counted")
+                kinds.add("t = 0" if t == 0 else "t > 0")
+        scanned = spbibd_type(d)
+        with monkeypatch.context() as m:
+            m.setattr(design, "nonflag_counts", nonflag_counts_oracle)
+            assert spbibd_type(d) == scanned, d
+        if isinstance(scanned, NotSpbibd) and scanned.reason == "nonflag-count":
+            kinds.add("nonflag-count rejection")
+        if isinstance(scanned, SpbibdParams) and scanned.t < scanned.k:
+            kinds.add("accepted, t < k")
+    assert kinds == {
+        "constant",
+        "witness counts 0",
+        "witness counted",
+        "t = 0",
+        "t > 0",
+        "nonflag-count rejection",
+        "accepted, t < k",
     }
 
 

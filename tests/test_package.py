@@ -1,0 +1,106 @@
+"""The package surface: which modules each CLI command loads, and the
+public names that resolve on first use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import spbibd
+from spbibd.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# prints the modules in sys.modules whose code has run: a lazily registered
+# submodule stays an importlib.util._LazyModule until its first attribute
+# access, and only a plain module has run
+PRINT_LOADED = """
+import sys, types
+print(' '.join(sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType)))
+"""
+RUN_CLI = "import sys; from spbibd.cli import main; main(sys.argv[1:])"
+
+ALWAYS = {"spbibd", "spbibd.cli", "spbibd.core", "spbibd.graph"}
+# what a command loads beyond ALWAYS
+LOADS = {
+    ("analyze-graph", "tc.json"): set(),
+    ("to-graph", "gq22.json"): {"spbibd.correspondence"},
+    ("from-graph", "tc.json"): {"spbibd.correspondence"},
+    ("check-homogeneous", "tc.json"): {"spbibd.homogeneity", "fractions"},
+    ("analyze-design", "gq22.json"): {"spbibd.design", "spbibd.homogeneity", "fractions"},
+    ("search", "--target", "full-b", "--max-r", "12", "--max-k", "12"): {
+        "spbibd.correspondence",
+        "spbibd.design",
+        "spbibd.homogeneity",
+        "spbibd.search",
+        "fractions",
+    },
+    ("generate", "fano"): {"spbibd.correspondence", "spbibd.generators"},
+}
+
+
+def fresh_interpreter(script: str, *args: str, cwd=None) -> set[str]:
+    """The words ``script`` prints, run by a fresh interpreter that imports
+    the package from src/."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def bare():
+    return fresh_interpreter(PRINT_LOADED)
+
+
+@pytest.mark.parametrize("argv", list(LOADS), ids=lambda argv: argv[0])
+def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
+    for family, name in (("gq22", "gq22.json"), ("tutte-coxeter", "tc.json")):
+        assert main(["generate", family, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    loaded = fresh_interpreter(RUN_CLI + PRINT_LOADED, *argv, "--out", "report", cwd=tmp_path) - bare
+    assert (tmp_path / "report").stat().st_size > 0
+    ours = {m for m in loaded if m.partition(".")[0] in ("spbibd", "fractions")}
+    assert ours == (ALWAYS | LOADS[argv]) - bare
+
+
+def test_cli_import_loads_no_exact_arithmetic(bare):
+    loaded = fresh_interpreter("import spbibd.cli" + PRINT_LOADED) - bare
+    assert "spbibd.cli" in loaded
+    assert not {"fractions", "decimal"} & loaded
+
+
+def test_cli_import_registers_every_traced_module():
+    # a tracer that wraps package functions from outside looks the
+    # submodules up in sys.modules right after this import
+    registered = fresh_interpreter("import sys, spbibd.cli; print(' '.join(sys.modules))")
+    names = {"cli", "core", "graph", "design", "correspondence", "homogeneity", "search"}
+    assert {f"spbibd.{n}" for n in names} <= registered
+
+
+def test_public_names_are_their_defining_modules_objects():
+    assert len(spbibd.__all__) == len(set(spbibd.__all__)) == 30
+    for name in spbibd.__all__:
+        obj = getattr(spbibd, name)
+        assert obj.__module__.startswith("spbibd.")
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_readme_imports_and_unknown_names():
+    from spbibd import design_from_graph, generators, homogeneity_report, incidence_graph
+
+    d = generators.gq22()
+    ext = design_from_graph(incidence_graph(d), "Y")
+    assert ext.structure == d
+    assert homogeneity_report(incidence_graph(d), "Y").verdict
+    with pytest.raises(AttributeError):
+        spbibd.no_such_name
+    with pytest.raises(ImportError):
+        from spbibd import no_such_name  # noqa: F401

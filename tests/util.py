@@ -70,6 +70,25 @@ def full_pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
     return counts
 
 
+def nonflag_counts_oracle(
+    d: IncidenceStructure, conc: dict[tuple[int, int], int], lambda1: int
+) -> tuple[int | None, tuple[int, int, int] | None]:
+    """design.nonflag_counts by the O(b*v*k) scan it replaced: every
+    non-flag in block-then-point order, one concurrence lookup per block
+    point."""
+    t_val = None
+    for j, bs in enumerate(d.block_sets):
+        for p in range(d.num_points):
+            if p in bs:
+                continue
+            t_here = sum(1 for q in bs if conc.get((p, q) if p < q else (q, p), 0) == lambda1)
+            if t_val is None:
+                t_val = t_here
+            elif t_here != t_val:
+                return t_val, (p, j, t_here)
+    return t_val, None
+
+
 def block_intersection_sizes_oracle(d: IncidenceStructure) -> tuple[int, ...]:
     """Distinct |B n B'| over every pair of blocks, by direct intersection."""
     return tuple(sorted({len(a & b) for a, b in combinations(d.block_sets, 2)}))
