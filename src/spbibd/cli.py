@@ -287,7 +287,7 @@ def _cmd_analyze_graph(args) -> int:
 
 
 def _cmd_to_graph(args) -> int:
-    d = parse_design_file(args.path)
+    d = parse_design_file(args.path, allow_repeated=args.allow_repeated)
     g = correspondence.incidence_graph(d)
     _emit(graph_file_doc(g), args.out)
     return 0
@@ -349,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("to-graph", help="design file -> incidence graph file")
     p.add_argument("path")
+    p.add_argument("--allow-repeated", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_to_graph)
 

@@ -1,6 +1,7 @@
 """Shared data model: incidence structures, bipartite graphs, intersection
-arrays and design parameter records, plus the one BFS of the package (over
-adjacency bitsets, yielding distance layers).
+arrays and design parameter records, plus the bitset kernels of the
+package: the BFS over adjacency bitsets (one source, and all sources level
+by level), yielding distance layers, and bit-sliced counters.
 
 Every record of the package is a ``typing.NamedTuple``: its fields are
 immutable and it is safe to share between threads.  A record compares
@@ -190,12 +191,12 @@ class BipartiteGraph(_GraphFields):
     @cached_property
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """Distance layers: ``layers[v][i]`` is the bitset of the vertices at
-        distance i from v, for i = 0..eccentricity(v).  One layer BFS per
-        vertex; every graph check reads it.  Each layer is an n-bit int, so
-        the view takes about n^2 * (D + 1) / 8 bytes for diameter D: less
-        than a distance matrix for the small diameters in scope, more on
-        long paths and cycles."""
-        return tuple(layer_bfs(self.adjacency_masks, v) for v in range(self.num_vertices))
+        distance i from v, for i = 0..eccentricity(v).  Built for all
+        sources at once by :func:`all_layers`; every graph check reads it.
+        Each layer is an n-bit int, so the view takes about
+        n^2 * (D + 1) / 8 bytes for diameter D: less than a distance matrix
+        for the small diameters in scope, more on long paths and cycles."""
+        return all_layers(self.adjacency_masks)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.adjacency_masks[v]))
@@ -243,6 +244,66 @@ def layer_bfs(masks: Sequence[int], source: int) -> tuple[int, ...]:
             return tuple(layers)
         seen |= frontier
         layers.append(frontier)
+
+
+def all_layers(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """``layer_bfs`` from every source, level by level: layer i + 1 of v is
+    the union of its neighbours' layers i minus v's ball of radius i.  That
+    costs sum(deg(v) * ecc(v)) bitset unions, where one BFS per source
+    would visit every vertex n times."""
+    nbrs = [tuple(bits(m)) for m in masks]
+    front = [1 << v for v in range(len(masks))]
+    ball = front[:]
+    layers = [[f] for f in front]
+    live = range(len(masks))
+    while live:
+        step = [0] * len(masks)
+        for v in live:
+            reach = 0
+            for u in nbrs[v]:
+                reach |= front[u]
+            reach &= ~ball[v]
+            if reach:
+                step[v] = reach
+                ball[v] |= reach
+                layers[v].append(reach)
+            else:
+                layers[v] = tuple(layers[v])
+        live = [v for v in live if step[v]]
+        front = step
+    return tuple(layers)
+
+
+def plane_sum(sets: Iterable[int]) -> list[int]:
+    """How many of the bitsets ``sets`` hold each vertex, bit-sliced: bit j
+    of a vertex's count is its bit in ``planes[j]``.  Each set is added to
+    the planes by a ripple carry."""
+    planes: list[int] = []
+    for carry in sets:
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    return planes
+
+
+def plane_counts(planes: Sequence[int], mask: int) -> list[tuple[int, int]]:
+    """Split the vertices of the bitset ``mask`` by their count in the
+    bit-sliced ``planes``: one (count, members) pair per count taken."""
+    groups = [(0, mask)] if mask else []
+    for j, plane in enumerate(planes):
+        split = []
+        for count, members in groups:
+            high = members & plane
+            if high:
+                split.append((count | 1 << j, high))
+            if members ^ high:
+                split.append((count, members ^ high))
+        groups = split
+    return groups
 
 
 def distance_row(layers: Sequence[int], num_vertices: int) -> list[int]:

@@ -2,11 +2,12 @@
 
 Every check reads the graph's one cached view of distance layers
 (``BipartiteGraph.layers``: per vertex, the int bitset of the vertices at
-each distance, one bitset BFS per vertex, built at most once per graph).
-Intersection numbers are popcounts: c_i of y is the number of y's
-neighbours in the layer i-1, and b_i = degree - c_i.  Every test is
-exhaustive: the graphs in scope are desk-scale, so an O(V*E) sweep per
-classification is acceptable.
+each distance, built for all sources in one level-by-level sweep, at most
+once per graph).  Intersection numbers are popcounts: c_i of y is the
+number of y's neighbours in the layer i-1, and b_i = degree - c_i.  A
+class is decided for all its vertices at once from bit-sliced counts,
+about one bitset operation per edge and level; every test stays
+exhaustive.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from typing import NamedTuple
 
 from .core import (
     BipartiteGraph,
+    ConsistencyError,
     IntersectionArray,
     SIDES,
     ToolkitError,
     Y_SIDE,
+    bits,
     distance_row,
+    plane_counts,
+    plane_sum,
 )
 
 KIND_DISTANCE_REGULAR = "distance-regular"
@@ -119,21 +124,87 @@ class ClassificationResult(NamedTuple):
         return self.array_y if side == Y_SIDE else self.array_yprime
 
 
+def _class_levels(g: BipartiteGraph, vertices: tuple[int, ...]) -> list[dict] | None:
+    """For each level i, the keys (b, c) that the class vertices x see at
+    distance i, each mapped to the bitset of those x; None as soon as one
+    class vertex sees two keys at one level.
+
+    The counts of every x come at once, per y: c_x(y) is the number of
+    neighbours u of y with x one step closer to u than to y, and those x
+    form the union over i of layer i of y and layer i - 1 of u.  The other
+    end of an edge gets the complement, since in a bipartite graph x is
+    one step closer to exactly one end.  The counts are summed over N(y)
+    in bit-sliced planes and split by value and by level.
+    """
+    cls = 0
+    for v in vertices:
+        cls |= 1 << v
+    layers = g.layers
+    masks = g.adjacency_masks
+    levels: list[dict] = [{} for _ in range(max(len(layers[v]) for v in vertices))]
+    seen = [0] * len(levels)
+    # sets[y] collects, per neighbour u of y, the x that u counts for
+    sets: list[list[int]] = [[] for _ in range(g.num_vertices)]
+    for y in range(g.num_vertices):
+        ly = layers[y]
+        # only the levels of y's parity as seen from the class meet it
+        parity = g.side[y] ^ g.side[vertices[0]]
+        for u in bits(masks[y] >> y << y):
+            lu = layers[u]
+            closer = 0
+            for i in range(parity or 2, len(ly), 2):
+                closer |= ly[i] & lu[i - 1]
+            closer &= cls
+            sets[y].append(closer)
+            sets[u].append(cls ^ closer)
+        deg = len(sets[y])
+        for c, members in plane_counts(plane_sum(sets[y]), cls):
+            for i in range(parity, len(ly), 2):
+                hit = members & ly[i]
+                if hit:
+                    keys = levels[i]
+                    key = (deg - c, c)
+                    had = keys.get(key, 0)
+                    if hit & seen[i] & ~had:
+                        return None
+                    keys[key] = had | hit
+                    seen[i] |= hit
+                    members ^= hit
+                    if not members:
+                        break
+    return levels
+
+
 def uniform_array(
     g: BipartiteGraph, vertices: tuple[int, ...]
 ) -> tuple[IntersectionArray | None, int, NotRegularizedAt | None]:
-    """Scan a class in vertex order: its common array (None unless every
-    vertex is distance-regularized with the same array), its maximum
-    eccentricity, and the first non-regularity witness when one exists.
-    The scan stops at that witness."""
-    ecc = max((len(g.layers[v]) - 1 for v in vertices), default=0)
-    arrays = set()
-    for v in vertices:
-        arr = local_intersection_numbers(g, v)
-        if isinstance(arr, NotRegularizedAt):
-            return None, ecc, arr
-        arrays.add(arr)
-    return arrays.pop() if len(arrays) == 1 else None, ecc, None
+    """A class's common array (None unless every vertex is
+    distance-regularized with the same array), its maximum eccentricity,
+    and the first non-regularity witness in vertex order when one exists.
+
+    The verdict comes from the per-level keys of every vertex at once
+    (:func:`_class_levels`); a vertex is called through
+    ``local_intersection_numbers`` only to read a uniform class's array
+    from its first vertex, or, in vertex order up to the first witness,
+    to name that witness."""
+    if not vertices:
+        return None, 0, None
+    ecc = max(len(g.layers[v]) - 1 for v in vertices)
+    levels = _class_levels(g, vertices)
+    if levels is None:
+        for v in vertices:
+            arr = local_intersection_numbers(g, v)
+            if isinstance(arr, NotRegularizedAt):
+                return None, ecc, arr
+        raise ConsistencyError("class scan found an irregular vertex that has no witness")
+    # every vertex has a key at level 0, and b_i > 0 exactly below its
+    # eccentricity, so one key per level is one array for the whole class
+    if any(len(keys) != 1 for keys in levels):
+        return None, ecc, None
+    arr = local_intersection_numbers(g, vertices[0])
+    if isinstance(arr, NotRegularizedAt):
+        raise ConsistencyError(f"class scan missed the witness at vertex {arr.vertex}")
+    return arr, ecc, None
 
 
 def classify(g: BipartiteGraph) -> ClassificationResult:

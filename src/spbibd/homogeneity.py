@@ -20,6 +20,8 @@ from .core import (
     SpbibdParams,
     ToolkitError,
     bits,
+    plane_counts,
+    plane_sum,
 )
 from .graph import classify
 
@@ -117,34 +119,6 @@ class BruteForceResult(NamedTuple):
     verdict: str
 
 
-def _distinct_counts(zs: int, sets: list[int]) -> set[int]:
-    """The distinct values of |{s in sets : z in s}| over the vertices z of
-    the bitset ``zs``.  The counts are kept bit-sliced: ``planes[j]`` holds
-    bit j of every vertex's count, and each set is added to them by a
-    ripple carry."""
-    planes: list[int] = []
-    for s in sets:
-        carry = s & zs
-        for j, plane in enumerate(planes):
-            planes[j] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
-    found = set()
-    for count in range(1 << len(planes)):
-        members = zs
-        for j, plane in enumerate(planes):
-            members &= plane if count >> j & 1 else ~plane
-        if members:
-            found.add(count)
-            zs &= ~members
-            if not zs:
-                break
-    return found
-
-
 def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     """Decide (almost) 2-homogeneity with respect to ``side`` by exhaustive
     triple enumeration.
@@ -178,7 +152,8 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
             for i in range(1, d):
                 zs = lx[i] & ly[i]
                 if zs:
-                    observed[i] |= _distinct_counts(zs, [lw[i - 1] for lw in common])
+                    planes = plane_sum(lw[i - 1] & zs for lw in common)
+                    observed[i].update(count for count, _ in plane_counts(planes, zs))
     counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
     full = all(len(counts[i]) <= 1 for i in range(1, d))
     almost = all(len(counts[i]) <= 1 for i in range(1, d - 1))

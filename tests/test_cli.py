@@ -150,6 +150,23 @@ def test_duplicate_blocks_need_flag(tmp_path, capsys):
     assert json.loads(out)["spbibd"]["rejected"] == "repeated-blocks"
 
 
+def test_to_graph_allow_repeated_gives_each_block_a_vertex(tmp_path, capsys):
+    design = tmp_path / "c.json"
+    graph = tmp_path / "k.json"
+    assert run_cli(capsys, "generate", "complete", "--v", "2", "--b", "3", "--out", str(design))[0] == 0
+    code, out, err = run_cli(capsys, "to-graph", str(design))
+    assert (code, out, err) == (1, "", f"error: {design}: block (0, 1) repeated\n")
+    assert run_cli(capsys, "to-graph", str(design), "--allow-repeated", "--out", str(graph))[0] == 0
+    doc = json.loads(graph.read_text())
+    assert doc["n"] == 5 and len(doc["edges"]) == 6
+    code, out, _ = run_cli(capsys, "analyze-graph", str(graph))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["kind"] == "distance-biregular"
+    assert rep["arrays"]["Y"] == {"b": [3, 1, 0], "c": [0, 1, 3]}
+    assert rep["arrays"]["Yprime"] == {"b": [2, 2, 0], "c": [0, 1, 2]}
+
+
 def test_to_graph_then_analyze_graph(tmp_path, capsys, gq22_file):
     gpath = tmp_path / "tc.json"
     assert run_cli(capsys, "to-graph", str(gq22_file), "--out", str(gpath))[0] == 0

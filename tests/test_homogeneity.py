@@ -384,14 +384,25 @@ def test_parameter_homogeneity_not_in_scope():
 
 
 def test_homogeneity_report_runs_one_bfs_per_vertex(monkeypatch):
+    # the layers of all 30 sources come from one level-by-level sweep, built
+    # once per graph; no per-source BFS runs
     g = tutte_coxeter()
     sources = []
+    sweeps = []
 
     def counting_bfs(masks, source):
         sources.append(source)
         return real_bfs(masks, source)
 
+    def counting_sweep(masks):
+        sweeps.append(len(masks))
+        return real_sweep(masks)
+
     real_bfs = core.layer_bfs
+    real_sweep = core.all_layers
     monkeypatch.setattr(core, "layer_bfs", counting_bfs)
+    monkeypatch.setattr(core, "all_layers", counting_sweep)
     homogeneity_report(g, "Y")
-    assert sorted(sources) == list(range(30))
+    homogeneity_report(g, "Yprime")
+    assert sweeps == [30]
+    assert sources == []

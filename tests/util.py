@@ -23,7 +23,7 @@ from spbibd.core import (
     validate_structure,
 )
 from spbibd.correspondence import GraphDesignExtraction, derived_sizes, design_from_graph, incidence_graph
-from spbibd.graph import all_distances, bfs_distances
+from spbibd.graph import NotRegularizedAt, all_distances, bfs_distances, local_intersection_numbers
 from spbibd.homogeneity import (
     VERDICT_ALMOST_ONLY,
     VERDICT_NEITHER,
@@ -47,6 +47,21 @@ def oracle_distances(g: BipartiteGraph, v: int) -> dict[int, int]:
 
 def eccentricity(g: BipartiteGraph, v: int) -> int:
     return max(bfs_distances(g, v))
+
+
+def uniform_array_oracle(
+    g: BipartiteGraph, vertices: tuple[int, ...]
+) -> tuple[IntersectionArray | None, int, NotRegularizedAt | None]:
+    """graph.uniform_array by the vertex-order scan it replaced: every
+    vertex's local_intersection_numbers until the first witness."""
+    ecc = max((len(g.layers[v]) - 1 for v in vertices), default=0)
+    arrays = set()
+    for v in vertices:
+        arr = local_intersection_numbers(g, v)
+        if isinstance(arr, NotRegularizedAt):
+            return None, ecc, arr
+        arrays.add(arr)
+    return arrays.pop() if len(arrays) == 1 else None, ecc, None
 
 
 def pair_coverage_oracle(d: IncidenceStructure) -> dict[tuple[int, int], int]:
