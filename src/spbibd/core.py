@@ -52,6 +52,10 @@ class OddCycleError(ToolkitError):
     pass
 
 
+class NoEdgesError(ToolkitError):
+    """Classification needs at least one edge."""
+
+
 class ConsistencyError(ToolkitError):
     """Two independent routes to the same quantity disagree: a defect in
     this package, never a verdict about the input."""
@@ -205,10 +209,16 @@ class BipartiteGraph(_GraphFields):
         return self.adjacency_masks[v].bit_count()
 
     def class_vertices(self, side: str) -> tuple[int, ...]:
-        """Vertices of one color class, by side name ("Y" or "Yprime")."""
+        """Vertices of one color class, by side name ("Y" or "Yprime").
+
+        Every check on a class starts here.  The only connected graph
+        without edges, one vertex, has an empty class Y', so it is refused
+        for both sides."""
         want = 0 if side == Y_SIDE else 1
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
+        if not self.edges:
+            raise NoEdgesError("classification needs at least one edge")
         return tuple(v for v in range(self.num_vertices) if self.side[v] == want)
 
 

@@ -18,8 +18,8 @@ from .core import (
     BipartiteGraph,
     ConsistencyError,
     IntersectionArray,
+    NoEdgesError,  # re-exported: classify raises it through class_vertices
     SIDES,
-    ToolkitError,
     Y_SIDE,
     bits,
     distance_row,
@@ -32,10 +32,6 @@ KIND_DISTANCE_BIREGULAR = "distance-biregular"
 KIND_SEMIREGULAR_Y_ONLY = "distance-semiregular-Y-only"
 KIND_SEMIREGULAR_YPRIME_ONLY = "distance-semiregular-Yprime-only"
 KIND_NOT_REGULARIZED = "not-distance-regularized"
-
-
-class NoEdgesError(ToolkitError):
-    """Classification needs at least one edge."""
 
 
 def bfs_distances(g: BipartiteGraph, v: int) -> tuple[int, ...]:
@@ -181,14 +177,13 @@ def uniform_array(
     """A class's common array (None unless every vertex is
     distance-regularized with the same array), its maximum eccentricity,
     and the first non-regularity witness in vertex order when one exists.
+    ``vertices`` is a whole class, never empty (BipartiteGraph.class_vertices).
 
     The verdict comes from the per-level keys of every vertex at once
     (:func:`_class_levels`); a vertex is called through
     ``local_intersection_numbers`` only to read a uniform class's array
     from its first vertex, or, in vertex order up to the first witness,
     to name that witness."""
-    if not vertices:
-        return None, 0, None
     ecc = max(len(g.layers[v]) - 1 for v in vertices)
     levels = _class_levels(g, vertices)
     if levels is None:
@@ -213,9 +208,8 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
     Distance-regular when all vertices share one array; distance-biregular
     when the array depends only on the color class (and the graph is not
     regular); semiregular-one-side when only one class is uniform.
+    The one-vertex graph raises NoEdgesError.
     """
-    if not g.edges:
-        raise NoEdgesError("classification needs at least one edge")
     ys = g.class_vertices("Y")
     yps = g.class_vertices("Yprime")
     array_y, ecc_y, wit_y = uniform_array(g, ys)

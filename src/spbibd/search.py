@@ -4,9 +4,11 @@
 
 Every target needs K3 (Delta_2 of the point class) or K30 (Delta_2 of the
 block class), and both are linear in r (homogeneity.r_coefficients), so
-the enumeration runs over (lambda1, y, t) and solves the target's first
-equality for r instead of sweeping r.  The old sweep over every r is kept
-only as the test oracle.
+the enumeration runs over (y, t) and, innermost, lambda1, and solves the
+target's first equality for r instead of sweeping r.  The solved r grows
+strictly with lambda1, so each lambda1 sweep ends at the first solved r
+above max_r (the proof is in _candidates_for_k).  The old sweep over
+every r is kept only as the test oracle.
 
 Emitting a tuple never asserts that a design with these parameters
 exists; every row carries an explicit "unresolved" existence marker.
@@ -123,34 +125,40 @@ def deltas_from_arrays(r: int, k: int, lambda1: int, t: int, y: int) -> dict[str
     }
 
 
-def _solved_r(
-    label: str, k: int, lambda1: int, t: int, y: int, max_r: int
-) -> range | tuple[int, ...]:
-    """Every r in max(4, lambda1 + 1, t + 1)..max_r meeting the equality
-    ``label`` (K3 or K30) at (k, lambda1, t, y).
-
-    a*r = c has at most one solution when a != 0; a = 0 only happens for
-    y = 1 (K3) or t = y = 1 (K30), and then every r or none fits.
-    """
-    r_min = max(4, lambda1 + 1, t + 1)
-    a, c = r_coefficients(label, k, lambda1, t, y)
-    if a == 0:
-        return range(r_min, max_r + 1) if c == 0 else ()
-    r, rem = divmod(c, a)
-    return (r,) if rem == 0 and r_min <= r <= max_r else ()
-
-
 def _candidates_for_k(
     k: int, max_r: int, target: str, force_y: int | None
 ) -> list[CandidateTuple]:
+    """The target's admissible tuples at block size k, r <= max_r.
+
+    For each (y, t) the sweep over lambda1 solves a*r = c
+    (homogeneity.r_coefficients) for r and ends at the first lambda1 with
+    c/a > max_r, because c/a grows strictly with lambda1 whenever a > 0:
+
+        K3:  c/a = lambda1*(1 + (k-2)(t-y)/((y-1)(t-1)))
+        K30: c/a = 2 + (k-y)(t*lambda1 - y)(lambda1 - 1)/(lambda1*y*(t-y)),
+             whose step from lambda1 to lambda1 + 1 is
+             (k-y)/(y(t-y)) * (t - y/(lambda1(lambda1 + 1))) > 0 for t > y.
+
+    a = 0 only happens for y = 1 (K3) or t = y = 1 (K30); then every r
+    fits or none does, for each lambda1, and the sweep runs on.
+    """
     needed = _TARGET_NEEDS[target]
     solved_from = needed[0]
     out = []
     y_range = range(2, k - 1) if force_y is None else (force_y,)
-    for lambda1 in range(1, max_r):
-        for y in y_range:
-            for t in range(y + 1 if y > 1 else y, min(k, max_r)):
-                for r in _solved_r(solved_from, k, lambda1, t, y, max_r):
+    for y in y_range:
+        for t in range(y + 1 if y > 1 else y, min(k, max_r)):
+            for lambda1 in range(1, max_r):
+                r_min = max(4, lambda1 + 1, t + 1)
+                a, c = r_coefficients(solved_from, k, lambda1, t, y)
+                if a == 0:
+                    solved = range(r_min, max_r + 1) if c == 0 else ()
+                elif c > max_r * a:
+                    break  # every larger lambda1 solves a larger r
+                else:
+                    r, rem = divmod(c, a)
+                    solved = (r,) if rem == 0 and r >= r_min else ()
+                for r in solved:
                     if admissibility_failures(r, k, lambda1, t, y):
                         continue
                     sat = satisfied_equalities(r, k, lambda1, t, y)
@@ -188,7 +196,8 @@ def enumerate_candidates(
     equalities, in (k, r, lambda1, y, t) lexicographic order.
 
     r is solved from the target's first equality (K3 or K30) for each
-    (lambda1, y, t).  ``force_y`` restricts the search to one y >= 1
+    (y, t, lambda1), and each lambda1 sweep ends at the first r above
+    max_r.  ``force_y`` restricts the search to one y >= 1
     (y = 1 gives the out-of-problem diagnostic mode).  The result is a pure
     function of (bounds, target, force_y).  An admissible solved r that
     misses its equality, and an emitted tuple that disagrees with

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spbibd
 from spbibd import search
@@ -216,6 +217,44 @@ def test_solved_search_equals_the_r_sweep(bound, force_y):
     for target in TARGETS:
         solved = enumerate_candidates(bound, bound, target, force_y=force_y)
         assert solved == sweep_candidates(bound, bound, target, force_y), (target, force_y)
+
+
+@st.composite
+def uneven_bounds(draw):
+    max_r = draw(st.integers(4, 18))
+    max_k = draw(st.integers(4, 18).filter(lambda k: k != max_r))
+    force_y = draw(st.none() | st.integers(1, max_k))
+    return max_r, max_k, draw(st.sampled_from(TARGETS)), force_y
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(uneven_bounds())
+def test_lambda1_cut_off_equals_the_r_sweep_on_uneven_bounds(case):
+    # the cut-off compares the solved r with max_r, so the bounds must not
+    # stand in for each other
+    max_r, max_k, target, force_y = case
+    solved = enumerate_candidates(max_r, max_k, target, force_y=force_y)
+    assert solved == sweep_candidates(max_r, max_k, target, force_y)
+
+
+# r_coefficients calls of enumerate_candidates(20, 20, target): each lambda1
+# sweep ends at the first solved r above 20.  Without the cut-off every
+# (k, lambda1, y, t) of the grid is solved, 18,411 calls per target.
+SOLVES_20 = {"almost-p": 8771, "full-p": 8771, "almost-b": 6167, "full-b": 6167}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_lambda1_sweep_stops_at_max_r(monkeypatch, target):
+    real = search.r_coefficients
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "r_coefficients", counting)
+    enumerate_candidates(20, 20, target)
+    assert len(calls) == SOLVES_20[target]
 
 
 def test_linear_form_tracks_the_equalities():
