@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ToolkitError(Exception):
@@ -462,3 +462,42 @@ class SpbibdParams(NamedTuple):
     @property
     def flag_count_consistent(self) -> bool:
         return self.v * self.r == self.b * self.k
+
+
+class ScopeInequality(NamedTuple):
+    """One inequality that an in-scope design satisfies: its report name,
+    an exact integer test over (r, k, lambda1, t, y) for y >= 1, and its
+    report detail, a ``str.format`` template over r, k, lambda1, t, y and
+    c3 = t*lambda1/y."""
+
+    name: str
+    test: Callable[[int, int, int, int, int], bool]
+    detail: str
+
+
+# The one home of the scope inequalities: design renders them as the
+# analyze-design checklist and search filters tuples by them.  The tests
+# compare t*lambda1/y by cross-multiplying with y > 0, so they stay in
+# integers.
+SCOPE_INEQUALITIES = (
+    ScopeInequality("y <= t", lambda r, k, lambda1, t, y: y <= t, "{y} <= {t}"),
+    ScopeInequality("t < k", lambda r, k, lambda1, t, y: t < k, "{t} < {k}"),
+    ScopeInequality("t < r", lambda r, k, lambda1, t, y: t < r, "{t} < {r}"),
+    ScopeInequality(
+        "t*lambda1/y integral", lambda r, k, lambda1, t, y: (t * lambda1) % y == 0, "t*lambda1/y = {c3}"
+    ),
+    # for y > 1 only: the incidence graph's arrays force these as well
+    ScopeInequality("t > y", lambda r, k, lambda1, t, y: t > y, "{t} > {y}"),
+    ScopeInequality(
+        "lambda1 < t*lambda1/y", lambda r, k, lambda1, t, y: lambda1 * y < t * lambda1, "{lambda1} < {c3}"
+    ),
+    ScopeInequality("t*lambda1/y < r", lambda r, k, lambda1, t, y: t * lambda1 < r * y, "{c3} < {r}"),
+    ScopeInequality("k >= 4", lambda r, k, lambda1, t, y: k >= 4, "k = {k}"),
+    ScopeInequality("r >= 4", lambda r, k, lambda1, t, y: r >= 4, "r = {r}"),
+)
+
+
+def scope_inequalities(y: int) -> tuple[ScopeInequality, ...]:
+    """The rows that apply at y >= 1: the first four for y = 1, all nine
+    for y > 1."""
+    return SCOPE_INEQUALITIES if y > 1 else SCOPE_INEQUALITIES[:4]

@@ -17,6 +17,7 @@ from .core import (
     NotInScopeError,
     SpbibdParams,
     ToolkitError,
+    scope_inequalities,
     validate_structure,
 )
 
@@ -281,9 +282,10 @@ def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
     """Itemized inequality checks for quasi-symmetric designs with
     lambda2 = 0, type (k-1, t), x = 0, y > 0.
 
-    Checks y <= t < k, t < r, integrality of t*lambda1/y, and for y > 1
-    additionally t > y, lambda1 < t*lambda1/y < r, k >= 4 and r >= 4.
-    Raises NotInScopeError when the preconditions themselves fail.
+    Checks the rows of core.SCOPE_INEQUALITIES that apply at y (four for
+    y = 1, nine for y > 1) and renders their details with t*lambda1/y as
+    a Fraction.  Raises NotInScopeError when the preconditions themselves
+    fail.
     """
     if p.lambda2 != 0:
         raise NotInScopeError(f"lambda2 = {p.lambda2}, scope needs lambda2 = 0")
@@ -292,24 +294,11 @@ def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
     if p.x != 0 or p.y is None or p.y <= 0:
         raise NotInScopeError(f"intersection numbers x = {p.x}, y = {p.y}; scope needs x = 0 and y > 0")
 
-    y, t, k, r, lambda1 = p.y, p.t, p.k, p.r, p.lambda1
-    c3_prime = Fraction(t * lambda1, y)
-    checks = [
-        ConstraintCheck("y <= t", y <= t, f"{y} <= {t}"),
-        ConstraintCheck("t < k", t < k, f"{t} < {k}"),
-        ConstraintCheck("t < r", t < r, f"{t} < {r}"),
-        ConstraintCheck(
-            "t*lambda1/y integral",
-            c3_prime.denominator == 1,
-            f"t*lambda1/y = {c3_prime}",
-        ),
-    ]
-    if y > 1:
-        checks += [
-            ConstraintCheck("t > y", t > y, f"{t} > {y}"),
-            ConstraintCheck("lambda1 < t*lambda1/y", lambda1 < c3_prime, f"{lambda1} < {c3_prime}"),
-            ConstraintCheck("t*lambda1/y < r", c3_prime < r, f"{c3_prime} < {r}"),
-            ConstraintCheck("k >= 4", k >= 4, f"k = {k}"),
-            ConstraintCheck("r >= 4", r >= 4, f"r = {r}"),
-        ]
-    return ConstraintReport(tuple(checks))
+    values = {"r": p.r, "k": p.k, "lambda1": p.lambda1, "t": p.t, "y": p.y}
+    c3 = Fraction(p.t * p.lambda1, p.y)
+    return ConstraintReport(
+        tuple(
+            ConstraintCheck(row.name, row.test(**values), row.detail.format(c3=c3, **values))
+            for row in scope_inequalities(p.y)
+        )
+    )

@@ -1,6 +1,8 @@
 """Bounded exhaustive enumeration of admissible parameter tuples
 (r, k, lambda1, t, y) with y > 1 whose incidence graph would be (almost)
-2-homogeneous with respect to the point or block class.
+2-homogeneous with respect to the point or block class.  A tuple is
+admissible when it passes core.SCOPE_INEQUALITIES, the rows that the
+analyze-design checklist renders, and gives integral v and b.
 
 Every target needs K3 (Delta_2 of the point class) or K30 (Delta_2 of the
 block class), and both are linear in r (homogeneity.r_coefficients), so
@@ -19,9 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import TARGETS, ConsistencyError, SpbibdParams, ToolkitError
+from .core import TARGETS, ConsistencyError, ToolkitError, scope_inequalities
 from .correspondence import derived_sizes, expected_incidence_arrays
-from .design import check_parameter_constraints
 from .homogeneity import EQUALITY_LABELS, delta_value, r_coefficients, satisfied_equalities
 
 TARGET_ALMOST_P, TARGET_FULL_P, TARGET_ALMOST_B, TARGET_FULL_B = TARGETS
@@ -54,24 +55,12 @@ class CandidateTuple(NamedTuple):
     def sort_key(self) -> tuple[int, int, int, int, int]:
         return (self.k, self.r, self.lambda1, self.y, self.t)
 
-    def as_spbibd_params(self) -> SpbibdParams:
-        return SpbibdParams(
-            v=self.v,
-            b=self.b,
-            r=self.r,
-            k=self.k,
-            lambda1=self.lambda1,
-            lambda2=0,
-            s=self.k - 1,
-            t=self.t,
-            x=0,
-            y=self.y,
-        )
-
 
 def admissibility_failures(r: int, k: int, lambda1: int, t: int, y: int) -> list[str]:
     """Reasons a tuple fails the scope and counting filters (empty when
-    admissible).  Divisibility checks come before everything derived.
+    admissible): the names of the failing core.SCOPE_INEQUALITIES rows,
+    then the integrality of v and b, which is derived only once every row
+    holds.
 
     y = 1 is accepted for diagnostic sweeps; the extra inequalities of the
     y > 1 case are then skipped, but lambda1 = 1 is forced.
@@ -79,30 +68,15 @@ def admissibility_failures(r: int, k: int, lambda1: int, t: int, y: int) -> list
     reasons = []
     if y < 1:
         reasons.append("needs y >= 1")
-    elif y == 1:
-        if lambda1 != 1:
-            reasons.append("y = 1 forces lambda1 = 1")
-        if not (y <= t < k):
-            reasons.append("needs y <= t < k")
-    else:
-        if not (2 <= y < t < k):
-            reasons.append("needs y < t < k when y > 1")
-        if k < 4 or r < 4:
-            reasons.append("y > 1 needs k >= 4 and r >= 4")
-    if not t < r:
-        reasons.append("needs t < r")
+    elif y == 1 and lambda1 != 1:
+        reasons.append("y = 1 forces lambda1 = 1")
     if lambda1 < 1:
         reasons.append("needs lambda1 >= 1")
     if reasons:
         return reasons
-    if (t * lambda1) % y != 0:
-        reasons.append("t*lambda1/y not integral")
+    reasons = [row.name for row in scope_inequalities(y) if not row.test(r, k, lambda1, t, y)]
+    if reasons:
         return reasons
-    c3p = (t * lambda1) // y
-    if y > 1 and not lambda1 < c3p:
-        reasons.append("needs lambda1 < t*lambda1/y")
-    if not c3p < r:
-        reasons.append("needs t*lambda1/y < r")
     v_num, b_num, den = derived_sizes(r, k, lambda1, t)
     if v_num % den:
         reasons.append(f"v = {v_num}/{den} not integral")
@@ -140,7 +114,8 @@ def _candidates_for_k(
              (k-y)/(y(t-y)) * (t - y/(lambda1(lambda1 + 1))) > 0 for t > y.
 
     a = 0 only happens for y = 1 (K3) or t = y = 1 (K30); then every r
-    fits or none does, for each lambda1, and the sweep runs on.
+    fits or none does.  y = 1 admits only lambda1 = 1
+    (admissibility_failures), so that is the only lambda1 tried there.
     """
     needed = _TARGET_NEEDS[target]
     solved_from = needed[0]
@@ -148,7 +123,7 @@ def _candidates_for_k(
     y_range = range(2, k - 1) if force_y is None else (force_y,)
     for y in y_range:
         for t in range(y + 1 if y > 1 else y, min(k, max_r)):
-            for lambda1 in range(1, max_r):
+            for lambda1 in range(1, max_r if y > 1 else 2):
                 r_min = max(4, lambda1 + 1, t + 1)
                 a, c = r_coefficients(solved_from, k, lambda1, t, y)
                 if a == 0:
@@ -175,12 +150,7 @@ def _candidates_for_k(
                                 f"{label} equality/Delta disagreement at {(r, k, lambda1, t, y)}"
                             )
                     v_num, b_num, den = derived_sizes(r, k, lambda1, t)
-                    cand = CandidateTuple(r, k, lambda1, t, y, v_num // den, b_num // den, sat)
-                    if not check_parameter_constraints(cand.as_spbibd_params()).all_pass:
-                        raise ConsistencyError(
-                            f"admissible tuple {(r, k, lambda1, t, y)} fails the parameter constraints"
-                        )
-                    out.append(cand)
+                    out.append(CandidateTuple(r, k, lambda1, t, y, v_num // den, b_num // den, sat))
     out.sort(key=CandidateTuple.sort_key)
     return out
 
@@ -200,9 +170,8 @@ def enumerate_candidates(
     max_r.  ``force_y`` restricts the search to one y >= 1
     (y = 1 gives the out-of-problem diagnostic mode).  The result is a pure
     function of (bounds, target, force_y).  An admissible solved r that
-    misses its equality, and an emitted tuple that disagrees with
-    deltas_from_arrays or check_parameter_constraints, raise
-    ConsistencyError.
+    misses its equality, and an emitted tuple whose equalities disagree
+    with deltas_from_arrays, raise ConsistencyError.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")

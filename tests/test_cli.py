@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spbibd.cli import main
+from util import hypercube_design
 
 
 def run_cli(capsys, *argv):
@@ -381,6 +382,9 @@ _GOLDEN_WRITTEN = {
     "repeated": {"v": 4, "blocks": [[0, 1], [0, 1], [2, 3], [2, 3]]},
     # translates of {0, 1, 2} in Z_9: concurrences 2, 1 and 0
     "cyclic9": {"v": 9, "blocks": [[(i + j) % 9 for j in range(3)] for i in range(9)]},
+    # (8, 8, 4, 4, 2, 0) of type (3, 3), y = 2: the only report here with
+    # the five y > 1 rows of the constraint checklist
+    "cube4": {"v": 8, "blocks": [list(blk) for blk in hypercube_design().blocks]},
 }
 # SHA-256 of stdout, recorded before the report records became NamedTuples
 # (they were frozen dataclasses serialized by dataclasses.asdict).  Between
@@ -403,6 +407,9 @@ GOLDEN_REPORTS = {
     ("analyze-design", "repeated", "--allow-repeated", "--human"): (
         "d56032adfda661fe6a074396e30927e308f05265d2c5d66d024c0f9eedd95152"
     ),
+    # recorded before the scope inequalities moved to one table in core
+    ("analyze-design", "cube4"): "354a081d6fb16739a52a09f92ceab9a96fa8bde6ac496af0e60bca57567dfb92",
+    ("analyze-design", "cube4", "--human"): "d202f4baafdea2dac64be673b3d76ebfa30df6c4d5ce032155535fa63a9cc846",
     ("analyze-graph", "tutte"): "454d9dc1472fa0416a500faa5387ff786124db7b3962b927163abfe1217044fe",
     ("analyze-graph", "cycle12"): "0fe85902ce8a7ca095b89f9502043b04535c04953d2357c2f412b66823f068d6",
     ("analyze-graph", "path8"): "d3f7aaebbc57c09e4807877b413170c5d662f97e435ce3398f1cbd6d51514968",

@@ -6,6 +6,7 @@ import pytest
 from spbibd import design
 from spbibd.core import DuplicateBlockError, SpbibdParams, validate_structure
 from spbibd.design import (
+    ConstraintCheck,
     ConstraintReport,
     FewerThanTwoBlocksError,
     NotInScopeError,
@@ -351,6 +352,90 @@ def test_constraints_two_design_degeneracy_fails():
     rep = check_parameter_constraints(_params(3, 3, 1, 3, 1, v=7, b=7))
     assert not rep.all_pass
     assert "t < k" in rep.failed()
+
+
+# The full checklist of hand-picked (r, k, lambda1, t, y), written out as
+# literals.  Every row fails at least once, and every comparison is met
+# at its boundary (t = y, t = r, t*lambda1/y = r, k = r = 4, ...), so
+# flipping any one of them changes some report.
+CHECKLISTS = {
+    # GQ(2,2)
+    (3, 3, 1, 1, 1): (
+        ("y <= t", True, "1 <= 1"),
+        ("t < k", True, "1 < 3"),
+        ("t < r", True, "1 < 3"),
+        ("t*lambda1/y integral", True, "t*lambda1/y = 1"),
+    ),
+    # Fano: the 2-design degeneracy t = k
+    (3, 3, 1, 3, 1): (
+        ("y <= t", True, "1 <= 3"),
+        ("t < k", False, "3 < 3"),
+        ("t < r", False, "3 < 3"),
+        ("t*lambda1/y integral", True, "t*lambda1/y = 3"),
+    ),
+    # the 4-cube design
+    (4, 4, 2, 3, 2): (
+        ("y <= t", True, "2 <= 3"),
+        ("t < k", True, "3 < 4"),
+        ("t < r", True, "3 < 4"),
+        ("t*lambda1/y integral", True, "t*lambda1/y = 3"),
+        ("t > y", True, "3 > 2"),
+        ("lambda1 < t*lambda1/y", True, "2 < 3"),
+        ("t*lambda1/y < r", True, "3 < 4"),
+        ("k >= 4", True, "k = 4"),
+        ("r >= 4", True, "r = 4"),
+    ),
+    (5, 4, 3, 2, 3): (
+        ("y <= t", False, "3 <= 2"),
+        ("t < k", True, "2 < 4"),
+        ("t < r", True, "2 < 5"),
+        ("t*lambda1/y integral", True, "t*lambda1/y = 2"),
+        ("t > y", False, "2 > 3"),
+        ("lambda1 < t*lambda1/y", False, "3 < 2"),
+        ("t*lambda1/y < r", True, "2 < 5"),
+        ("k >= 4", True, "k = 4"),
+        ("r >= 4", True, "r = 5"),
+    ),
+    (3, 3, 1, 3, 2): (
+        ("y <= t", True, "2 <= 3"),
+        ("t < k", False, "3 < 3"),
+        ("t < r", False, "3 < 3"),
+        ("t*lambda1/y integral", False, "t*lambda1/y = 3/2"),
+        ("t > y", True, "3 > 2"),
+        ("lambda1 < t*lambda1/y", True, "1 < 3/2"),
+        ("t*lambda1/y < r", True, "3/2 < 3"),
+        ("k >= 4", False, "k = 3"),
+        ("r >= 4", False, "r = 3"),
+    ),
+    (4, 5, 2, 4, 2): (
+        ("y <= t", True, "2 <= 4"),
+        ("t < k", True, "4 < 5"),
+        ("t < r", False, "4 < 4"),
+        ("t*lambda1/y integral", True, "t*lambda1/y = 4"),
+        ("t > y", True, "4 > 2"),
+        ("lambda1 < t*lambda1/y", True, "2 < 4"),
+        ("t*lambda1/y < r", False, "4 < 4"),
+        ("k >= 4", True, "k = 5"),
+        ("r >= 4", True, "r = 4"),
+    ),
+    (4, 4, 2, 2, 2): (
+        ("y <= t", True, "2 <= 2"),
+        ("t < k", True, "2 < 4"),
+        ("t < r", True, "2 < 4"),
+        ("t*lambda1/y integral", True, "t*lambda1/y = 2"),
+        ("t > y", False, "2 > 2"),
+        ("lambda1 < t*lambda1/y", False, "2 < 2"),
+        ("t*lambda1/y < r", True, "2 < 4"),
+        ("k >= 4", True, "k = 4"),
+        ("r >= 4", True, "r = 4"),
+    ),
+}
+
+
+@pytest.mark.parametrize("rklty", list(CHECKLISTS), ids=str)
+def test_constraint_report_literal_oracle(rklty):
+    expected = ConstraintReport(tuple(ConstraintCheck(*check) for check in CHECKLISTS[rklty]))
+    assert check_parameter_constraints(_params(*rklty)) == expected
 
 
 def test_constraints_not_in_scope():

@@ -32,7 +32,6 @@ LOADS = {
     ("analyze-design", "gq22.json"): {"spbibd.design", "spbibd.homogeneity", "fractions"},
     ("search", "--target", "full-b", "--max-r", "12", "--max-k", "12"): {
         "spbibd.correspondence",
-        "spbibd.design",
         "spbibd.homogeneity",
         "spbibd.search",
         "fractions",

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import spbibd
 from spbibd import search
 from spbibd.cli import main as cli_main
-from spbibd.core import ConsistencyError
+from spbibd.core import ConsistencyError, SpbibdParams
 from spbibd.correspondence import derived_sizes, expected_incidence_arrays
 from spbibd.design import check_parameter_constraints
 from spbibd.homogeneity import r_coefficients
@@ -35,6 +35,14 @@ SEARCH_20 = {
     "full-p": (46, "de9b95281c85f2e598d4f82a13c5e793dbd4d8a15b1a1e00183ad855d0e16ddb"),
     "almost-b": (56, "2589e5e39071e2e7b170f9df7f09a2b7495871b437a3d93435a1829c6efbe256"),
     "full-b": (9, "797323c76151b4faf33e071335b69c98a0b4610d1b48ab54a6f439f32e7ec36e"),
+}
+# The same with --force-y 1, the out-of-problem y = 1 mode: almost-p and
+# almost-b list the same 289 tuples, full-p and full-b none.
+SEARCH_20_Y1 = {
+    "almost-p": (289, "22310924a5b16555be67762beda25d3ea5892087214a9fbf7254f699bae34cf0"),
+    "full-p": (0, "66fdbeaf4ff6f5f2894342f47980b5ab093680005be54a964b1ea3922590e24b"),
+    "almost-b": (289, "22310924a5b16555be67762beda25d3ea5892087214a9fbf7254f699bae34cf0"),
+    "full-b": (0, "66fdbeaf4ff6f5f2894342f47980b5ab093680005be54a964b1ea3922590e24b"),
 }
 # The same at --max-r 30 --max-k 30: rows and SHA-256 prefix.
 SEARCH_30 = {
@@ -92,8 +100,10 @@ def test_full_p_tuples_satisfy_both_equations():
 def test_emitted_tuples_repass_parameter_constraints():
     for target in ("almost-p", "almost-b"):
         for c in enumerate_candidates(16, 16, target):
-            rep = check_parameter_constraints(c.as_spbibd_params())
-            assert rep.all_pass
+            params = SpbibdParams(
+                v=c.v, b=c.b, r=c.r, k=c.k, lambda1=c.lambda1, lambda2=0, s=c.k - 1, t=c.t, x=0, y=c.y
+            )
+            assert check_parameter_constraints(params).all_pass
             assert c.v * c.r == c.b * c.k
             assert c.existence == "unresolved"
 
@@ -199,8 +209,8 @@ def test_derived_sizes_match_the_array_form():
                     assert (Fraction(v_num, den), Fraction(b_num, den)) == array_class_sizes(point)
 
 
-def _csv_digest(bound, target):
-    cands = enumerate_candidates(bound, bound, target)
+def _csv_digest(bound, target, force_y=None):
+    cands = enumerate_candidates(bound, bound, target, force_y=force_y)
     return len(cands), hashlib.sha256(candidates_csv(cands).encode()).hexdigest()
 
 
@@ -209,6 +219,11 @@ def test_search_csv_is_pinned_at_20_and_30(target):
     assert _csv_digest(20, target) == SEARCH_20[target]
     rows, digest = _csv_digest(30, target)
     assert (rows, digest[:16]) == SEARCH_30[target]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_search_csv_with_y_forced_to_one_is_pinned_at_20(target):
+    assert _csv_digest(20, target, force_y=1) == SEARCH_20_Y1[target]
 
 
 @pytest.mark.parametrize("bound", (12, 16))
@@ -237,24 +252,38 @@ def test_lambda1_cut_off_equals_the_r_sweep_on_uneven_bounds(case):
     assert solved == sweep_candidates(max_r, max_k, target, force_y)
 
 
-# r_coefficients calls of enumerate_candidates(20, 20, target): each lambda1
-# sweep ends at the first solved r above 20.  Without the cut-off every
-# (k, lambda1, y, t) of the grid is solved, 18,411 calls per target.
-SOLVES_20 = {"almost-p": 8771, "full-p": 8771, "almost-b": 6167, "full-b": 6167}
+# (r_coefficients, admissibility_failures) calls of
+# enumerate_candidates(20, 20, target, force_y=force_y): each lambda1 sweep
+# ends at the first solved r above 20.  Without the cut-off every
+# (k, lambda1, y, t) of the grid is solved, 18,411 calls per target.  y = 1
+# admits only lambda1 = 1, so that is the only lambda1 tried there.
+SOLVES_20 = {
+    (None, "almost-p"): (8771, 562),
+    (None, "full-p"): (8771, 562),
+    (None, "almost-b"): (6167, 218),
+    (None, "full-b"): (6167, 218),
+    (1, "almost-p"): (187, 289),
+    (1, "full-p"): (187, 289),
+    (1, "almost-b"): (187, 289),
+    (1, "full-b"): (187, 289),
+}
 
 
-@pytest.mark.parametrize("target", TARGETS)
-def test_lambda1_sweep_stops_at_max_r(monkeypatch, target):
-    real = search.r_coefficients
-    calls = []
+@pytest.mark.parametrize(
+    "force_y, target", list(SOLVES_20), ids=[t if y is None else f"{t}-y{y}" for y, t in SOLVES_20]
+)
+def test_lambda1_sweep_stops_at_max_r(monkeypatch, force_y, target):
+    calls = {"r_coefficients": 0, "admissibility_failures": 0}
+    for name in calls:
+        real = getattr(search, name)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(search, "r_coefficients", counting)
-    enumerate_candidates(20, 20, target)
-    assert len(calls) == SOLVES_20[target]
+        monkeypatch.setattr(search, name, counting)
+    enumerate_candidates(20, 20, target, force_y=force_y)
+    assert (calls["r_coefficients"], calls["admissibility_failures"]) == SOLVES_20[force_y, target]
 
 
 def test_linear_form_tracks_the_equalities():
