@@ -40,7 +40,9 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers a decode error, bytes that are not UTF-8 and an
+        # integer beyond the interpreter's digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -65,9 +67,10 @@ def parse_design_file(path: str, *, allow_repeated: bool = False) -> IncidenceSt
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def parse_graph_file(path: str) -> tuple[BipartiteGraph, bool]:
-    """Graph plus a flag telling whether the file's class 0 is the BFS Y
-    class (the file partition may name the classes the other way round)."""
+def parse_graph_file(path: str) -> BipartiteGraph:
+    """The graph of a graph file.  A ``partition``, when given, names the
+    colour classes (its class 0 is Y) and must be the BFS 2-colouring or
+    its complement; without one, vertex 0's class is Y."""
     doc = _read_json(path)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError(f"{path}: graph file needs fields 'n' and 'edges'")
@@ -81,7 +84,6 @@ def parse_graph_file(path: str) -> tuple[BipartiteGraph, bool]:
         g = build_bipartite(n, edges)
     except ToolkitError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    file_y_is_side0 = True
     if "partition" in doc:
         part = doc["partition"]
         if (
@@ -90,21 +92,13 @@ def parse_graph_file(path: str) -> tuple[BipartiteGraph, bool]:
             or any(not _is_int(p) or p not in (0, 1) for p in part)
         ):
             raise ParseError(f"{path}: 'partition' must be a 0/1 list of length n")
-        if tuple(part) == g.side:
-            file_y_is_side0 = True
-        elif tuple(1 - p for p in part) == g.side:
-            file_y_is_side0 = False
-        else:
-            raise ParseError(f"{path}: 'partition' does not match the BFS 2-coloring")
-    return g, file_y_is_side0
-
-
-def _map_side(side: str, file_y_is_side0: bool) -> str:
-    if side not in SIDES:
-        raise ParseError(f"side must be one of {SIDES}")
-    if file_y_is_side0:
-        return side
-    return SIDES[1 - SIDES.index(side)]
+        part = tuple(part)
+        if part != g.side:
+            if tuple(1 - p for p in part) != g.side:
+                raise ParseError(f"{path}: 'partition' does not match the BFS 2-coloring")
+            # the complement of a proper colouring is proper: nothing to recheck
+            g = g._replace(side=part)
+    return g
 
 
 def design_file_doc(d: IncidenceStructure) -> dict:
@@ -281,7 +275,7 @@ def _cmd_analyze_design(args) -> int:
 
 
 def _cmd_analyze_graph(args) -> int:
-    g, _ = parse_graph_file(args.path)
+    g = parse_graph_file(args.path)
     _emit_report(analyze_graph_report(g), args.out, args.human)
     return 0
 
@@ -294,16 +288,15 @@ def _cmd_to_graph(args) -> int:
 
 
 def _cmd_from_graph(args) -> int:
-    g, y_is_0 = parse_graph_file(args.path)
-    ext = correspondence.design_from_graph(g, _map_side(args.points, y_is_0))
+    g = parse_graph_file(args.path)
+    ext = correspondence.design_from_graph(g, args.points)
     _emit(design_file_doc(ext.structure), args.out)
     return 0
 
 
 def _cmd_check_homogeneous(args) -> int:
-    g, y_is_0 = parse_graph_file(args.path)
-    doc = homogeneity_report_doc(g, _map_side(args.side, y_is_0))
-    doc["side"] = args.side
+    g = parse_graph_file(args.path)
+    doc = homogeneity_report_doc(g, args.side)
     _emit_report(doc, args.out, args.human)
     return 0
 

@@ -146,19 +146,6 @@ def validate_structure(
     return IncidenceStructure(num_points, tuple(canon))
 
 
-def canonical_block_permutation(raw_blocks: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Map raw block index -> index of that block after canonical sorting.
-
-    Ties (identical blocks) are broken by raw position, so the map is a
-    permutation even for non-simple inputs.
-    """
-    order = sorted(range(len(raw_blocks)), key=lambda i: (raw_blocks[i], i))
-    perm = [0] * len(raw_blocks)
-    for canonical_idx, raw_idx in enumerate(order):
-        perm[raw_idx] = canonical_idx
-    return tuple(perm)
-
-
 Y_SIDE = "Y"
 YPRIME_SIDE = "Yprime"
 SIDES = (Y_SIDE, YPRIME_SIDE)
@@ -177,9 +164,11 @@ class _GraphFields(NamedTuple):
 class BipartiteGraph(_GraphFields):
     """Connected bipartite graph with a certified 2-coloring.
 
-    ``side[v]`` is 0 for the color class of vertex 0 (called Y) and 1 for
-    the other class (Y').  Edges are stored as sorted (u, v) pairs with
-    u < v.  Build through :func:`build_bipartite`.
+    ``side[v]`` is 0 for the color class called Y and 1 for the other
+    class (Y').  Edges are stored as sorted (u, v) pairs with u < v.
+    Build through :func:`build_bipartite`, which puts vertex 0 in Y.  A
+    graph file's ``partition``, when given, names the classes instead:
+    its class 0 is Y.
     """
 
     def __init__(self, *args, **kwargs):
@@ -430,11 +419,6 @@ class SpbibdParams(NamedTuple):
     lambda2_realized: bool = True
 
     @property
-    def quasi_symmetric(self) -> bool:
-        """True when exactly two block intersection sizes are realized."""
-        return self.x is not None and self.y is not None
-
-    @property
     def two_design_degenerate(self) -> bool:
         """t = k means every pair of points is in lambda1 blocks (a 2-design)."""
         return self.t == self.k
@@ -458,10 +442,6 @@ class SpbibdParams(NamedTuple):
     @property
     def is_generalized_quadrangle(self) -> bool:
         return self.is_partial_geometry and self.t == 1
-
-    @property
-    def flag_count_consistent(self) -> bool:
-        return self.v * self.r == self.b * self.k
 
 
 class ScopeInequality(NamedTuple):

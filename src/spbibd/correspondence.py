@@ -18,7 +18,6 @@ from .core import (
     SIDES,
     ToolkitError,
     build_bipartite,
-    canonical_block_permutation,
     validate_structure,
 )
 from .graph import uniform_array
@@ -177,9 +176,8 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
         tuple(sorted(point_index[w] for w in g.neighbors(bv)))
         for bv in block_vertices_raw
     ]
-    perm = canonical_block_permutation(raw_blocks)
+    # validation refuses repeated blocks, so each block names one vertex
     structure = validate_structure(len(point_vertices), raw_blocks)
-    block_vertices = [0] * len(block_vertices_raw)
-    for raw_idx, canon_idx in enumerate(perm):
-        block_vertices[canon_idx] = block_vertices_raw[raw_idx]
-    return GraphDesignExtraction(structure, params, point_vertices, tuple(block_vertices))
+    vertex_of = dict(zip(raw_blocks, block_vertices_raw))
+    block_vertices = tuple(vertex_of[blk] for blk in structure.blocks)
+    return GraphDesignExtraction(structure, params, point_vertices, block_vertices)

@@ -236,7 +236,7 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
         y=y,
         lambda2_realized=lambda2_realized,
     )
-    if not params.flag_count_consistent:
+    if params.v * params.r != params.b * params.k:
         raise ConsistencyError("v*r == b*k must hold for a uniform structure")
     return params
 

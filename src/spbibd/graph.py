@@ -19,7 +19,6 @@ from .core import (
     ConsistencyError,
     IntersectionArray,
     NoEdgesError,  # re-exported: classify raises it through class_vertices
-    SIDES,
     Y_SIDE,
     bits,
     distance_row,
@@ -104,17 +103,6 @@ class ClassificationResult(NamedTuple):
     ecc_y: int
     ecc_yprime: int
     witness: NotRegularizedAt | None = None
-
-    def is_distance_semiregular(self, side: str) -> bool:
-        """Distance-regular around every vertex of ``side`` with common
-        parameters (true for both sides of any distance-regularized graph)."""
-        if side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
-        if self.kind in (KIND_DISTANCE_REGULAR, KIND_DISTANCE_BIREGULAR):
-            return True
-        if side == Y_SIDE:
-            return self.kind == KIND_SEMIREGULAR_Y_ONLY
-        return self.kind == KIND_SEMIREGULAR_YPRIME_ONLY
 
     def array_for(self, side: str) -> IntersectionArray | None:
         return self.array_y if side == Y_SIDE else self.array_yprime

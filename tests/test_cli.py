@@ -3,12 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spbibd.cli import main
+from spbibd import generators
+from spbibd.cli import graph_file_doc, main
+from spbibd.correspondence import incidence_graph
 from util import hypercube_design
 
 
@@ -94,6 +99,21 @@ def test_malformed_files_exit_nonzero(tmp_path, capsys):
     assert code == 1 and "error" in err
 
     assert run_cli(capsys, "analyze-graph", str(tmp_path / "nope.json"))[0] == 1
+
+    # bytes the JSON reader refuses before any field is read: each is one
+    # error line, not a traceback
+    unreadable = {
+        "not-utf8.json": b'{"v": 1, "blocks": [[0]], "x": "\xff"}',
+        "too-deep.json": b"[" * 200_000,
+        "huge-int.json": b"9" * 5_000,
+    }
+    for name, content in unreadable.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        for command in ("analyze-design", "analyze-graph"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -246,6 +266,84 @@ def test_partition_mismatch_rejected(tmp_path, capsys):
     doc["partition"] = [0] * 8
     write_json(gpath, doc)
     assert run_cli(capsys, "analyze-graph", str(gpath))[0] == 1
+
+
+# a star K_{1,2} (vertices 0, 3, 2) with a pendant path 3-1-4; the file's
+# class 0 is {1, 2}, the class of vertex 0 is {0, 3, 4}
+FLIPPED5 = {"n": 5, "edges": [[0, 1], [0, 2], [3, 1], [3, 2], [4, 1]], "partition": [1, 0, 0, 1, 1]}
+
+
+def test_flipped_partition_names_the_classes_in_every_report(tmp_path, capsys):
+    path = tmp_path / "flipped5.json"
+    write_json(path, FLIPPED5)
+    code, out, _ = run_cli(capsys, "analyze-graph", str(path))
+    assert code == 0
+    assert json.loads(out)["counts"]["class_sizes"] == [2, 3]
+
+    code, out, _ = run_cli(capsys, "check-homogeneous", str(path), "--side", "Y")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "spbibd.check-homogeneous/1",
+        "side": "Y",
+        "not_in_scope": "class Y has mixed eccentricities [2, 3]",
+    }
+
+    code, out, err = run_cli(capsys, "from-graph", str(path), "--points", "Y")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: NotSemiregularError: vertex 1 of class Y is not distance-regularized "
+        "(witnesses (0, 4) at distance 1)\n"
+    )
+
+
+# graph files with both classes regularized; the first two have classes of
+# unequal size, so naming the classes by vertex 0 shows in the reports
+_RELABELLED_GRAPHS = {
+    "grid3": lambda: incidence_graph(generators.grid_design(3)),
+    "subdivision3": lambda: generators.subdivision_complete_bipartite(3),
+    "w3": lambda: incidence_graph(generators.symplectic_gq(3)),
+    "cube4": lambda: incidence_graph(hypercube_design()),
+}
+
+
+@cache
+def _graph_doc(name):
+    return graph_file_doc(_RELABELLED_GRAPHS[name]())
+
+
+@st.composite
+def relabelled_graph_files(draw):
+    """A graph file and the same file with its vertices permuted, each
+    vertex keeping its partition bit."""
+    doc = _graph_doc(draw(st.sampled_from(sorted(_RELABELLED_GRAPHS))))
+    perm = draw(st.permutations(range(doc["n"])))
+    partition = [0] * doc["n"]
+    for v, bit in enumerate(doc["partition"]):
+        partition[perm[v]] = bit
+    edges = [[perm[u], perm[v]] for u, v in doc["edges"]]
+    return doc, {"n": doc["n"], "edges": edges, "partition": partition}
+
+
+def _graph_reports(directory, doc):
+    """analyze-graph without its witness, which names vertices, and the
+    check-homogeneous report of each side."""
+    path, out = directory / "graph.json", directory / "report.json"
+    write_json(path, doc)
+    reports = []
+    for argv in (["analyze-graph"], ["check-homogeneous", "--side", "Y"], ["check-homogeneous", "--side", "Yprime"]):
+        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    del reports[0]["witness"]
+    return reports
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(relabelled_graph_files())
+def test_graph_reports_are_invariant_under_relabelling(files):
+    doc, relabelled = files
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        assert _graph_reports(directory, relabelled) == _graph_reports(directory, doc)
 
 
 def test_analyze_graph_reports_non_regularity_witness(tmp_path, capsys):

@@ -20,7 +20,6 @@ from spbibd.core import (
     SpbibdParams,
     ToolkitError,
     build_bipartite,
-    canonical_block_permutation,
     validate_structure,
 )
 from spbibd.graph import all_distances
@@ -93,13 +92,6 @@ def test_direct_construction_rejects_non_canonical():
         IncidenceStructure(3, ((1, 0),))
     with pytest.raises(ToolkitError):
         IncidenceStructure(3, ((1, 2), (0, 1)))
-
-
-def test_canonical_block_permutation_tracks_sorting():
-    raw = [(1, 2), (0, 1), (0, 2)]
-    perm = canonical_block_permutation(raw)
-    ordered = sorted(raw)
-    assert all(ordered[perm[i]] == raw[i] for i in range(3))
 
 
 def test_eight_cycle_partition_sizes():
@@ -221,9 +213,10 @@ def test_intersection_array_invariants():
 
 def test_spbibd_params_flags():
     gq = SpbibdParams(v=15, b=15, r=3, k=3, lambda1=1, lambda2=0, s=2, t=1, x=0, y=1)
-    assert gq.quasi_symmetric and gq.in_scope
+    # quasi-symmetric: both block intersection sizes are realized
+    assert gq.x is not None and gq.y is not None and gq.in_scope
     assert gq.is_partial_geometry and gq.is_generalized_quadrangle
-    assert gq.flag_count_consistent and not gq.two_design_degenerate
+    assert gq.v * gq.r == gq.b * gq.k and not gq.two_design_degenerate
 
     fano = SpbibdParams(
         v=7, b=7, r=3, k=3, lambda1=1, lambda2=0, s=2, t=3, x=1, y=None, lambda2_realized=False

@@ -31,6 +31,7 @@ from util import (
     eccentricity,
     girth,
     hypercube_graph,
+    is_distance_semiregular,
     nx_graph,
     oracle_distances,
     random_connected_bipartite,
@@ -136,8 +137,8 @@ def test_classify_star_is_biregular_and_semiregular_both_sides():
     cls = classify(complete_bipartite_graph(1, 4))
     assert cls.kind == KIND_DISTANCE_BIREGULAR
     assert {cls.ecc_y, cls.ecc_yprime} == {1, 2}
-    assert cls.is_distance_semiregular("Y")
-    assert cls.is_distance_semiregular("Yprime")
+    assert is_distance_semiregular(cls, "Y")
+    assert is_distance_semiregular(cls, "Yprime")
 
 
 def test_classify_single_edge_distance_regular():

@@ -23,7 +23,17 @@ from spbibd.core import (
     validate_structure,
 )
 from spbibd.correspondence import GraphDesignExtraction, derived_sizes, design_from_graph, incidence_graph
-from spbibd.graph import NotRegularizedAt, all_distances, bfs_distances, local_intersection_numbers
+from spbibd.graph import (
+    KIND_DISTANCE_BIREGULAR,
+    KIND_DISTANCE_REGULAR,
+    KIND_SEMIREGULAR_Y_ONLY,
+    KIND_SEMIREGULAR_YPRIME_ONLY,
+    ClassificationResult,
+    NotRegularizedAt,
+    all_distances,
+    bfs_distances,
+    local_intersection_numbers,
+)
 from spbibd.homogeneity import (
     VERDICT_ALMOST_ONLY,
     VERDICT_NEITHER,
@@ -62,6 +72,15 @@ def uniform_array_oracle(
             return None, ecc, arr
         arrays.add(arr)
     return arrays.pop() if len(arrays) == 1 else None, ecc, None
+
+
+def is_distance_semiregular(cls: ClassificationResult, side: str) -> bool:
+    """Distance-regular around every vertex of ``side`` with common
+    parameters (true for both sides of any distance-regularized graph)."""
+    if cls.kind in (KIND_DISTANCE_REGULAR, KIND_DISTANCE_BIREGULAR):
+        return True
+    only = KIND_SEMIREGULAR_Y_ONLY if side == "Y" else KIND_SEMIREGULAR_YPRIME_ONLY
+    return cls.kind == only
 
 
 def pair_coverage_oracle(d: IncidenceStructure) -> dict[tuple[int, int], int]:
