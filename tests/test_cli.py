@@ -8,6 +8,7 @@ import tracemalloc
 from functools import cache
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -474,6 +475,8 @@ _GOLDEN_GENERATED = {
     "cycle12": ("cycle", "--n", "12"),
     "path8": ("path", "--n", "8"),
     "subdivision4": ("subdivision", "--n", "4"),
+    "w3": ("wq", "--n", "3"),
+    "grid5": ("grid", "--n", "5"),
 }
 _GOLDEN_WRITTEN = {
     "nonuniform": {"v": 3, "blocks": [[0, 1], [0, 1, 2]]},
@@ -483,7 +486,14 @@ _GOLDEN_WRITTEN = {
     # (8, 8, 4, 4, 2, 0) of type (3, 3), y = 2: the only report here with
     # the five y > 1 rows of the constraint checklist
     "cube4": {"v": 8, "blocks": [list(blk) for blk in hypercube_design().blocks]},
+    # uniform with concurrences {2, 1}, but point 1 of block 0 has one
+    # lambda1-mate there where point 0 has two
+    "flagcount": {"v": 5, "blocks": [[0, 1, 2], [0, 1, 4], [0, 2, 3], [1, 3, 4], [2, 3, 4]]},
+    # the only "neither" verdict among the golden reports
+    "desargues": {"n": 20, "edges": [list(e) for e in nx.desargues_graph().edges()]},
 }
+# incidence graphs, written by to-graph from the design file of that name
+_GOLDEN_INCIDENCE = {"w3-graph": "w3", "cube4-graph": "cube4", "grid5-graph": "grid5"}
 # SHA-256 of stdout, recorded before the report records became NamedTuples
 # (they were frozen dataclasses serialized by dataclasses.asdict).  Between
 # them the reports serialize every record of a report section:
@@ -511,13 +521,42 @@ GOLDEN_REPORTS = {
     ("analyze-graph", "tutte"): "454d9dc1472fa0416a500faa5387ff786124db7b3962b927163abfe1217044fe",
     ("analyze-graph", "cycle12"): "0fe85902ce8a7ca095b89f9502043b04535c04953d2357c2f412b66823f068d6",
     ("analyze-graph", "path8"): "d3f7aaebbc57c09e4807877b413170c5d662f97e435ce3398f1cbd6d51514968",
-    ("check-homogeneous", "tutte", "--side", "Y"): "523c8c9e24a78639a1bf932ba816e473f2c367c1bd16b60eebfbbc2b2a9705cd",
-    ("check-homogeneous", "tutte", "--side", "Yprime"): "2d0da9cfb61897a947045764013626e6ec524eb2b818c14e7e191b85b5b305c2",
+    ("check-homogeneous", "tutte", "--side", "Y"): (
+        "523c8c9e24a78639a1bf932ba816e473f2c367c1bd16b60eebfbbc2b2a9705cd"
+    ),
+    ("check-homogeneous", "tutte", "--side", "Yprime"): (
+        "2d0da9cfb61897a947045764013626e6ec524eb2b818c14e7e191b85b5b305c2"
+    ),
     ("check-homogeneous", "subdivision4", "--side", "Y"): (
         "7b191424ba479df82601c92b590e7e66d32f3b2d87521d6cd837834b8f058112"
     ),
     ("check-homogeneous", "subdivision4", "--side", "Yprime"): (
         "4aeb47b408a7a976ad3b7688ae6e84058d5348d72c6a0e0b9c3d84df43481276"
+    ),
+    # recorded before the brute force grouped its y by common neighbours
+    # and spbibd_type counted flags through lambda1-mate bitsets
+    ("analyze-design", "w3"): "c34be9725237e4db0d492ff3b998b6c673f4441980a892a57d245521623b84a9",
+    ("analyze-design", "flagcount"): "c1a82fda79d73ba2f89694d990b544b1e0a8c99b0b91d7e066c1b0c1ad31b9c4",
+    ("check-homogeneous", "w3-graph", "--side", "Y"): (
+        "0d6787e8408476c0b3dccc6537c75b2a5a2bcfc414ade881cdc9caa8b47f95b9"
+    ),
+    ("check-homogeneous", "w3-graph", "--side", "Yprime"): (
+        "ca39b83ee54d16348a1e04ed563e9f335100632605dafd36f65098a022888637"
+    ),
+    ("check-homogeneous", "cube4-graph", "--side", "Y"): (
+        "8a33c8db493b75b7a91489dcad9fbd12ddb2e52f9d29949e94ddbf82f018c23e"
+    ),
+    ("check-homogeneous", "cube4-graph", "--side", "Yprime"): (
+        "9a117c8cd67edb278d4d6846506250a127c6ee849f65ccc311a811df46c1c397"
+    ),
+    ("check-homogeneous", "grid5-graph", "--side", "Y"): (
+        "76babac5f0c282c571e4493d7fd2079219a4f6235c10cf0280c38c5592195a3c"
+    ),
+    ("check-homogeneous", "desargues", "--side", "Y"): (
+        "0602ecfb0448d45f0e14694b08459d04fbf4a2a8cfc5d394b7ebb2ca31540cd9"
+    ),
+    ("check-homogeneous", "desargues", "--side", "Yprime"): (
+        "e2c85e47860c686dc59087e17d6ef8d8de6cc0e19cff1f03caccfb131443e9d4"
     ),
 }
 
@@ -525,12 +564,19 @@ GOLDEN_REPORTS = {
 @pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
 def test_report_bytes_are_pinned(tmp_path, capsys, argv):
     command, name, *flags = argv
-    path = tmp_path / f"{name}.json"
-    if name in _GOLDEN_WRITTEN:
-        write_json(path, _GOLDEN_WRITTEN[name])
-    else:
-        assert run_cli(capsys, "generate", *_GOLDEN_GENERATED[name], "--out", str(path))[0] == 0
-    code, out, _ = run_cli(capsys, command, str(path), *flags)
+
+    def golden_file(name):
+        path = tmp_path / f"{name}.json"
+        if name in _GOLDEN_WRITTEN:
+            write_json(path, _GOLDEN_WRITTEN[name])
+        elif name in _GOLDEN_INCIDENCE:
+            source = golden_file(_GOLDEN_INCIDENCE[name])
+            assert run_cli(capsys, "to-graph", str(source), "--out", str(path))[0] == 0
+        else:
+            assert run_cli(capsys, "generate", *_GOLDEN_GENERATED[name], "--out", str(path))[0] == 0
+        return path
+
+    code, out, _ = run_cli(capsys, command, str(golden_file(name)), *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
 
