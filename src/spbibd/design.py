@@ -17,6 +17,8 @@ from .core import (
     NotInScopeError,
     SpbibdParams,
     ToolkitError,
+    plane_counts,
+    plane_sum,
     scope_inequalities,
     validate_structure,
 )
@@ -114,47 +116,6 @@ def pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
     return _covered_pairs(d.blocks)
 
 
-def nonflag_counts(
-    d: IncidenceStructure, conc: dict[tuple[int, int], int], lambda1: int
-) -> tuple[int | None, tuple[int, int, int] | None]:
-    """For lambda1 > 0, the count of a non-flag (p, block j): the points of
-    block j that share lambda1 blocks with p.  (t, None) when every
-    non-flag counts the same t (t is None when there is no non-flag), else
-    (t, (p, j, count)) for the first non-flag, in block-then-point order,
-    whose count differs from t, the first non-flag's count.
-
-    Only lambda1-pairs are visited: a point with no lambda1-mate in the
-    block counts 0 unvisited, so the work grows with the covered pairs,
-    not with b*v*k."""
-    mates: dict[int, list[int]] = {}
-    for (p, q), count in conc.items():
-        if count == lambda1:
-            mates.setdefault(p, []).append(q)
-            mates.setdefault(q, []).append(p)
-    t_val: int | None = None
-    for j, bs in enumerate(d.block_sets):
-        seen: dict[int, int] = {}
-        for q in bs:
-            for p in mates.get(q, ()):
-                if p not in bs:
-                    seen[p] = seen.get(p, 0) + 1
-        if t_val is None:
-            first = next((p for p in range(d.num_points) if p not in bs), None)
-            if first is None:
-                continue
-            t_val = seen.get(first, 0)
-        differing = [p for p, count in seen.items() if count != t_val]
-        if t_val:
-            # the first non-flag counting 0, met within len(bs) + len(seen) + 1 steps
-            unseen = next((p for p in range(d.num_points) if p not in bs and p not in seen), None)
-            if unseen is not None:
-                differing.append(unseen)
-        if differing:
-            p = min(differing)
-            return t_val, (p, j, seen.get(p, 0))
-    return t_val, None
-
-
 def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
     """Full SPBIBD parameter extraction, or a structured rejection.
 
@@ -162,6 +123,12 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
     pair concurrences {lambda1 > lambda2}, constant s over flags and
     constant t over non-flags.  Quasi-symmetry numbers (x, y) are attached
     when at least two blocks exist.
+
+    s and t are read off mate bitsets: mates[p] is the set of points that
+    share lambda1 blocks with p.  For each block B, one bit-sliced sum of
+    the mates[q], q in B, counts |mates[p] n B| for every point p at once;
+    the points on B give s, the points off B give t.  Every flag, in
+    block-then-point order, is checked before any non-flag.
     """
     if not d.simple:
         return NotSpbibd("repeated-blocks", "structure is not simple")
@@ -193,30 +160,35 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
     else:  # single point, no pairs
         lambda1, lambda2, lambda2_realized = 0, 0, False
 
-    def lam(p: int, q: int) -> int:
-        return conc.get((p, q) if p < q else (q, p), 0)
-
-    s_val: int | None = None
-    for j, blk in enumerate(d.blocks):
-        for p in blk:
-            s_here = sum(1 for q in blk if q != p and lam(p, q) == lambda1)
-            if s_val is None:
-                s_val = s_here
-            elif s_here != s_val:
-                return NotSpbibd("flag-count", f"flag ({p}, block {j}) sees {s_here}, expected {s_val}")
-
-    # lambda1 = 0 means no pair is covered, so every non-flag sees all k
-    # points of its block: t = k without a scan
-    t_val, differing = nonflag_counts(d, conc, lambda1) if lambda1 else (None, None)
-    if differing is not None:
-        p, j, t_here = differing
-        return NotSpbibd("nonflag-count", f"non-flag ({p}, block {j}) sees {t_here}, expected {t_val}")
-    if t_val is None:
-        # lambda1 = 0, or no non-flag exists: every pair shares lambda1
-        # blocks, the 2-design degeneracy, reported as t = k
-        t_val = k
-    if s_val is None:
-        s_val = 0
+    # lambda1 = 0 means no pair is covered, so k = 1: every flag sees no
+    # other point and every non-flag the one point of its block, unscanned
+    s_val, t_val = 0, k
+    if lambda1:
+        mates = [0] * d.num_points
+        for (p, q), count in conc.items():
+            if count == lambda1:
+                mates[p] |= 1 << q
+                mates[q] |= 1 << p
+        everyone = (1 << d.num_points) - 1
+        firsts = []
+        # every flag, then every non-flag, each in block-then-point order
+        for kind, label in (("flag-count", "flag"), ("nonflag-count", "non-flag")):
+            first = None
+            for j, blk in enumerate(d.blocks):
+                on = sum(1 << p for p in blk)
+                planes = plane_sum(mates[q] for q in blk)
+                groups = plane_counts(planes, on if kind == "flag-count" else everyone ^ on)
+                # by lowest member, so the first other count names the first other point
+                for low, count in sorted((members & -members, count) for count, members in groups):
+                    if first is None:
+                        first = count
+                    elif count != first:
+                        p = low.bit_length() - 1
+                        return NotSpbibd(kind, f"{label} ({p}, block {j}) sees {count}, expected {first}")
+            firsts.append(first)
+        # no non-flag at all: every pair shares lambda1 blocks, the 2-design
+        # degeneracy, reported as t = k
+        s_val, t_val = firsts[0], k if firsts[1] is None else firsts[1]
 
     x = y = None
     if d.num_blocks >= 2:

@@ -11,6 +11,19 @@ from math import isqrt
 from .core import BipartiteGraph, IncidenceStructure, build_bipartite, validate_structure
 from .correspondence import incidence_graph
 
+# The most vertices plus edges that one family member may have: of the
+# graph for a graph family, of the incidence graph (points and blocks,
+# joined by incidences) for a design family.  Each builder checks its
+# closed-form size against it before allocating anything, so an oversize
+# request is a ValueError, not a MemoryError or a loop of q^4 steps.  At
+# the limit, the 25,000-cycle takes about 100 MB to build.
+MAX_SIZE = 50_000
+
+
+def _check_size(vertices: int, edges: int) -> None:
+    if vertices + edges > MAX_SIZE:
+        raise ValueError(f"{vertices} vertices and {edges} edges exceed the limit of {MAX_SIZE} in all")
+
 
 def complete_bipartite_design(v: int, b: int) -> IncidenceStructure:
     """b identical blocks containing all v points; incidence graph K_{v,b}.
@@ -20,6 +33,7 @@ def complete_bipartite_design(v: int, b: int) -> IncidenceStructure:
     """
     if v < 1 or b < 1:
         raise ValueError("v and b must be positive")
+    _check_size(v + b, v * b)
     return validate_structure(v, [range(v) for _ in range(b)], allow_repeated=b > 1)
 
 
@@ -27,6 +41,7 @@ def even_cycle(length: int) -> BipartiteGraph:
     """Cycle graph on an even number (>= 4) of vertices."""
     if length < 4 or length % 2 != 0:
         raise ValueError("cycle length must be even and at least 4")
+    _check_size(length, length)
     return build_bipartite(length, [(i, (i + 1) % length) for i in range(length)])
 
 
@@ -38,6 +53,7 @@ def grid_design(n: int) -> IncidenceStructure:
     """
     if n < 2:
         raise ValueError("grid needs n >= 2")
+    _check_size(n * n + 2 * n, 2 * n * n)
     rows = [[n * i + j for j in range(n)] for i in range(n)]
     cols = [[n * i + j for i in range(n)] for j in range(n)]
     return validate_structure(n * n, rows + cols)
@@ -81,6 +97,9 @@ def symplectic_gq(q: int) -> IncidenceStructure:
     Parameters ((q+1)(q^2+1), (q+1)(q^2+1), q+1, q+1, 1, 0) of type (q, 1)
     with x = 0, y = 1; W(2) is isomorphic to gq22().
     """
+    if q >= 2:
+        # (q+1)(q^2+1) points and as many lines, q+1 points on each line
+        _check_size(2 * (q + 1) * (q * q + 1), (q + 1) ** 2 * (q * q + 1))
     if q < 2 or any(q % p == 0 for p in range(2, isqrt(q) + 1)):
         raise ValueError(f"q must be a prime, got {q}")
 
@@ -129,6 +148,7 @@ def path_graph(n: int) -> BipartiteGraph:
     """Path on n >= 2 vertices; not distance-regularized for n >= 4."""
     if n < 2:
         raise ValueError("path needs n >= 2")
+    _check_size(n, n - 1)
     return build_bipartite(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -141,6 +161,7 @@ def subdivision_complete_bipartite(n: int) -> BipartiteGraph:
     """
     if n < 2:
         raise ValueError("subdivision needs n >= 2")
+    _check_size(2 * n + n * n, 2 * n * n)
     edges = []
     for i in range(n):
         for j in range(n):

@@ -121,14 +121,26 @@ class BruteForceResult(NamedTuple):
 
 def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     """Decide (almost) 2-homogeneity with respect to ``side`` by exhaustive
-    triple enumeration.
+    triple counting: for x in the class, y in Gamma_2(x) above x and z in
+    Gamma_{i,i}(x, y), 1 <= i <= D-1, the w in W = Gamma(x) n Gamma(y)
+    with z in Gamma_{i-1}(w).
 
-    For every x in the class, every y in Gamma_2(x) above x and every level
-    i, the z in Gamma_{i,i}(x, y) are one bitset and each common neighbour
-    w of x and y adds its layer Gamma_{i-1}(w) to bit-sliced counters, so
-    every z gets its own count.  Levels run over 1..D-1; a level with no
-    eligible z is vacuously constant.  2-homogeneous needs every level
-    constant, almost needs levels 1..D-2.
+    w is at distance i - 1 or i + 1 from z, so w counts z exactly when z
+    is in nearer(x, w), the union over i of Gamma_i(x) n Gamma_{i-1}(w),
+    whatever y is: z's count depends only on (W, z).  So the y of one x are
+    grouped by W, their equidistant sets (the union over i of
+    Gamma_{i,i}(x, y)) are joined, and one bit-sliced sum of the
+    nearer(x, w), w in W, counts every z of the join.  x's layers are
+    disjoint, so the join meets Gamma_i(x) in the union of the group's
+    Gamma_{i,i}(x, y): each level sees the z and counts that one pass per
+    (y, i) would.  Both sets come from distances mod 4.  With R(v) the z
+    at distance 0 or 1 mod 4 from v: d(y, z) - d(x, z) is -2, 0 or 2, so z
+    is equidistant iff it is in both or neither of R(x) and R(y); and
+    d(w, z) - d(x, z) is -1 or 1, so z is in nearer(x, w) iff it is in both
+    or neither of R(w) and the z at distance 1 or 2 mod 4 from x.
+
+    A level with no eligible z is vacuously constant.  2-homogeneous needs
+    every level constant, almost needs levels 1..D-2.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
@@ -142,18 +154,29 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     d = eccs.pop()
     masks = g.adjacency_masks
     observed: dict[int, set[int]] = {i: set() for i in range(1, d)}
+    # R(v) of the docstring; a vertex's layers are disjoint, so their sum is their union
+    residue = [sum(lv[0::4]) + sum(lv[1::4]) for lv in layers]
     # below eccentricity 2 there is no Gamma_2(x), so no triple to count
     for x in vertices if d >= 2 else ():
         lx = layers[x]
+        levels = lx[1:d]
+        inner = sum(levels)
+        # ~ gives negative ints (infinitely many high bits), cut back by inner
+        joined: dict[int, int] = {}
         for y in bits(lx[2] >> (x + 1) << (x + 1)):
-            ly = layers[y]
-            # a neighbour of x has eccentricity >= d - 1, so layer i - 1 exists
-            common = [layers[w] for w in bits(masks[x] & masks[y])]
-            for i in range(1, d):
-                zs = lx[i] & ly[i]
-                if zs:
-                    planes = plane_sum(lw[i - 1] & zs for lw in common)
-                    observed[i].update(count for count, _ in plane_counts(planes, zs))
+            common = masks[x] & masks[y]
+            joined[common] = joined.get(common, 0) | ~(residue[x] ^ residue[y])
+        shifted = sum(lx[1::4]) + sum(lx[2::4])
+        nearer = {w: inner & ~(shifted ^ residue[w]) for w in bits(masks[x])}
+        by_count: dict[int, int] = {}
+        for common, same in joined.items():
+            planes = plane_sum(map(nearer.__getitem__, bits(common)))
+            for count, members in plane_counts(planes, same & inner):
+                by_count[count] = by_count.get(count, 0) | members
+        for count, members in by_count.items():
+            for i, level in enumerate(levels, 1):
+                if members & level:
+                    observed[i].add(count)
     counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
     full = all(len(counts[i]) <= 1 for i in range(1, d))
     almost = all(len(counts[i]) <= 1 for i in range(1, d - 1))

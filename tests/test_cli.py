@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -171,6 +172,41 @@ def test_generate_out_of_range_size_is_a_one_line_error(capsys, args):
     code, out, err = run_cli(capsys, "generate", *args)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _address_space_600mb():
+    resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("cycle", "--n", "100000000"),
+        ("path", "--n", "100000000"),
+        ("subdivision", "--n", "100000"),
+        ("grid", "--n", "100000"),
+        ("complete", "--v", "100000", "--b", "100000"),
+        ("wq", "--n", "10007"),
+    ],
+    ids=" ".join,
+)
+def test_generate_refuses_an_oversize_family_before_allocating(args):
+    # in a child limited to 600 MB of address space: building first dies
+    # with a MemoryError traceback (wq: after a loop of q^4 steps)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spbibd.cli", "generate", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=_address_space_600mb,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {args[0]}: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(" exceed the limit of 50000 in all\n")
+    if args[0] == "cycle":
+        assert proc.stderr == (
+            "error: cycle: 100000000 vertices and 100000000 edges exceed the limit of 50000 in all\n"
+        )
 
 
 def test_duplicate_blocks_need_flag(tmp_path, capsys):
@@ -345,6 +381,38 @@ def test_graph_reports_are_invariant_under_relabelling(files):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         assert _graph_reports(directory, relabelled) == _graph_reports(directory, doc)
+
+
+_RELABELLED_DESIGNS = {
+    "w3": lambda: generators.symplectic_gq(3),
+    "grid4": lambda: generators.grid_design(4),
+    "cube4": hypercube_design,
+    "gq22": generators.gq22,
+}
+
+
+@st.composite
+def relabelled_design_files(draw):
+    """A design file and the same design with its points permuted and its
+    blocks shuffled."""
+    d = _RELABELLED_DESIGNS[draw(st.sampled_from(sorted(_RELABELLED_DESIGNS)))]()
+    perm = draw(st.permutations(range(d.num_points)))
+    blocks = draw(st.permutations([[perm[p] for p in blk] for blk in d.blocks]))
+    return {"v": d.num_points, "blocks": [list(b) for b in d.blocks]}, {"v": d.num_points, "blocks": blocks}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(relabelled_design_files())
+def test_design_report_is_invariant_under_relabelling(files):
+    doc, relabelled = files
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = []
+        for n, content in enumerate((doc, relabelled)):
+            path = Path(tmp) / f"design{n}.json"
+            write_json(path, content)
+            assert main(["analyze-design", str(path), "--out", str(path.with_suffix(".out"))]) == 0
+            reports.append(path.with_suffix(".out").read_bytes())
+        assert reports[1] == reports[0]
 
 
 def test_analyze_graph_reports_non_regularity_witness(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spbibd import design
 from spbibd.core import DuplicateBlockError, SpbibdParams, validate_structure
@@ -20,15 +21,15 @@ from spbibd.design import (
     replication_and_block_size,
     spbibd_type,
 )
-from spbibd.generators import complete_bipartite_design, fano, gq22, grid_design
+from spbibd.generators import complete_bipartite_design, fano, gq22, grid_design, symplectic_gq
 from util import (
     block_intersection_sizes_oracle,
     full_pair_concurrences,
     hypercube_design,
-    nonflag_counts_oracle,
     pair_coverage_oracle,
     random_structure,
     relabeled_structure,
+    spbibd_type_oracle,
 )
 
 
@@ -118,43 +119,66 @@ def test_sparse_concurrences_decide_like_the_full_fill(monkeypatch):
     }
 
 
-def test_nonflag_counts_match_the_full_scan(monkeypatch):
-    # the scan over lambda1-mates must give the oracle's t and first
-    # differing non-flag for every realized concurrence, and spbibd_type
-    # the same record, detail strings included
+def _scan_kind(res):
+    if isinstance(res, SpbibdParams):
+        return "accepted, t < k" if res.t < res.k else "accepted, t = k"
+    if res.reason == "nonflag-count":
+        return "nonflag-count, witness sees 0" if " sees 0," in res.detail else "nonflag-count, witness counted"
+    return res.reason
+
+
+def test_nonflag_counts_match_the_full_scan():
+    # the mate-bitset counts must give the full scan's record: s and t, or
+    # the first flag or non-flag that differs, detail strings included
     rng = random.Random(43)
     kinds = set()
-    fixed = [gq22(), grid_design(3), grid_design(4), hypercube_design(), fano()]
+    fixed = [gq22(), grid_design(3), grid_design(4), hypercube_design(), fano(), symplectic_gq(3)]
     drawn = (_cyclic_structure(rng) if n % 3 else random_structure(rng) for n in range(300))
     for d in (*fixed, *drawn):
         if d is None:
             continue
-        conc = pair_concurrences(d)
-        for lambda1 in set(conc.values()):
-            t, differing = nonflag_counts_oracle(d, conc, lambda1)
-            assert design.nonflag_counts(d, conc, lambda1) == (t, differing), (d, lambda1)
-            if differing is None:
-                kinds.add("constant")
-            else:
-                kinds.add("witness counts 0" if differing[2] == 0 else "witness counted")
-                kinds.add("t = 0" if t == 0 else "t > 0")
-        scanned = spbibd_type(d)
-        with monkeypatch.context() as m:
-            m.setattr(design, "nonflag_counts", nonflag_counts_oracle)
-            assert spbibd_type(d) == scanned, d
-        if isinstance(scanned, NotSpbibd) and scanned.reason == "nonflag-count":
-            kinds.add("nonflag-count rejection")
-        if isinstance(scanned, SpbibdParams) and scanned.t < scanned.k:
-            kinds.add("accepted, t < k")
+        res = spbibd_type(d)
+        assert type(res) is type(spbibd_type_oracle(d)) and res == spbibd_type_oracle(d), d
+        kinds.add(_scan_kind(res))
     assert kinds == {
-        "constant",
-        "witness counts 0",
-        "witness counted",
-        "t = 0",
-        "t > 0",
-        "nonflag-count rejection",
+        "not-uniform",
+        "concurrence",
+        "flag-count",
+        "nonflag-count, witness sees 0",
+        "nonflag-count, witness counted",
         "accepted, t < k",
+        "accepted, t = k",
     }
+
+
+@st.composite
+def small_designs(draw):
+    """A small simple structure with its points permuted: the translates of
+    one or two base blocks in Z_v (uniform, so the counts are reached) or a
+    few random blocks."""
+    v = draw(st.integers(2, 10))
+    k = draw(st.integers(1, v))
+    if draw(st.booleans()):
+        bases = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=k, max_size=k), min_size=1, max_size=2))
+        blocks = [[(p + i) % v for p in base] for base in bases for i in range(v)]
+    else:
+        blocks = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=1, max_size=k), min_size=1, max_size=10))
+    perm = draw(st.permutations(range(v)))
+    return validate_structure(v, {tuple(sorted(perm[p] for p in blk)) for blk in blocks})
+
+
+def test_spbibd_type_matches_the_full_scan_on_drawn_designs():
+    kinds = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(small_designs())
+    def check(d):
+        res = spbibd_type(d)
+        assert type(res) is type(spbibd_type_oracle(d)) and res == spbibd_type_oracle(d)
+        kinds.add(res.reason if isinstance(res, NotSpbibd) else "accepted")
+
+    check()
+    assert {"not-uniform", "concurrence", "flag-count", "nonflag-count", "accepted"} <= kinds
 
 
 def test_gq22_spbibd_parameters():

@@ -3,6 +3,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from spbibd import generators
 from spbibd.core import IntersectionArray, SpbibdParams
 from spbibd.correspondence import incidence_graph
 from spbibd.design import replication_and_block_size, spbibd_type
@@ -158,3 +159,30 @@ def test_generator_input_validation():
     for q in (-2, 0, 1, 4, 9):
         with pytest.raises(ValueError):
             symplectic_gq(q)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: even_cycle(10),
+        lambda: path_graph(7),
+        lambda: subdivision_complete_bipartite(3),
+        lambda: grid_design(4),
+        lambda: symplectic_gq(3),
+        lambda: complete_bipartite_design(3, 4),
+    ],
+    ids=["cycle", "path", "subdivision", "grid", "wq", "complete"],
+)
+def test_size_limit_is_each_familys_vertices_plus_edges(monkeypatch, build):
+    # the closed form each builder checks equals the size of what it
+    # builds: a limit one below it refuses the member, the size itself not
+    built = build()
+    if hasattr(built, "edges"):
+        size = built.num_vertices + len(built.edges)
+    else:
+        size = built.num_points + built.num_blocks + sum(len(blk) for blk in built.blocks)
+    monkeypatch.setattr(generators, "MAX_SIZE", size - 1)
+    with pytest.raises(ValueError, match=f"exceed the limit of {size - 1} in all"):
+        build()
+    monkeypatch.setattr(generators, "MAX_SIZE", size)
+    assert build() == built

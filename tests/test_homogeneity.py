@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spbibd import core
 from spbibd.core import IntersectionArray, SpbibdParams, build_bipartite
@@ -230,6 +231,41 @@ def test_bruteforce_matches_per_z_oracle():
             res = homogeneous_by_bruteforce(g, side)
             assert (res.level_counts, res.verdict) == (counts, verdict), side
     assert mixed > 0
+
+
+def _check_against_oracle(g):
+    """Both sides of g: the kernel's level counts and verdict equal the
+    per-z oracle's, or both refuse a class of mixed eccentricities."""
+    for side in ("Y", "Yprime"):
+        try:
+            counts, verdict = bruteforce_oracle(g, side)
+        except EccentricityNotUniformError:
+            with pytest.raises(EccentricityNotUniformError):
+                homogeneous_by_bruteforce(g, side)
+            continue
+        res = homogeneous_by_bruteforce(g, side)
+        assert (res.level_counts, res.verdict) == (counts, verdict), side
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.randoms(use_true_random=False), st.integers(1, 8))
+def test_bruteforce_matches_the_oracle_on_drawn_graphs(rng, max_side):
+    _check_against_oracle(random_connected_bipartite(rng, max_side))
+
+
+_RELABELLED = {
+    "w3": lambda: incidence_graph(symplectic_gq(3)),
+    "cube4": lambda: hypercube_graph(4),
+    "desargues": lambda: build_bipartite(20, nx.desargues_graph().edges()),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.sampled_from(sorted(_RELABELLED)), st.data())
+def test_bruteforce_matches_the_oracle_under_relabelling(name, data):
+    g = _RELABELLED[name]()
+    perm = data.draw(st.permutations(range(g.num_vertices)))
+    _check_against_oracle(build_bipartite(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges]))
 
 
 def test_formula_and_bruteforce_agree_when_hypotheses_hold():

@@ -23,6 +23,7 @@ from spbibd.core import (
     validate_structure,
 )
 from spbibd.correspondence import GraphDesignExtraction, derived_sizes, design_from_graph, incidence_graph
+from spbibd.design import NotSpbibd, block_intersections, replication_and_block_size, spbibd_type
 from spbibd.graph import (
     KIND_DISTANCE_BIREGULAR,
     KIND_DISTANCE_REGULAR,
@@ -121,6 +122,48 @@ def nonflag_counts_oracle(
             elif t_here != t_val:
                 return t_val, (p, j, t_here)
     return t_val, None
+
+
+def spbibd_type_oracle(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
+    """design.spbibd_type with s and t taken by the O(b*v*k) scan that the
+    mate bitsets replaced: every flag, then every non-flag, in
+    block-then-point order, one concurrence lookup per block point.  The
+    earlier rejections (repeated blocks, non-uniform, concurrence) are
+    spbibd_type's own; the sparse concurrences are checked against the
+    full fill elsewhere."""
+    res = spbibd_type(d)
+    if isinstance(res, NotSpbibd) and res.reason in ("repeated-blocks", "not-uniform", "concurrence"):
+        return res
+    r, k = replication_and_block_size(d)
+    conc = full_pair_concurrences(d)
+    values = sorted(set(conc.values()), reverse=True)
+    lambda1 = values[0] if values else 0
+    s_val = None
+    for j, blk in enumerate(d.blocks):
+        for p in blk:
+            s_here = sum(1 for q in blk if q != p and conc[(p, q) if p < q else (q, p)] == lambda1)
+            if s_val is None:
+                s_val = s_here
+            elif s_here != s_val:
+                return NotSpbibd("flag-count", f"flag ({p}, block {j}) sees {s_here}, expected {s_val}")
+    t_val, differing = nonflag_counts_oracle(d, conc, lambda1) if lambda1 else (None, None)
+    if differing is not None:
+        p, j, t_here = differing
+        return NotSpbibd("nonflag-count", f"non-flag ({p}, block {j}) sees {t_here}, expected {t_val}")
+    qs = block_intersections(d) if d.num_blocks >= 2 else None
+    return SpbibdParams(
+        v=d.num_points,
+        b=d.num_blocks,
+        r=r,
+        k=k,
+        lambda1=lambda1,
+        lambda2=values[1] if len(values) == 2 else 0,
+        s=s_val,
+        t=k if t_val is None else t_val,
+        x=qs.x if qs else None,
+        y=qs.y if qs else None,
+        lambda2_realized=len(values) == 2,
+    )
 
 
 def block_intersection_sizes_oracle(d: IncidenceStructure) -> tuple[int, ...]:
