@@ -156,27 +156,31 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     observed: dict[int, set[int]] = {i: set() for i in range(1, d)}
     # R(v) of the docstring; a vertex's layers are disjoint, so their sum is their union
     residue = [sum(lv[0::4]) + sum(lv[1::4]) for lv in layers]
+    # the class: the z at even distance from any of its vertices
+    own = sum(layers[vertices[0]][0::2])
+    everyone = (1 << g.num_vertices) - 1
     # below eccentricity 2 there is no Gamma_2(x), so no triple to count
     for x in vertices if d >= 2 else ():
         lx = layers[x]
-        levels = lx[1:d]
-        inner = sum(levels)
+        inner = everyone ^ lx[0] ^ lx[d]  # levels 1..D-1: the layers cover the connected graph
         # ~ gives negative ints (infinitely many high bits), cut back by inner
         joined: dict[int, int] = {}
         for y in bits(lx[2] >> (x + 1) << (x + 1)):
             common = masks[x] & masks[y]
             joined[common] = joined.get(common, 0) | ~(residue[x] ^ residue[y])
-        shifted = sum(lx[1::4]) + sum(lx[2::4])
-        nearer = {w: inner & ~(shifted ^ residue[w]) for w in bits(masks[x])}
+        shifted = residue[x] ^ own  # the z at distance 1 or 2 mod 4 from x
         by_count: dict[int, int] = {}
         for common, same in joined.items():
-            planes = plane_sum(map(nearer.__getitem__, bits(common)))
+            planes = plane_sum(inner & ~(shifted ^ residue[w]) for w in bits(common))
             for count, members in plane_counts(planes, same & inner):
                 by_count[count] = by_count.get(count, 0) | members
-        for count, members in by_count.items():
-            for i, level in enumerate(levels, 1):
-                if members & level:
-                    observed[i].add(count)
+        seen = sum(by_count.values())  # the counts' members are disjoint
+        for i in range(1, d):
+            hit = seen & lx[i]
+            if hit:
+                for count, members in by_count.items():
+                    if members & hit:
+                        observed[i].add(count)
     counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
     full = all(len(counts[i]) <= 1 for i in range(1, d))
     almost = all(len(counts[i]) <= 1 for i in range(1, d - 1))

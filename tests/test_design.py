@@ -137,8 +137,8 @@ def test_nonflag_counts_match_the_full_scan():
     for d in (*fixed, *drawn):
         if d is None:
             continue
-        res = spbibd_type(d)
-        assert type(res) is type(spbibd_type_oracle(d)) and res == spbibd_type_oracle(d), d
+        res, want = spbibd_type(d), spbibd_type_oracle(d)
+        assert type(res) is type(want) and res == want, d
         kinds.add(_scan_kind(res))
     assert kinds == {
         "not-uniform",
@@ -173,8 +173,8 @@ def test_spbibd_type_matches_the_full_scan_on_drawn_designs():
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(small_designs())
     def check(d):
-        res = spbibd_type(d)
-        assert type(res) is type(spbibd_type_oracle(d)) and res == spbibd_type_oracle(d)
+        res, want = spbibd_type(d), spbibd_type_oracle(d)
+        assert type(res) is type(want) and res == want
         kinds.add(res.reason if isinstance(res, NotSpbibd) else "accepted")
 
     check()
