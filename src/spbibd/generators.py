@@ -13,7 +13,7 @@ from .correspondence import incidence_graph
 
 # The most vertices plus edges that one family member may have: of the
 # graph for a graph family, of the incidence graph (points and blocks,
-# joined by incidences) for a design family.  Each builder checks its
+# joined by incidences) for a design family.  Each family checks its
 # closed-form size against it before allocating anything, so an oversize
 # request is a ValueError, not a MemoryError or a loop of q^4 steps.  At
 # the limit, the 25,000-cycle takes about 100 MB to build.

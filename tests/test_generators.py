@@ -174,7 +174,7 @@ def test_generator_input_validation():
     ids=["cycle", "path", "subdivision", "grid", "wq", "complete"],
 )
 def test_size_limit_is_each_familys_vertices_plus_edges(monkeypatch, build):
-    # the closed form each builder checks equals the size of what it
+    # the closed form each family checks equals the size of what it
     # builds: a limit one below it refuses the member, the size itself not
     built = build()
     if hasattr(built, "edges"):
