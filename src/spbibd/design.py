@@ -7,8 +7,9 @@ sampled.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -17,8 +18,6 @@ from .core import (
     NotInScopeError,
     SpbibdParams,
     ToolkitError,
-    plane_counts,
-    plane_sum,
     scope_inequalities,
     validate_structure,
 )
@@ -124,10 +123,10 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
     constant t over non-flags.  Quasi-symmetry numbers (x, y) are attached
     when at least two blocks exist.
 
-    s and t are read off mate bitsets: mates[p] is the set of points that
-    share lambda1 blocks with p.  For each block B, one bit-sliced sum of
-    the mates[q], q in B, counts |mates[p] n B| for every point p at once;
-    the points on B give s, the points off B give t.  Every flag, in
+    s and t are counted per block B: one Counter over the lambda1-mates of
+    B's points gives |mates(p) n B| for every point p, those on B giving s
+    and those off B giving t (0 where the Counter has no entry), so work
+    and memory grow with the lambda1-pairs, not with v.  Every flag, in
     block-then-point order, is checked before any non-flag.
     """
     if not d.simple:
@@ -164,31 +163,40 @@ def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:
     # other point and every non-flag the one point of its block, unscanned
     s_val, t_val = 0, k
     if lambda1:
-        mates = [0] * d.num_points
+        v = d.num_points
+        mates: list[list[int]] = [[] for _ in range(v)]
         for (p, q), count in conc.items():
             if count == lambda1:
-                mates[p] |= 1 << q
-                mates[q] |= 1 << p
-        everyone = (1 << d.num_points) - 1
-        firsts = []
-        # every flag, then every non-flag, each in block-then-point order
-        for kind, label in (("flag-count", "flag"), ("nonflag-count", "non-flag")):
-            first = None
-            for j, blk in enumerate(d.blocks):
-                on = sum(1 << p for p in blk)
-                planes = plane_sum(mates[q] for q in blk)
-                groups = plane_counts(planes, on if kind == "flag-count" else everyone ^ on)
-                # by lowest member, so the first other count names the first other point
-                for low, count in sorted((members & -members, count) for count, members in groups):
-                    if first is None:
-                        first = count
-                    elif count != first:
-                        p = low.bit_length() - 1
-                        return NotSpbibd(kind, f"{label} ({p}, block {j}) sees {count}, expected {first}")
-            firsts.append(first)
-        # no non-flag at all: every pair shares lambda1 blocks, the 2-design
-        # degeneracy, reported as t = k
-        s_val, t_val = firsts[0], k if firsts[1] is None else firsts[1]
+                mates[p].append(q)
+                mates[q].append(p)
+        s_val = t_val = None
+        nonflag = None  # the first non-flag rejection, reported once every flag has passed
+        for j, blk in enumerate(d.blocks):
+            seen = Counter(chain.from_iterable(map(mates.__getitem__, blk)))
+            for p in blk:
+                count = seen.pop(p, 0)
+                if s_val is None:
+                    s_val = count
+                elif count != s_val:
+                    return NotSpbibd("flag-count", f"flag ({p}, block {j}) sees {count}, expected {s_val}")
+            if nonflag is not None:
+                continue
+            bs = d.block_sets[j]
+            if t_val is None:
+                # the first non-flag sets t; with none at all, every pair shares
+                # lambda1 blocks, the 2-design degeneracy, reported as t = k
+                first = next((p for p in range(v) if p not in bs), None)
+                t_val = k if first is None else seen.get(first, 0)
+            # a non-flag missing from seen counts 0
+            if set(seen.values()) - {t_val} or (t_val and len(seen) + k < v):
+                differing = [p for p, count in seen.items() if count != t_val]
+                if t_val:
+                    # the first non-flag counting 0, met within k + len(seen) + 1 steps
+                    differing.append(next((p for p in range(v) if p not in bs and p not in seen), v))
+                p = min(differing)
+                nonflag = NotSpbibd("nonflag-count", f"non-flag ({p}, block {j}) sees {seen.get(p, 0)}, expected {t_val}")
+        if nonflag is not None:
+            return nonflag
 
     x = y = None
     if d.num_blocks >= 2:

@@ -97,11 +97,10 @@ def symplectic_gq(q: int) -> IncidenceStructure:
     Parameters ((q+1)(q^2+1), (q+1)(q^2+1), q+1, q+1, 1, 0) of type (q, 1)
     with x = 0, y = 1; W(2) is isomorphic to gq22().
     """
-    if q >= 2:
-        # (q+1)(q^2+1) points and as many lines, q+1 points on each line
-        _check_size(2 * (q + 1) * (q * q + 1), (q + 1) ** 2 * (q * q + 1))
     if q < 2 or any(q % p == 0 for p in range(2, isqrt(q) + 1)):
         raise ValueError(f"q must be a prime, got {q}")
+    # (q+1)(q^2+1) points and as many lines, q+1 points on each line
+    _check_size(2 * (q + 1) * (q * q + 1), (q + 1) ** 2 * (q * q + 1))
 
     def normalized(x: tuple[int, ...]) -> tuple[int, ...]:
         """The representative of x's projective point: first nonzero entry 1."""

@@ -169,18 +169,16 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
             common = masks[x] & masks[y]
             joined[common] = joined.get(common, 0) | ~(residue[x] ^ residue[y])
         shifted = residue[x] ^ own  # the z at distance 1 or 2 mod 4 from x
+        # buckets may overlap: a z in two groups' joins can take a count in each
         by_count: dict[int, int] = {}
         for common, same in joined.items():
             planes = plane_sum(inner & ~(shifted ^ residue[w]) for w in bits(common))
             for count, members in plane_counts(planes, same & inner):
                 by_count[count] = by_count.get(count, 0) | members
-        seen = sum(by_count.values())  # the counts' members are disjoint
         for i in range(1, d):
-            hit = seen & lx[i]
-            if hit:
-                for count, members in by_count.items():
-                    if members & hit:
-                        observed[i].add(count)
+            for count, members in by_count.items():
+                if members & lx[i]:
+                    observed[i].add(count)
     counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
     full = all(len(counts[i]) <= 1 for i in range(1, d))
     almost = all(len(counts[i]) <= 1 for i in range(1, d - 1))

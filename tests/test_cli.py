@@ -174,6 +174,11 @@ def test_generate_out_of_range_size_is_a_one_line_error(capsys, args):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_generate_wq_names_a_large_non_prime_as_not_prime(capsys):
+    # the prime test comes before the size test, as at any other size
+    assert run_cli(capsys, "generate", "wq", "--n", "10000") == (1, "", "error: wq: q must be a prime, got 10000\n")
+
+
 def _address_space_600mb():
     resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
 
@@ -514,6 +519,24 @@ def test_sparse_design_with_huge_v_is_analyzed_in_small_memory(tmp_path, capsys)
         "rejected": "not-uniform",
         "detail": "replication differs: (1, 2) at (0, 1)",
     }
+
+
+def test_disjoint_pairs_are_analyzed_in_memory_linear_in_v(tmp_path, capsys):
+    # 8,000 disjoint pairs: every point has one lambda1-mate, so the flag
+    # and non-flag counts may not keep a v-bit set per point (v^2/16 bytes)
+    v = 16_000
+    path = tmp_path / "pairs.json"
+    write_json(path, {"v": v, "blocks": [[p, p + 1] for p in range(0, v, 2)]})
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "analyze-design", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 750 * v
+    report = json.loads(out)["spbibd"]
+    assert (report["lambda1"], report["s"], report["t"]) == (1, 1, 0)
 
 
 def test_singleton_blocks_are_analyzed_in_small_memory(tmp_path, capsys):

@@ -128,7 +128,7 @@ def _scan_kind(res):
 
 
 def test_nonflag_counts_match_the_full_scan():
-    # the mate-bitset counts must give the full scan's record: s and t, or
+    # the per-block mate counts must give the full scan's record: s and t, or
     # the first flag or non-flag that differs, detail strings included
     rng = random.Random(43)
     kinds = set()
@@ -179,6 +179,18 @@ def test_spbibd_type_matches_the_full_scan_on_drawn_designs():
 
     check()
     assert {"not-uniform", "concurrence", "flag-count", "nonflag-count", "accepted"} <= kinds
+
+
+def test_a_flag_rejection_outranks_an_earlier_non_flag_rejection():
+    # non-flag (4, block 0) sees 2 where non-flag (3, block 0) sees 3, but
+    # every flag is checked first, and flag (0, block 2) sees 1, not 2
+    d = validate_structure(
+        8,
+        [(0, 1, 2), (0, 1, 3), (0, 2, 7), (0, 3, 4), (0, 4, 6), (0, 5, 6), (1, 2, 6), (1, 3, 5),
+         (1, 4, 6), (1, 4, 7), (2, 3, 5), (2, 3, 7), (2, 4, 5), (3, 6, 7), (4, 5, 7), (5, 6, 7)],
+    )
+    assert spbibd_type(d) == NotSpbibd("flag-count", "flag (0, block 2) sees 1, expected 2")
+    assert spbibd_type_oracle(d) == spbibd_type(d)
 
 
 def test_gq22_spbibd_parameters():

@@ -216,9 +216,35 @@ def test_bruteforce_matches_per_z_oracle():
         hypercube_graph(8),
         subdivision_complete_bipartite(5),
         build_bipartite(20, nx.desargues_graph().edges()),  # verdict "neither"
+        build_bipartite(8, _SHARED_Z_GADGET),
+        build_bipartite(9, _SHARED_Z_FLIP),
     ]
     graphs += [random_connected_bipartite(rng) for _ in range(40)]
     assert sum(_check_against_oracle(g) for g in graphs) > 0
+
+
+# x = 0 meets y = 1 in {4, 5} and y = 2 in {4, 6}; z = 3 is at distance 2
+# from all three and sees 2 and 1 of those common neighbours
+_SHARED_Z_GADGET = [(0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 7), (2, 4), (2, 6), (2, 7), (3, 4), (3, 5), (3, 7)]
+# a graph on which adding such overlapping count sets, instead of joining
+# them, loses count 0 at level 2 and reads class Y as 2-homogeneous
+_SHARED_Z_FLIP = [(0, 7), (1, 7), (1, 8), (2, 6), (2, 8), (3, 6), (3, 7), (4, 6), (5, 8)]
+
+
+def test_bruteforce_keeps_a_z_counted_by_two_common_neighbour_sets():
+    g = build_bipartite(8, _SHARED_Z_GADGET)
+    dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges)))
+    x, z = 0, 3
+    seen = {}
+    for y in (1, 2):
+        assert dist[x][y] == dist[x][z] == dist[y][z] == 2
+        common = frozenset(w for w in g.neighbors(x) if dist[y][w] == 1)
+        seen[common] = sum(1 for w in common if dist[z][w] == 1)
+    assert seen == {frozenset({4, 5}): 2, frozenset({4, 6}): 1}
+    res = homogeneous_by_bruteforce(g, "Y")
+    assert (res.level_counts, res.verdict) == ({1: (1,), 2: (1, 2)}, VERDICT_ALMOST_ONLY)
+    res = homogeneous_by_bruteforce(build_bipartite(9, _SHARED_Z_FLIP), "Y")
+    assert (res.level_counts, res.verdict) == ({1: (1,), 2: (0, 1), 3: (1,)}, VERDICT_NEITHER)
 
 
 def _check_against_oracle(g):
