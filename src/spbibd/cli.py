@@ -5,14 +5,15 @@ families.
 All reports are deterministic byte streams (sorted-key JSON) so batch
 pipelines can diff them; verdict outcomes never set a nonzero exit code.
 Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
-3 an internal cross-check disagreed (ConsistencyError, a defect here).
+2 a bad command line, 3 an internal cross-check disagreed
+(ConsistencyError, a defect here).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import Any
 
 from . import correspondence, design, generators, homogeneity, search
@@ -113,16 +114,15 @@ def graph_file_doc(g: BipartiteGraph) -> dict:
     }
 
 
-def _emit(doc: Any, out: str | None) -> None:
-    _emit_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-
-
-def _emit_text(text: str, out: str | None) -> None:
+def _emit(doc: Any, out: str | None, human: bool = False) -> None:
+    """Writes text as it is, a document as sorted-key JSON or indented text."""
+    if not isinstance(doc, str):
+        doc = (_render_human(doc) if human else json.dumps(doc, indent=2, sort_keys=True)) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(doc)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(doc)
 
 
 def _plain(x: Any) -> Any:
@@ -238,13 +238,6 @@ def _render_human(doc: Any, indent: int = 0) -> str:
     return f"{pad}{doc}"
 
 
-def _emit_report(doc: dict, out: str | None, human: bool) -> None:
-    if human:
-        _emit_text(_render_human(doc) + "\n", out)
-    else:
-        _emit(doc, out)
-
-
 # family -> file document; a size outside a family's range raises ValueError
 _FAMILIES = {
     "gq22": lambda a: design_file_doc(generators.gq22()),
@@ -259,122 +252,151 @@ _FAMILIES = {
 }
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     try:
         doc = _FAMILIES[args.family](args)
     except ValueError as exc:
         raise ParseError(f"{args.family}: {exc}") from exc
     _emit(doc, args.out)
-    return 0
 
 
-def _cmd_analyze_design(args) -> int:
+def _cmd_analyze_design(args) -> None:
     d = parse_design_file(args.path, allow_repeated=args.allow_repeated)
-    _emit_report(analyze_design_report(d), args.out, args.human)
-    return 0
+    _emit(analyze_design_report(d), args.out, args.human)
 
 
-def _cmd_analyze_graph(args) -> int:
-    g = parse_graph_file(args.path)
-    _emit_report(analyze_graph_report(g), args.out, args.human)
-    return 0
+def _cmd_analyze_graph(args) -> None:
+    _emit(analyze_graph_report(parse_graph_file(args.path)), args.out, args.human)
 
 
-def _cmd_to_graph(args) -> int:
+def _cmd_to_graph(args) -> None:
     d = parse_design_file(args.path, allow_repeated=args.allow_repeated)
-    g = correspondence.incidence_graph(d)
-    _emit(graph_file_doc(g), args.out)
-    return 0
+    _emit(graph_file_doc(correspondence.incidence_graph(d)), args.out)
 
 
-def _cmd_from_graph(args) -> int:
-    g = parse_graph_file(args.path)
-    ext = correspondence.design_from_graph(g, args.points)
+def _cmd_from_graph(args) -> None:
+    ext = correspondence.design_from_graph(parse_graph_file(args.path), args.points)
     _emit(design_file_doc(ext.structure), args.out)
-    return 0
 
 
-def _cmd_check_homogeneous(args) -> int:
-    g = parse_graph_file(args.path)
-    doc = homogeneity_report_doc(g, args.side)
-    _emit_report(doc, args.out, args.human)
-    return 0
+def _cmd_check_homogeneous(args) -> None:
+    _emit(homogeneity_report_doc(parse_graph_file(args.path), args.side), args.out, args.human)
 
 
-def _cmd_search(args) -> int:
-    candidates = search.enumerate_candidates(
-        args.max_r, args.max_k, args.target, force_y=args.force_y
-    )
-    _emit_text(search.candidates_csv(candidates), args.out)
-    return 0
+def _cmd_search(args) -> None:
+    candidates = search.enumerate_candidates(args.max_r, args.max_k, args.target, force_y=args.force_y)
+    _emit(search.candidates_csv(candidates), args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spbibd",
-        description="Verify designs and bipartite distance-regularized graphs, "
-        "check 2-homogeneity, and search parameter tuples.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_help(command: str | None) -> None:
+    """The usage line, then one line per command, or per argument of one."""
+    if command is None:
+        text, rows = _ABOUT, [(name, entry[0]) for name, entry in _COMMANDS.items()]
+    else:
+        text, rows = _COMMANDS[command][0], [(_spelling(a), a[4]) for a in _COMMANDS[command][2]]
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    print(_usage(command), "", text, "", *(f"  {left:<20}  {right}" for left, right in rows), sep="\n")
 
-    p = sub.add_parser("generate", help="emit a fixture design or graph file")
-    p.add_argument("family", choices=list(_FAMILIES))
-    p.add_argument(
-        "--n", type=int, default=3, help="size parameter (grid/cycle/path/subdivision; prime q for wq)"
-    )
-    p.add_argument("--v", type=int, default=2, help="points (complete)")
-    p.add_argument("--b", type=int, default=2, help="blocks (complete)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("analyze-design", help="full design-side report")
-    p.add_argument("path")
-    p.add_argument("--allow-repeated", action="store_true")
-    p.add_argument("--human", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_analyze_design)
+_PATH = ("path", str, None, True, "input file")
+_REPEATED = ("--allow-repeated", bool, False, False, "accept repeated blocks")
+_HUMAN = ("--human", bool, False, False, "indented text instead of JSON")
+_OUT = ("--out", str, None, False, "write to this file instead of stdout")
+_ABOUT = "Verify designs and bipartite distance-regularized graphs, check 2-homogeneity and search parameter tuples."
 
-    p = sub.add_parser("analyze-graph", help="distance-regularity classification report")
-    p.add_argument("path")
-    p.add_argument("--human", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_analyze_graph)
+# command -> (help, handler, arguments).  An argument is (name, kind, default
+# or choices, required, help) with kind int, str or bool (a flag, taking no
+# value); a name without dashes is positional, and choices default to the first.
+_COMMANDS = {
+    "generate": ("emit a fixture design or graph file", _cmd_generate, (
+        ("family", str, tuple(_FAMILIES), True, "fixture family"),
+        ("--n", int, 3, False, "size parameter (grid/cycle/path/subdivision; prime q for wq)"),
+        ("--v", int, 2, False, "points (complete)"),
+        ("--b", int, 2, False, "blocks (complete)"), _OUT)),
+    "analyze-design": ("full design-side report", _cmd_analyze_design, (_PATH, _REPEATED, _HUMAN, _OUT)),
+    "analyze-graph": ("distance-regularity classification report", _cmd_analyze_graph, (_PATH, _HUMAN, _OUT)),
+    "to-graph": ("design file -> incidence graph file", _cmd_to_graph, (_PATH, _REPEATED, _OUT)),
+    "from-graph": ("graph file -> design file (chosen class as points)", _cmd_from_graph,
+                   (_PATH, ("--points", str, SIDES, False, "class that becomes the points"), _OUT)),
+    "check-homogeneous": ("(almost) 2-homogeneity report for one class", _cmd_check_homogeneous,
+                          (_PATH, ("--side", str, SIDES, False, "class to check"), _HUMAN, _OUT)),
+    "search": ("enumerate admissible parameter tuples as CSV", _cmd_search, (
+        ("--target", str, TARGETS, True, "homogeneity target"),
+        ("--max-r", int, None, True, "largest replication number r"),
+        ("--max-k", int, None, True, "largest block size k"),
+        ("--force-y", int, None, False, "restrict to one y >= 1 (diagnostic)"), _OUT)),
+}
 
-    p = sub.add_parser("to-graph", help="design file -> incidence graph file")
-    p.add_argument("path")
-    p.add_argument("--allow-repeated", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_to_graph)
 
-    p = sub.add_parser("from-graph", help="graph file -> design file (chosen class as points)")
-    p.add_argument("path")
-    p.add_argument("--points", choices=list(SIDES), default="Y")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_from_graph)
+class UsageError(Exception):
+    """(command or None, reason) of a bad command line: exit code 2."""
 
-    p = sub.add_parser("check-homogeneous", help="(almost) 2-homogeneity report for one class")
-    p.add_argument("path")
-    p.add_argument("--side", choices=list(SIDES), default="Y")
-    p.add_argument("--human", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_homogeneous)
 
-    p = sub.add_parser("search", help="enumerate admissible parameter tuples as CSV")
-    p.add_argument("--target", choices=list(TARGETS), required=True)
-    p.add_argument("--max-r", type=int, required=True)
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--force-y", type=int, default=None, help="restrict to one y >= 1 (diagnostic)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_search)
+def _spelling(arg: tuple) -> str:
+    """An argument as a command line writes it: name and value placeholder."""
+    name, kind, default = arg[:3]
+    value = "{%s}" % ",".join(default) if isinstance(default, tuple) else name.lstrip("-").upper()
+    return value if name[0] != "-" else name if kind is bool else f"{name} {value}"
 
-    return parser
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: spbibd [-h] {%s} ..." % ",".join(_COMMANDS)
+    words = (_spelling(a) if a[3] else f"[{_spelling(a)}]" for a in _COMMANDS[command][2])
+    return " ".join(("usage: spbibd", command, "[-h]", *words))
+
+
+def _is_option(word: str) -> bool:
+    """Whether a word names an option: ``-`` and negative integers are values."""
+    return word[:1] == "-" and word != "-" and not word[1:].isdigit()
+
+
+def _parse(argv: list[str]) -> tuple:
+    """The handler of a command line and the argument to call it with."""
+    command, *words = argv or [None]
+    if command in ("-h", "--help"):
+        return _cmd_help, None
+    if command not in _COMMANDS:
+        raise UsageError(None, f"unknown command {command!r}" if argv else "a command is required")
+    spec = _COMMANDS[command][2]
+    options = {a[0]: a for a in spec if a[0][0] == "-"}
+    positionals = [a for a in spec if a[0][0] != "-"]
+    given = {}
+    while words:
+        word = words.pop(0)
+        if word in ("-h", "--help"):
+            return _cmd_help, command
+        name, eq, value = word.partition("=") if _is_option(word) else ("", "", word)
+        arg = options.get(name) if name else positionals.pop(0) if positionals else None
+        if arg is None or eq and arg[1] is bool:
+            raise UsageError(command, f"unknown option {word!r}" if name else f"unexpected argument {word!r}")
+        if arg[1] is bool:
+            value = True
+        elif name and not eq:
+            if not words or _is_option(words[0]):
+                raise UsageError(command, f"{name} needs a value")
+            value = words.pop(0)
+        if isinstance(arg[2], tuple) and value not in arg[2]:
+            raise UsageError(command, f"{arg[0]}: invalid choice {value!r} (choose from {', '.join(arg[2])})")
+        try:
+            given[arg[0]] = arg[1](value)
+        except ValueError:
+            raise UsageError(command, f"{arg[0]}: not an integer: {value!r}") from None
+    missing = [a[0] for a in spec if a[3] and a[0] not in given]
+    if missing:
+        raise UsageError(command, f"missing {', '.join(missing)}")
+    values = {a[0]: a[2][0] if isinstance(a[2], tuple) else a[2] for a in spec} | given
+    return _COMMANDS[command][1], SimpleNamespace(**{n.lstrip("-").replace("-", "_"): v for n, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        handler(args)
+        return 0
+    except UsageError as exc:
+        print(f"{_usage(exc.args[0])}\nspbibd: error: {exc.args[1]}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

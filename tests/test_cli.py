@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spbibd import generators
-from spbibd.cli import graph_file_doc, main
+from spbibd.cli import _COMMANDS, graph_file_doc, main
 from spbibd.correspondence import incidence_graph
 from util import hypercube_design
 
@@ -498,6 +498,73 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["v"] == 9 and len(doc["blocks"]) == 6
+
+
+# a bad command line -> a word its error line must name; no file is read
+USAGE_ERRORS = {
+    "no arguments": ((), "a command is required"),
+    "unknown command": (("nope",), "'nope'"),
+    "unknown option": (("analyze-graph", "g.json", "--verbose"), "'--verbose'"),
+    "abbreviated option": (("search", "--target", "full-b", "--max", "12", "--max-k", "12"), "'--max'"),
+    "missing required option": (("search", "--target", "full-b", "--max-r", "12"), "--max-k"),
+    "missing option value": (("search", "--target", "full-b", "--max-k", "12", "--max-r"), "--max-r"),
+    "option as option value": (("search", "--target", "full-b", "--max-r", "--max-k", "12"), "--max-r"),
+    "non-integer --max-r": (("search", "--target", "full-b", "--max-r", "twelve", "--max-k", "12"), "'twelve'"),
+    "bad --side": (("check-homogeneous", "g.json", "--side", "Z"), "'Z'"),
+    "bad --points": (("from-graph", "g.json", "--points", "blocks"), "'blocks'"),
+    "bad --target": (("search", "--target", "nope", "--max-r", "12", "--max-k", "12"), "'nope'"),
+    "bad family": (("generate", "petersen"), "'petersen'"),
+    "extra positional": (("analyze-graph", "g.json", "h.json"), "'h.json'"),
+    "flag with a value": (("analyze-design", "d.json", "--human=yes"), "'--human=yes'"),
+}
+
+
+@pytest.mark.parametrize("argv, needle", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_bad_command_lines_are_usage_errors(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    usage, error = err.splitlines()
+    command = argv[0] if argv and argv[0] in _COMMANDS else "[-h]"
+    assert usage.startswith(f"usage: spbibd {command} ")
+    assert error.startswith("spbibd: error: ") and needle in error
+
+
+def test_equals_form_and_repeated_options_read_as_the_spaced_form(tmp_path, capsys):
+    tc = str(tmp_path / "tc.json")
+    assert run_cli(capsys, "generate", "tutte-coxeter", "--out", tc)[0] == 0
+    spaced_search = ("search", "--target", "full-b", "--max-r", "12", "--max-k", "12")
+    cases = [
+        (("search", "--target=full-b", "--max-r=12", "--max-k=12"), spaced_search),
+        (("search", "--max-k", "9", "--target", "full-b", "--max-r", "12", "--max-k=12"), spaced_search),
+        (("check-homogeneous", tc, "--side=Yprime"), ("check-homogeneous", tc, "--side", "Yprime")),
+        (("check-homogeneous", "--side", "Y", tc, "--side", "Yprime"), ("check-homogeneous", tc, "--side", "Yprime")),
+        (("generate", "grid", "--n", "3", "--n=5"), ("generate", "grid", "--n", "5")),
+    ]
+    for given, spaced in cases:
+        got = run_cli(capsys, *given)
+        assert got == run_cli(capsys, *spaced) and got[0] == 0 and got[1], given
+    # the last value wins, not the first
+    assert run_cli(capsys, "generate", "grid", "--n", "3") != run_cli(capsys, "generate", "grid", "--n", "5")
+
+
+def test_a_negative_number_after_an_option_is_its_value(capsys):
+    code, out, err = run_cli(capsys, "search", "--target", "almost-b", "--max-r", "20", "--max-k", "20", "--force-y", "-1")
+    assert (code, out, err) == (1, "", "error: BoundsTooSmallError: force_y = -1; y must be at least 1\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_names_every_command_and_option_of_the_table(capsys, command, flag):
+    # help comes before the check for required arguments
+    code, out, err = run_cli(capsys, flag) if command is None else run_cli(capsys, command, flag)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: spbibd ")
+    if command is None:
+        assert all(f"  {name} " in out and entry[0] in out for name, entry in _COMMANDS.items())
+    else:
+        for name, _, _, _, text in _COMMANDS[command][2]:
+            assert text in out and (name in out or not name.startswith("-")), name
 
 
 def test_sparse_design_with_huge_v_is_analyzed_in_small_memory(tmp_path, capsys):

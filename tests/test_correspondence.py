@@ -1,11 +1,11 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spbibd.core import SpbibdParams, validate_structure
+from spbibd.core import SpbibdParams, build_bipartite, validate_structure
 from spbibd.correspondence import (
     DerivationError,
     GraphDesignExtraction,
@@ -233,11 +233,30 @@ def test_round_trip_design_counts_pairs():
         assert before == after
 
 
-def test_relabeled_graph_round_trip():
-    rng = random.Random(59)
-    g = tutte_coxeter()
-    from util import relabeled_graph
+_ROUND_TRIP_GRAPHS = {
+    "tutte-coxeter": tutte_coxeter,
+    "cube4": lambda: hypercube_graph(4),
+    "grid3": lambda: incidence_graph(grid_design(3)),
+    "subdivision3": lambda: subdivision_complete_bipartite(3),
+    "subdivision4": lambda: subdivision_complete_bipartite(4),
+}
 
-    for _ in range(3):
-        h, _ = relabeled_graph(g, rng)
-        assert round_trip_graph(h, "Y").ok
+
+def _eccentricity_four_sides(g):
+    return [s for s in ("Y", "Yprime") if {len(g.layers[v]) - 1 for v in g.class_vertices(s)} == {4}]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(st.sampled_from(sorted(_ROUND_TRIP_GRAPHS)), st.data())
+def test_relabeled_graph_round_trip(name, data):
+    # graph -> design -> graph on every class of eccentricity 4, whichever
+    # class vertex 0 of the relabelled graph falls in
+    g = _ROUND_TRIP_GRAPHS[name]()
+    perm = data.draw(st.permutations(range(g.num_vertices)))
+    h = build_bipartite(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges])
+    g_sides, sides = _eccentricity_four_sides(g), _eccentricity_four_sides(h)
+    assert len(sides) == len(g_sides) >= 1
+    for side in sides:
+        assert round_trip_graph(h, side).ok, side
+    params = {design_from_graph(g, side).params for side in g_sides}
+    assert {design_from_graph(h, side).params for side in sides} == params

@@ -38,6 +38,8 @@ LOADS = {
     },
     ("generate", "fano"): {"spbibd.correspondence", "spbibd.generators"},
 }
+# what no command loads: the command line is parsed from the table in cli
+NEVER = {"argparse", "gettext", "locale"}
 
 
 def fresh_interpreter(script: str, *args: str, cwd=None) -> set[str]:
@@ -68,12 +70,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
     assert (tmp_path / "report").stat().st_size > 0
     ours = {m for m in loaded if m.partition(".")[0] in ("spbibd", "fractions")}
     assert ours == (ALWAYS | LOADS[argv]) - bare
+    assert not NEVER & loaded
 
 
 def test_cli_import_loads_no_exact_arithmetic(bare):
     loaded = fresh_interpreter("import spbibd.cli" + PRINT_LOADED) - bare
     assert "spbibd.cli" in loaded
     assert not {"fractions", "decimal"} & loaded
+    assert not NEVER & loaded
 
 
 def test_cli_import_registers_every_traced_module():

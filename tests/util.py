@@ -173,7 +173,9 @@ def block_intersection_sizes_oracle(d: IncidenceStructure) -> tuple[int, ...]:
 
 def random_connected_bipartite(rng: random.Random, max_side: int = 6) -> BipartiteGraph:
     """Random connected bipartite graph: a random spanning tree across the
-    two sides plus a few extra cross edges."""
+    two sides, plus each other cross edge with an edge probability drawn
+    per graph from [0.2, 0.7], dense enough that many of them have a z in
+    the joins of two common-neighbour groups of one x."""
     a = rng.randint(1, max_side)
     b = rng.randint(1, max_side)
     left = list(range(a))
@@ -186,8 +188,8 @@ def random_connected_bipartite(rng: random.Random, max_side: int = 6) -> Biparti
         side = 0 if v < a else 1
         edges.add((v, rng.choice(in_tree[1 - side])))
         in_tree[side].append(v)
-    for _ in range(rng.randint(0, a * b // 2)):
-        edges.add((rng.choice(left), rng.choice(right)))
+    p = rng.uniform(0.2, 0.7)
+    edges |= {(u, w) for u in left for w in right if rng.random() < p}
     return build_bipartite(a + b, sorted(edges))
 
 
