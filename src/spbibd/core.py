@@ -194,9 +194,6 @@ class BipartiteGraph(_GraphFields):
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.adjacency_masks[v]))
 
-    def degree(self, v: int) -> int:
-        return self.adjacency_masks[v].bit_count()
-
     def class_vertices(self, side: str) -> tuple[int, ...]:
         """Vertices of one color class, by side name ("Y" or "Yprime").
 

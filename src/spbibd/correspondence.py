@@ -131,8 +131,6 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     array and eccentricity 4.  Blocks are the neighborhoods of the other
     class; parameters come from the array (see DerivedDesignParams).
     """
-    if points not in SIDES:
-        raise ValueError(f"points must be one of {SIDES}")
     point_vertices = g.class_vertices(points)
     other = SIDES[1 - SIDES.index(points)]
     block_vertices_raw = g.class_vertices(other)

@@ -254,9 +254,6 @@ class ConstraintReport(NamedTuple):
     def all_pass(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def failed(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.holds)
-
 
 def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
     """Itemized inequality checks for quasi-symmetric designs with

@@ -9,7 +9,7 @@ All scalars are exact rationals; zero tests are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (
     BipartiteGraph,
@@ -18,6 +18,7 @@ from .core import (
     NotInScopeError,
     SIDES,
     SpbibdParams,
+    TARGETS,
     ToolkitError,
     bits,
     plane_counts,
@@ -40,6 +41,17 @@ class HypothesisViolatedError(ToolkitError):
 
 class EccentricityNotUniformError(ToolkitError):
     """The homogeneity definition presumes one eccentricity per class."""
+
+
+def _verdict(constant: Callable[[int], bool], full_top: int, almost_top: int) -> str:
+    """The definition both routes share: 2-homogeneous iff every level i in
+    2..full_top is constant (``constant(i)``), almost iff every level in
+    2..almost_top is."""
+    if all(constant(i) for i in range(2, full_top + 1)):
+        return VERDICT_TWO_HOMOGENEOUS
+    if all(constant(i) for i in range(2, almost_top + 1)):
+        return VERDICT_ALMOST_ONLY
+    return VERDICT_NEITHER
 
 
 def p2ii_formula(
@@ -101,12 +113,8 @@ def homogeneous_by_formula(
     k_prime = other_arr.valency
     if k_prime < 3 or d < 3:
         raise HypothesisViolatedError(f"needs k' >= 3 and D >= 3, got k' = {k_prime}, D = {d}")
-    bound = min(d - 1, other_arr.eccentricity - 1)
-    full = all(delta_value(side_arr, other_arr, i) == 0 for i in range(2, bound + 1))
-    if full:
-        return VERDICT_TWO_HOMOGENEOUS
-    almost = all(delta_value(side_arr, other_arr, i) == 0 for i in range(2, d - 1))
-    return VERDICT_ALMOST_ONLY if almost else VERDICT_NEITHER
+    deltas = delta_map(side_arr, other_arr)  # levels 1..min(D-1, D'-1)
+    return _verdict(lambda i: deltas[i] == 0, len(deltas), d - 2)
 
 
 class BruteForceResult(NamedTuple):
@@ -140,10 +148,9 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     or neither of R(w) and the z at distance 1 or 2 mod 4 from x.
 
     A level with no eligible z is vacuously constant.  2-homogeneous needs
-    every level constant, almost needs levels 1..D-2.
+    levels 2..D-1 constant, almost needs levels 2..D-2; level 1 always is,
+    because its z are the common neighbours and each counts only itself.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
     vertices = g.class_vertices(side)
     layers = g.layers
     eccs = {len(layers[v]) - 1 for v in vertices}
@@ -180,14 +187,7 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
                 if members & lx[i]:
                     observed[i].add(count)
     counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
-    full = all(len(counts[i]) <= 1 for i in range(1, d))
-    almost = all(len(counts[i]) <= 1 for i in range(1, d - 1))
-    verdict = (
-        VERDICT_TWO_HOMOGENEOUS
-        if full
-        else VERDICT_ALMOST_ONLY if almost else VERDICT_NEITHER
-    )
-    return BruteForceResult(side, d, counts, verdict)
+    return BruteForceResult(side, d, counts, _verdict(lambda i: len(counts[i]) <= 1, d - 1, d - 2))
 
 
 class HomogeneityReport(NamedTuple):
@@ -245,6 +245,10 @@ def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:
 # the incidence graph of an in-scope design.
 EQUALITY_LABELS = ("K3", "K4", "K30", "K40")
 
+# The equalities each of core.TARGETS needs, for every y >= 1: the
+# search solves r from the first, parameter_homogeneity sets one flag each.
+TARGET_NEEDS = dict(zip(TARGETS, (("K3",), ("K3", "K4"), ("K30",), ("K30", "K40"))))
+
 
 def r_coefficients(label: str, k: int, lambda1: int, t: int, y: int) -> tuple[int, int]:
     """(a, c) such that the equality ``label``, K3 or K30, holds exactly
@@ -298,13 +302,15 @@ class ParameterHomogeneity(NamedTuple):
 
 def parameter_homogeneity(p: SpbibdParams) -> ParameterHomogeneity:
     """Evaluate the (almost) 2-homogeneity criteria from the design
-    parameters alone.
+    parameters alone: each flag holds iff the equalities that TARGET_NEEDS
+    lists for its target are in satisfied_equalities, for every y >= 1.
 
-    For y = 1: block size 2 (or replication 2) routes to the subdivision
-    graph of a complete bipartite graph, which is fully homogeneous for
-    that class; with k >= 3 (r >= 3) the graph is almost homogeneous iff
-    t = 1 (a generalized quadrangle) and never fully homogeneous.  For
-    y > 1 the criteria are the equalities of satisfied_equalities.
+    At y = 1 (so lambda1 = 1) the equalities reduce to the known cases:
+    K3 iff (k-2)(t-1) = 0, K4 iff k = 2, K30 iff (t-1)(r-2) = 0 and K40
+    iff r = 2 (two blocks meet, so r >= 2).  Block size 2 (replication 2) gives the subdivision graph
+    of a complete bipartite graph, fully homogeneous for that class;
+    otherwise the class is almost homogeneous iff t = 1 (a generalized
+    quadrangle) and never fully.  The notes name these cases.
     """
     if not p.in_scope:
         raise NotInScopeError(
@@ -319,24 +325,13 @@ def parameter_homogeneity(p: SpbibdParams) -> ParameterHomogeneity:
                 f"would meet twice); got lambda1 = {lambda1}"
             )
         if k == 2:
-            almost_2p = full_2p = True
             notes.append(f"k = 2: incidence graph is the subdivision graph of K_{{{r},{r}}}")
-        else:
-            almost_2p = t == 1
-            full_2p = False
         if r == 2:
-            almost_2b = full_2b = True
             notes.append(f"r = 2: incidence graph is the subdivision graph of K_{{{k},{k}}}")
-        else:
-            almost_2b = t == 1
-            full_2b = False
         if t == 1:
             notes.append("t = 1: the design is a generalized quadrangle")
     else:
-        sat = satisfied_equalities(r, k, lambda1, t, y)
-        almost_2p = "K3" in sat
-        full_2p = almost_2p and "K4" in sat
-        almost_2b = "K30" in sat
-        full_2b = almost_2b and "K40" in sat
         notes.append("y > 1: parameter-level verdicts only, existence of a design is a separate question")
-    return ParameterHomogeneity(almost_2p, full_2p, almost_2b, full_2b, tuple(notes))
+    sat = satisfied_equalities(r, k, lambda1, t, y)
+    flags = (all(label in sat for label in TARGET_NEEDS[target]) for target in TARGETS)
+    return ParameterHomogeneity(*flags, tuple(notes))

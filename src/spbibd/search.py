@@ -4,13 +4,14 @@
 admissible when it passes core.SCOPE_INEQUALITIES, the rows that the
 analyze-design checklist renders, and gives integral v and b.
 
-Every target needs K3 (Delta_2 of the point class) or K30 (Delta_2 of the
-block class), and both are linear in r (homogeneity.r_coefficients), so
-the enumeration runs over (y, t) and, innermost, lambda1, and solves the
-target's first equality for r instead of sweeping r.  The solved r grows
-strictly with lambda1, so each lambda1 sweep ends at the first solved r
-above max_r (the proof is in _candidates_for_k).  The old sweep over
-every r is kept only as the test oracle.
+A target needs the equalities that homogeneity.TARGET_NEEDS lists, the
+table parameter_homogeneity reads too.  The first is K3 (Delta_2 of the
+point class) or K30 (Delta_2 of the block class), both linear in r
+(homogeneity.r_coefficients), so the enumeration runs over (y, t) and,
+innermost, lambda1, and solves it for r instead of sweeping r.  The
+solved r grows strictly with lambda1, so each lambda1 sweep ends at the
+first solved r above max_r (the proof is in _candidates_for_k).  The old
+sweep over every r is kept only as the test oracle.
 
 Emitting a tuple never asserts that a design with these parameters
 exists; every row carries an explicit "unresolved" existence marker.
@@ -23,18 +24,13 @@ from typing import NamedTuple
 
 from .core import TARGETS, ConsistencyError, ToolkitError, scope_inequalities
 from .correspondence import derived_sizes, expected_incidence_arrays
-from .homogeneity import EQUALITY_LABELS, delta_value, r_coefficients, satisfied_equalities
-
-TARGET_ALMOST_P, TARGET_FULL_P, TARGET_ALMOST_B, TARGET_FULL_B = TARGETS
-
-# Which Delta-vanishing equalities (homogeneity.EQUALITY_LABELS) a target
-# demands; r is solved from the first, which is linear in r.
-_TARGET_NEEDS = {
-    TARGET_ALMOST_P: ("K3",),
-    TARGET_FULL_P: ("K3", "K4"),
-    TARGET_ALMOST_B: ("K30",),
-    TARGET_FULL_B: ("K30", "K40"),
-}
+from .homogeneity import (
+    EQUALITY_LABELS,
+    TARGET_NEEDS,
+    delta_value,
+    r_coefficients,
+    satisfied_equalities,
+)
 
 
 class BoundsTooSmallError(ToolkitError):
@@ -117,7 +113,7 @@ def _candidates_for_k(
     fits or none does.  y = 1 admits only lambda1 = 1
     (admissibility_failures), so that is the only lambda1 tried there.
     """
-    needed = _TARGET_NEEDS[target]
+    needed = TARGET_NEEDS[target]
     solved_from = needed[0]
     out = []
     y_range = range(2, k - 1) if force_y is None else (force_y,)

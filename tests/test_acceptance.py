@@ -42,6 +42,7 @@ from spbibd.homogeneity import (
 )
 from spbibd.search import candidates_csv, enumerate_candidates
 from util import (
+    failed,
     hypercube_design,
     hypercube_graph,
     p2ii_direct_counts,
@@ -223,7 +224,7 @@ def test_criterion_7_constraint_lemmas_hold_in_scope():
     assert len(reached) == 100, f"only {len(reached)} structures reached the gate in {attempts} draws"
     for d, p in reached:
         rep = check_parameter_constraints(p)
-        assert rep.all_pass, (p, rep.failed())
+        assert rep.all_pass, (p, failed(rep))
         if p.y is not None and p.y > 1:
             assert p.k >= 4 and p.r >= 4 and p.t > p.y
         assert p.t < p.r

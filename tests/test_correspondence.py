@@ -28,9 +28,11 @@ from spbibd.generators import (
     tutte_coxeter,
 )
 from spbibd.graph import classify, local_intersection_numbers
+from spbibd.homogeneity import homogeneous_by_bruteforce
 from util import (
     array_class_sizes,
     contract_degree_two,
+    degree,
     derived_spbibd_params,
     girth,
     hypercube_design,
@@ -44,14 +46,14 @@ from util import (
 def test_incidence_graph_gq22_is_tutte_coxeter_shape():
     g = incidence_graph(gq22())
     assert g.num_vertices == 30
-    assert all(g.degree(v) == 3 for v in range(30))
+    assert all(degree(g, v) == 3 for v in range(30))
     assert len(g.edges) == 45  # v*r = b*k
     assert girth(g) == 8
 
 
 def test_incidence_graph_grid3_is_subdivision_of_k33():
     g = incidence_graph(grid_design(3))
-    degs = sorted(g.degree(v) for v in range(g.num_vertices))
+    degs = sorted(degree(g, v) for v in range(g.num_vertices))
     assert degs == [2] * 9 + [3] * 6
     contracted = contract_degree_two(g)
     assert nx.is_isomorphic(contracted, nx.complete_bipartite_graph(3, 3))
@@ -172,6 +174,13 @@ def test_derived_sizes_match_array_form_on_graphs():
 def test_path4_rejected_not_semiregular():
     with pytest.raises(NotSemiregularError):
         design_from_graph(path_graph(4), "Y")
+
+
+def test_a_bad_side_is_refused_by_class_vertices():
+    # design_from_graph and the brute force leave the side check to class_vertices
+    for call in (design_from_graph, homogeneous_by_bruteforce):
+        with pytest.raises(ValueError, match=r"^side must be one of \('Y', 'Yprime'\)$"):
+            call(tutte_coxeter(), "points")
 
 
 def test_round_trip_design_exact():

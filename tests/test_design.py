@@ -24,6 +24,7 @@ from spbibd.design import (
 from spbibd.generators import complete_bipartite_design, fano, gq22, grid_design, symplectic_gq
 from util import (
     block_intersection_sizes_oracle,
+    failed,
     full_pair_concurrences,
     hypercube_design,
     pair_coverage_oracle,
@@ -387,7 +388,7 @@ def test_constraints_y_greater_one_branch():
 def test_constraints_two_design_degeneracy_fails():
     rep = check_parameter_constraints(_params(3, 3, 1, 3, 1, v=7, b=7))
     assert not rep.all_pass
-    assert "t < k" in rep.failed()
+    assert "t < k" in failed(rep)
 
 
 # The full checklist of hand-picked (r, k, lambda1, t, y), written out as
@@ -495,4 +496,4 @@ def test_constraints_hold_for_every_in_scope_structure():
         assert isinstance(p, SpbibdParams)
         if not p.in_scope:
             continue
-        assert check_parameter_constraints(p).all_pass, (p, check_parameter_constraints(p).failed())
+        assert check_parameter_constraints(p).all_pass, (p, failed(check_parameter_constraints(p)))

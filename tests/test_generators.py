@@ -24,7 +24,7 @@ from spbibd.graph import (
     KIND_NOT_REGULARIZED,
     classify,
 )
-from util import eccentricity, girth, nx_graph
+from util import degree, eccentricity, girth, nx_graph
 
 
 def test_complete_design_star():
@@ -101,7 +101,7 @@ def test_gq22_dual_is_spbibd_with_same_parameters():
 def test_tutte_coxeter_is_cubic_30_girth_8():
     g = tutte_coxeter()
     assert g.num_vertices == 30
-    assert all(g.degree(v) == 3 for v in range(30))
+    assert all(degree(g, v) == 3 for v in range(30))
     assert girth(g) == 8
     cls = classify(g)
     assert cls.kind == KIND_DISTANCE_REGULAR

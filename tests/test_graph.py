@@ -28,6 +28,7 @@ from spbibd.graph import (
     uniform_array,
 )
 from util import (
+    degree,
     eccentricity,
     girth,
     hypercube_graph,
@@ -64,7 +65,7 @@ def test_eight_cycle_distances_and_eccentricity():
 def test_k23_eccentricity():
     g = complete_bipartite_graph(2, 3)
     # degree-3 vertices are the 2-side
-    deg3 = [v for v in range(5) if g.degree(v) == 3]
+    deg3 = [v for v in range(5) if degree(g, v) == 3]
     assert all(eccentricity(g, v) == 2 for v in deg3)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spbibd import core
 from spbibd.core import IntersectionArray, SpbibdParams, build_bipartite
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
-from spbibd.design import NotInScopeError, spbibd_type
+from spbibd.design import NotInScopeError, dual, spbibd_type
 from spbibd.generators import (
     even_cycle,
     fano,
@@ -42,6 +42,7 @@ from util import (
     hypercube_graph,
     p2ii_direct_counts,
     random_connected_bipartite,
+    y1_homogeneity_oracle,
 )
 
 
@@ -265,10 +266,32 @@ def _check_against_oracle(g):
     return mixed
 
 
+def _plant_shared_z(g, rng):
+    """g plus a copy of _SHARED_Z_GADGET on eight new vertices: x, y1, y2
+    and z, then their four neighbours.  Every new vertex but x is also
+    joined to the other class of g, each edge with a probability drawn per
+    graph; the last one, a neighbour of y1, y2 and z, always to one vertex
+    of g, so the graph stays connected.  x keeps its three gadget
+    neighbours, so x meets y1 and y2 in two of them each, one shared, and
+    z sees 2 of the first pair and 1 of the second, whatever is added."""
+    n = g.num_vertices
+    gadget = [(n + u, n + w) for u, w in _SHARED_Z_GADGET]
+    p = rng.uniform(0.2, 0.7)
+    # gadget vertices 0..3 join class Y' of g, 4..7 class Y (vertex 0's)
+    joins = [(n + 7, rng.choice(g.class_vertices("Y")))]
+    joins += [
+        (n + v, u)
+        for v in range(1, 8)
+        for u in range(n)
+        if g.side[u] == (v < 4) and rng.random() < p
+    ]
+    return build_bipartite(n + 8, sorted(g.edges) + gadget + joins)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(st.randoms(use_true_random=False), st.integers(1, 8))
 def test_bruteforce_matches_the_oracle_on_drawn_graphs(rng, max_side):
-    _check_against_oracle(random_connected_bipartite(rng, max_side))
+    _check_against_oracle(_plant_shared_z(random_connected_bipartite(rng, max_side), rng))
 
 
 _RELABELLED = {
@@ -375,40 +398,74 @@ def test_unequal_eccentricities_point_side_homogeneous():
     assert rep.verdict == VERDICT_TWO_HOMOGENEOUS
 
 
+_GQ_NOTE = "t = 1: the design is a generalized quadrangle"
+_Y_ABOVE_1_NOTE = "y > 1: parameter-level verdicts only, existence of a design is a separate question"
+
+
+def _y1_params(r, k, t, v=0, b=0):
+    return SpbibdParams(v=v, b=b, r=r, k=k, lambda1=1, lambda2=0, s=k - 1, t=t, x=0, y=1)
+
+
+# Each parameter_homogeneity test pins the whole record: (almost_2p,
+# full_2p, almost_2b, full_2b) and the notes, word for word.
 def test_parameter_homogeneity_gq22():
+    # t = 1 with k, r >= 3: almost but not fully 2-homogeneous on both classes
     props = parameter_homogeneity(spbibd_type(gq22()))
-    assert props.almost_2p and not props.full_2p
-    assert props.almost_2b and not props.full_2b
+    assert props == (True, False, True, False, (_GQ_NOTE,))
 
 
 def test_parameter_homogeneity_grid():
     props = parameter_homogeneity(spbibd_type(grid_design(3)))
-    # k = 3 >= 3 with t = 1: almost but not fully 2-homogeneous for points
-    assert props.almost_2p and not props.full_2p
+    # k = 3 >= 3 with t = 1: almost but not fully 2-homogeneous for points;
     # r = 2: fully 2-homogeneous for blocks (subdivision of K_{3,3})
-    assert props.almost_2b and props.full_2b
-    assert any("subdivision" in note for note in props.notes)
+    assert props == (
+        True, False, True, True,
+        ("r = 2: incidence graph is the subdivision graph of K_{3,3}", _GQ_NOTE),
+    )
 
 
 def test_parameter_homogeneity_block_size_two():
-    from spbibd.design import dual
-
     props = parameter_homogeneity(spbibd_type(dual(grid_design(3))))
     # k = 2: fully 2-homogeneous for points
-    assert props.almost_2p and props.full_2p
-    assert props.almost_2b and not props.full_2b
+    assert props == (
+        True, True, True, False,
+        ("k = 2: incidence graph is the subdivision graph of K_{3,3}", _GQ_NOTE),
+    )
 
 
 def test_parameter_homogeneity_eight_cycle_params():
-    p = SpbibdParams(v=4, b=4, r=2, k=2, lambda1=1, lambda2=0, s=1, t=1, x=0, y=1)
-    props = parameter_homogeneity(p)
-    assert props.full_2p and props.full_2b
+    props = parameter_homogeneity(_y1_params(2, 2, 1, v=4, b=4))
+    assert props == (
+        True, True, True, True,
+        (
+            "k = 2: incidence graph is the subdivision graph of K_{2,2}",
+            "r = 2: incidence graph is the subdivision graph of K_{2,2}",
+            _GQ_NOTE,
+        ),
+    )
+
+
+def test_parameter_homogeneity_y1_beyond_quadrangles():
+    # t > 1 at y = 1: neither class is even almost homogeneous, unless r = 2
+    assert parameter_homogeneity(_y1_params(4, 4, 2)) == (False, False, False, False, ())
+    assert parameter_homogeneity(_y1_params(2, 4, 2)) == (
+        False, False, True, True,
+        ("r = 2: incidence graph is the subdivision graph of K_{4,4}",),
+    )
+
+
+def test_parameter_homogeneity_y1_matches_the_subdivision_and_quadrangle_rules():
+    # y = 1: two blocks meet, so some point lies on two of them (r >= 2)
+    for r in range(2, 41):
+        for k in range(2, 41):
+            for t in range(1, k):
+                props = parameter_homogeneity(_y1_params(r, k, t))
+                assert props[:4] == y1_homogeneity_oracle(r, k, t), (r, k, t)
 
 
 def test_parameter_homogeneity_hypercube_all_hold():
     props = parameter_homogeneity(spbibd_type(hypercube_design()))
-    assert props.almost_2p and props.full_2p
-    assert props.almost_2b and props.full_2b
+    assert props == (True, True, True, True, (_Y_ABOVE_1_NOTE,))
 
 
 def test_parameter_homogeneity_tuple_4422():
@@ -421,8 +478,7 @@ def test_parameter_homogeneity_tuple_4422():
 def test_parameter_homogeneity_y2_failing_case():
     # (25, 25, 5, 5, 1, 0), t = 4, y = 2: K3 fails, so does everything else
     p = SpbibdParams(v=25, b=25, r=5, k=5, lambda1=1, lambda2=0, s=4, t=4, x=0, y=2)
-    props = parameter_homogeneity(p)
-    assert not props.almost_2p and not props.full_2p
+    assert parameter_homogeneity(p) == (False, False, False, False, (_Y_ABOVE_1_NOTE,))
     point, block = expected_incidence_arrays(5, 5, 1, 4, 2)
     assert delta_value(point, block, 2) != 0
 
@@ -430,11 +486,14 @@ def test_parameter_homogeneity_y2_failing_case():
 def test_parameter_homogeneity_not_in_scope():
     with pytest.raises(NotInScopeError):
         parameter_homogeneity(spbibd_type(fano()))
-    with pytest.raises(NotInScopeError):
+    with pytest.raises(NotInScopeError) as exc:
         # y = 1 with lambda1 = 2 cannot come from a real structure
         parameter_homogeneity(
             SpbibdParams(v=9, b=6, r=2, k=3, lambda1=2, lambda2=0, s=2, t=1, x=0, y=1)
         )
+    assert str(exc.value) == (
+        "x = 0, y = 1 forces lambda1 = 1 (two blocks through a pair would meet twice); got lambda1 = 2"
+    )
 
 
 def test_homogeneity_report_runs_one_bfs_per_vertex(monkeypatch):

@@ -15,7 +15,7 @@ from spbibd.cli import main as cli_main
 from spbibd.core import ConsistencyError, SpbibdParams
 from spbibd.correspondence import derived_sizes, expected_incidence_arrays
 from spbibd.design import check_parameter_constraints
-from spbibd.homogeneity import r_coefficients
+from spbibd.homogeneity import parameter_homogeneity, r_coefficients
 from spbibd.search import (
     CSV_HEADER,
     TARGETS,
@@ -98,14 +98,18 @@ def test_full_p_tuples_satisfy_both_equations():
 
 
 def test_emitted_tuples_repass_parameter_constraints():
-    for target in ("almost-p", "almost-b"):
-        for c in enumerate_candidates(16, 16, target):
-            params = SpbibdParams(
-                v=c.v, b=c.b, r=c.r, k=c.k, lambda1=c.lambda1, lambda2=0, s=c.k - 1, t=c.t, x=0, y=c.y
-            )
-            assert check_parameter_constraints(params).all_pass
-            assert c.v * c.r == c.b * c.k
-            assert c.existence == "unresolved"
+    # the search and parameter_homogeneity must read one target table: each
+    # emitted row sets its target's flag (the flags follow TARGETS)
+    for target in TARGETS:
+        for force_y in (None, 1):
+            for c in enumerate_candidates(16, 16, target, force_y=force_y):
+                params = SpbibdParams(
+                    v=c.v, b=c.b, r=c.r, k=c.k, lambda1=c.lambda1, lambda2=0, s=c.k - 1, t=c.t, x=0, y=c.y
+                )
+                assert check_parameter_constraints(params).all_pass
+                assert parameter_homogeneity(params)[TARGETS.index(target)], (target, c)
+                assert c.v * c.r == c.b * c.k
+                assert c.existence == "unresolved"
 
 
 def test_deterministic_across_runs():

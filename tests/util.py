@@ -23,7 +23,13 @@ from spbibd.core import (
     validate_structure,
 )
 from spbibd.correspondence import GraphDesignExtraction, derived_sizes, design_from_graph, incidence_graph
-from spbibd.design import NotSpbibd, block_intersections, replication_and_block_size, spbibd_type
+from spbibd.design import (
+    ConstraintReport,
+    NotSpbibd,
+    block_intersections,
+    replication_and_block_size,
+    spbibd_type,
+)
 from spbibd.graph import (
     KIND_DISTANCE_BIREGULAR,
     KIND_DISTANCE_REGULAR,
@@ -36,13 +42,14 @@ from spbibd.graph import (
     local_intersection_numbers,
 )
 from spbibd.homogeneity import (
+    TARGET_NEEDS,
     VERDICT_ALMOST_ONLY,
     VERDICT_NEITHER,
     VERDICT_TWO_HOMOGENEOUS,
     BruteForceResult,
     EccentricityNotUniformError,
 )
-from spbibd.search import _TARGET_NEEDS, CandidateTuple, admissibility_failures
+from spbibd.search import CandidateTuple, admissibility_failures
 
 
 def nx_graph(g: BipartiteGraph) -> nx.Graph:
@@ -50,6 +57,15 @@ def nx_graph(g: BipartiteGraph) -> nx.Graph:
     h.add_nodes_from(range(g.num_vertices))
     h.add_edges_from(g.edges)
     return h
+
+
+def degree(g: BipartiteGraph, v: int) -> int:
+    return g.adjacency_masks[v].bit_count()
+
+
+def failed(report: ConstraintReport) -> tuple[str, ...]:
+    """Names of the checks of a constraint report that do not hold."""
+    return tuple(c.name for c in report.checks if not c.holds)
 
 
 def oracle_distances(g: BipartiteGraph, v: int) -> dict[int, int]:
@@ -248,10 +264,10 @@ def hypercube_graph(dim: int) -> BipartiteGraph:
 def contract_degree_two(g: BipartiteGraph) -> nx.Graph:
     """Replace every degree-2 vertex by an edge between its neighbors."""
     h = nx.Graph()
-    keep = [v for v in range(g.num_vertices) if g.degree(v) != 2]
+    keep = [v for v in range(g.num_vertices) if degree(g, v) != 2]
     h.add_nodes_from(keep)
     for v in range(g.num_vertices):
-        if g.degree(v) == 2:
+        if degree(g, v) == 2:
             a, b = g.neighbors(v)
             h.add_edge(a, b)
     return h
@@ -392,13 +408,25 @@ def sweep_candidates(
                         if admissibility_failures(r, k, lambda1, t, y):
                             continue
                         sat = product_form_equalities(r, k, lambda1, t, y)
-                        if all(label in sat for label in _TARGET_NEEDS[target]):
+                        if all(label in sat for label in TARGET_NEEDS[target]):
                             v_num, b_num, den = derived_sizes(r, k, lambda1, t)
                             out.append(
                                 CandidateTuple(r, k, lambda1, t, y, v_num // den, b_num // den, sat)
                             )
     out.sort(key=CandidateTuple.sort_key)
     return out
+
+
+def y1_homogeneity_oracle(r: int, k: int, t: int) -> tuple[bool, bool, bool, bool]:
+    """(almost_2p, full_2p, almost_2b, full_2b) of an in-scope design with
+    y = 1 (so lambda1 = 1) by the case rules parameter_homogeneity used
+    before it read homogeneity.TARGET_NEEDS: block size 2 (replication 2)
+    gives the subdivision graph of a complete bipartite graph, fully
+    homogeneous for that class; otherwise the class is almost homogeneous
+    iff t = 1 (a generalized quadrangle) and never fully."""
+    almost_2p, full_2p = (True, True) if k == 2 else (t == 1, False)
+    almost_2b, full_2b = (True, True) if r == 2 else (t == 1, False)
+    return almost_2p, full_2p, almost_2b, full_2b
 
 
 def constant_at(result: BruteForceResult, i: int) -> bool:
