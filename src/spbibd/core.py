@@ -13,8 +13,10 @@ them in ``__init__`` (``_make`` and ``_replace`` skip the check), and the
 constructor functions (``validate_structure``, ``build_bipartite``)
 canonicalize raw input first; nothing is validated lazily.  The
 subclasses keep an instance ``__dict__``, so their derived views (block
-sets, point degrees, the graph's adjacency bitsets and its distance
-layers) are cached properties, computed at most once per object.
+sets, the blocks through each point, the graph's adjacency bitsets, its
+distance layers and its distances mod 4) are cached properties, computed
+at most once per object; every scan reads them and builds no copy of its
+own.
 """
 
 from __future__ import annotations
@@ -105,14 +107,15 @@ class IncidenceStructure(_IncidenceFields):
         return tuple(frozenset(b) for b in self.blocks)
 
     @cached_property
-    def point_degrees(self) -> Mapping[int, int]:
-        """Blocks through each covered point; an uncovered point (degree 0)
-        has no entry, so the view is O(sum of block sizes), not O(v)."""
-        deg: dict[int, int] = {}
-        for blk in self.blocks:
+    def point_blocks(self) -> Mapping[int, tuple[int, ...]]:
+        """The indices of the blocks through each covered point, ascending;
+        an uncovered point has no entry, so the view is O(sum of block
+        sizes), not O(v)."""
+        through: dict[int, list[int]] = {}
+        for j, blk in enumerate(self.blocks):
             for p in blk:
-                deg[p] = deg.get(p, 0) + 1
-        return MappingProxyType(deg)
+                through.setdefault(p, []).append(j)
+        return MappingProxyType({p: tuple(js) for p, js in through.items()})
 
 
 def validate_structure(
@@ -190,6 +193,14 @@ class BipartiteGraph(_GraphFields):
         n^2 * (D + 1) / 8 bytes for diameter D: less than a distance matrix
         for the small diameters in scope, more on long paths and cycles."""
         return all_layers(self.adjacency_masks)
+
+    @cached_property
+    def residues(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(R, S): ``R[v]`` is the bitset of the vertices at distance 0 or 1
+        mod 4 from v, ``S[v]`` at 1 or 2 mod 4 (the sum of disjoint layers
+        is their union); read by :func:`nearer_counts`."""
+        r = tuple(sum(lv[0::4]) + sum(lv[1::4]) for lv in self.layers)
+        return r, tuple(sum(lv[1::4]) + sum(lv[2::4]) for lv in self.layers)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.adjacency_masks[v]))
@@ -300,6 +311,22 @@ def plane_counts(planes: Sequence[int], mask: int) -> list[tuple[int, int]]:
                 split.append((count, members ^ high))
         groups = split
     return groups
+
+
+def nearer_counts(g: BipartiteGraph, x: int, ws: int, mask: int) -> list[tuple[int, int]]:
+    """Split the vertices z of the bitset ``mask`` by how many neighbours w
+    of x in the bitset ``ws`` are one step closer to z than x is: one
+    (count, members) pair per count taken.
+
+    d(w, z) - d(x, z) is -1 or 1 in a bipartite graph, so w is closer
+    exactly when d(x, z) = 0, 1, 2, 3 mod 4 puts d(w, z) at 3, 0, 1, 2,
+    not 1, 2, 3, 0: when z is in both or neither of S[x] and R[w]
+    (``BipartiteGraph.residues``).  The counts are bit-sliced sums.
+    """
+    r, s = g.residues
+    sx = s[x]
+    # ~ gives negative ints (infinitely many high bits), cut back by mask
+    return plane_counts(plane_sum(mask & ~(sx ^ r[w]) for w in bits(ws)), mask)
 
 
 def distance_row(layers: Sequence[int], num_vertices: int) -> list[int]:
@@ -422,7 +449,8 @@ class SpbibdParams(NamedTuple):
 
     @property
     def in_scope(self) -> bool:
-        """Quasi-symmetric with lambda2 = 0, s = k-1, x = 0, y > 0, 0 < t < k."""
+        """Quasi-symmetric with lambda2 = 0, s = k-1, x = 0, y > 0, 0 < t < k;
+        and r >= 2, since with y > 0 two blocks share a point."""
         return (
             self.lambda2 == 0
             and self.s == self.k - 1
@@ -430,6 +458,7 @@ class SpbibdParams(NamedTuple):
             and self.y is not None
             and self.y > 0
             and 0 < self.t < self.k
+            and self.r >= 2
         )
 
     @property

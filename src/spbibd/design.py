@@ -44,18 +44,18 @@ def replication_and_block_size(d: IncidenceStructure) -> tuple[int, int] | NotUn
     for j, blk in enumerate(d.blocks):
         if len(blk) != k:
             return NotUniform("block-size", (0, j), (k, len(blk)))
-    deg = d.point_degrees
-    r = deg.get(0, 0)
+    through = d.point_blocks
+    r = len(through.get(0, ()))
     # the first point whose degree is not r; an uncovered point differs
     # only when point 0 is covered, and the first one is met within
-    # len(deg) + 1 steps
-    differing = [p for p, dp in deg.items() if dp != r]
-    uncovered = next((p for p in range(d.num_points) if p not in deg), None)
+    # len(through) + 1 steps
+    differing = [p for p, js in through.items() if len(js) != r]
+    uncovered = next((p for p in range(d.num_points) if p not in through), None)
     if r and uncovered is not None:
         differing.append(uncovered)
     if differing:
         p = min(differing)
-        return NotUniform("replication", (0, p), (r, deg.get(p, 0)))
+        return NotUniform("replication", (0, p), (r, len(through.get(p, ()))))
     return r, k
 
 
@@ -75,11 +75,7 @@ def block_intersections(d: IncidenceStructure) -> QuasiSymmetryInfo:
     in 0."""
     if d.num_blocks < 2:
         raise FewerThanTwoBlocksError("need at least two blocks")
-    through: dict[int, list[int]] = {}  # covered points only, as in point_degrees
-    for j, blk in enumerate(d.blocks):
-        for p in blk:
-            through.setdefault(p, []).append(j)
-    meets = _covered_pairs(through.values())
+    meets = _covered_pairs(d.point_blocks.values())
     sizes = set(meets.values())
     if len(meets) < d.num_blocks * (d.num_blocks - 1) // 2:
         sizes.add(0)
@@ -234,11 +230,7 @@ def dual(d: IncidenceStructure, *, allow_repeated: bool = False) -> IncidenceStr
 
 def dual_blocks_raw(d: IncidenceStructure) -> list[tuple[int, ...]]:
     """Dual blocks in point order: entry p lists the blocks containing p."""
-    raw: list[list[int]] = [[] for _ in range(d.num_points)]
-    for j, blk in enumerate(d.blocks):
-        for p in blk:
-            raw[p].append(j)
-    return [tuple(b) for b in raw]
+    return [d.point_blocks.get(p, ()) for p in range(d.num_points)]
 
 
 class ConstraintCheck(NamedTuple):

@@ -1,13 +1,13 @@
 """Distance-regularity classification for connected bipartite graphs.
 
-Every check reads the graph's one cached view of distance layers
-(``BipartiteGraph.layers``: per vertex, the int bitset of the vertices at
-each distance, built for all sources in one level-by-level sweep, at most
-once per graph).  Intersection numbers are popcounts: c_i of y is the
-number of y's neighbours in the layer i-1, and b_i = degree - c_i.  A
-class is decided for all its vertices at once from bit-sliced counts,
-about one bitset operation per edge and level; every test stays
-exhaustive.
+Every check reads the graph's cached views (``BipartiteGraph.layers``:
+per vertex, the int bitset of the vertices at each distance, built for
+all sources in one level-by-level sweep, at most once per graph; and
+``residues``, the same distances mod 4).  Intersection numbers are
+popcounts: c_i of y is the number of y's neighbours in the layer i-1, and
+b_i = degree - c_i.  A class is decided for all its vertices at once from
+bit-sliced counts (:func:`core.nearer_counts`), about one bitset
+operation per edge, whatever the diameter; every test stays exhaustive.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from .core import (
     IntersectionArray,
     NoEdgesError,  # re-exported: classify raises it through class_vertices
     Y_SIDE,
-    bits,
     distance_row,
-    plane_counts,
-    plane_sum,
+    nearer_counts,
 )
 
 KIND_DISTANCE_REGULAR = "distance-regular"
@@ -108,41 +106,25 @@ class ClassificationResult(NamedTuple):
         return self.array_y if side == Y_SIDE else self.array_yprime
 
 
-def _class_levels(g: BipartiteGraph, vertices: tuple[int, ...]) -> list[dict] | None:
-    """For each level i, the keys (b, c) that the class vertices x see at
-    distance i, each mapped to the bitset of those x; None as soon as one
-    class vertex sees two keys at one level.
+def _class_levels(g: BipartiteGraph, vertices: tuple[int, ...], ecc: int) -> list[dict] | None:
+    """For each level i = 0..ecc, the keys (b, c) that the class vertices x
+    see at distance i, each mapped to the bitset of those x; None as soon
+    as one class vertex sees two keys at one level.
 
     The counts of every x come at once, per y: c_x(y) is the number of
-    neighbours u of y with x one step closer to u than to y, and those x
-    form the union over i of layer i of y and layer i - 1 of u.  The other
-    end of an edge gets the complement, since in a bipartite graph x is
-    one step closer to exactly one end.  The counts are summed over N(y)
-    in bit-sliced planes and split by value and by level.
+    neighbours of y one step closer to x than y is, which
+    :func:`nearer_counts` gives for the whole class in one bit-sliced sum
+    over N(y); the groups are then split by the level of x from y.
     """
-    cls = 0
-    for v in vertices:
-        cls |= 1 << v
-    layers = g.layers
-    masks = g.adjacency_masks
-    levels: list[dict] = [{} for _ in range(max(len(layers[v]) for v in vertices))]
+    cls = sum(1 << v for v in vertices)
+    levels: list[dict] = [{} for _ in range(ecc + 1)]
     seen = [0] * len(levels)
-    # sets[y] collects, per neighbour u of y, the x that u counts for
-    sets: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for y in range(g.num_vertices):
-        ly = layers[y]
+    for y, ly in enumerate(g.layers):
+        nbrs = g.adjacency_masks[y]
+        deg = nbrs.bit_count()
         # only the levels of y's parity as seen from the class meet it
         parity = g.side[y] ^ g.side[vertices[0]]
-        for u in bits(masks[y] >> y << y):
-            lu = layers[u]
-            closer = 0
-            for i in range(parity or 2, len(ly), 2):
-                closer |= ly[i] & lu[i - 1]
-            closer &= cls
-            sets[y].append(closer)
-            sets[u].append(cls ^ closer)
-        deg = len(sets[y])
-        for c, members in plane_counts(plane_sum(sets[y]), cls):
+        for c, members in nearer_counts(g, y, nbrs, cls):
             for i in range(parity, len(ly), 2):
                 hit = members & ly[i]
                 if hit:
@@ -173,7 +155,7 @@ def uniform_array(
     from its first vertex, or, in vertex order up to the first witness,
     to name that witness."""
     ecc = max(len(g.layers[v]) - 1 for v in vertices)
-    levels = _class_levels(g, vertices)
+    levels = _class_levels(g, vertices, ecc)
     if levels is None:
         for v in vertices:
             arr = local_intersection_numbers(g, v)

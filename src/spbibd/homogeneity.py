@@ -21,8 +21,7 @@ from .core import (
     TARGETS,
     ToolkitError,
     bits,
-    plane_counts,
-    plane_sum,
+    nearer_counts,
 )
 from .graph import classify
 
@@ -109,12 +108,19 @@ def homogeneous_by_formula(
     Only valid for k' >= 3 and D >= 3; graphs with k' = 2 must use the
     brute-force path.
     """
+    return _formula_route(side_arr, other_arr)[1]
+
+
+def _formula_route(
+    side_arr: IntersectionArray, other_arr: IntersectionArray
+) -> tuple[dict[int, Fraction], str]:
+    """The Delta scalars of levels 1..min(D-1, D'-1) and the verdict from them."""
     d = side_arr.eccentricity
     k_prime = other_arr.valency
     if k_prime < 3 or d < 3:
         raise HypothesisViolatedError(f"needs k' >= 3 and D >= 3, got k' = {k_prime}, D = {d}")
-    deltas = delta_map(side_arr, other_arr)  # levels 1..min(D-1, D'-1)
-    return _verdict(lambda i: deltas[i] == 0, len(deltas), d - 2)
+    deltas = delta_map(side_arr, other_arr)
+    return deltas, _verdict(lambda i: deltas[i] == 0, len(deltas), d - 2)
 
 
 class BruteForceResult(NamedTuple):
@@ -133,19 +139,16 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     Gamma_{i,i}(x, y), 1 <= i <= D-1, the w in W = Gamma(x) n Gamma(y)
     with z in Gamma_{i-1}(w).
 
-    w is at distance i - 1 or i + 1 from z, so w counts z exactly when z
-    is in nearer(x, w), the union over i of Gamma_i(x) n Gamma_{i-1}(w),
-    whatever y is: z's count depends only on (W, z).  So the y of one x are
-    grouped by W, their equidistant sets (the union over i of
-    Gamma_{i,i}(x, y)) are joined, and one bit-sliced sum of the
-    nearer(x, w), w in W, counts every z of the join.  x's layers are
+    w is at distance i - 1 or i + 1 from z, so w counts z exactly when it
+    is one step closer to z than x is, whatever y is: z's count depends
+    only on (W, z).  So the y of one x are grouped by W, their equidistant
+    sets (the union over i of Gamma_{i,i}(x, y)) are joined, and one call
+    of :func:`nearer_counts` counts every z of the join.  x's layers are
     disjoint, so the join meets Gamma_i(x) in the union of the group's
     Gamma_{i,i}(x, y): each level sees the z and counts that one pass per
-    (y, i) would.  Both sets come from distances mod 4.  With R(v) the z
-    at distance 0 or 1 mod 4 from v: d(y, z) - d(x, z) is -2, 0 or 2, so z
-    is equidistant iff it is in both or neither of R(x) and R(y); and
-    d(w, z) - d(x, z) is -1 or 1, so z is in nearer(x, w) iff it is in both
-    or neither of R(w) and the z at distance 1 or 2 mod 4 from x.
+    (y, i) would.  d(y, z) - d(x, z) is -2, 0 or 2, so z is equidistant
+    iff it is in both or neither of R[x] and R[y]
+    (``BipartiteGraph.residues``).
 
     A level with no eligible z is vacuously constant.  2-homogeneous needs
     levels 2..D-1 constant, almost needs levels 2..D-2; level 1 always is,
@@ -160,27 +163,21 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
         )
     d = eccs.pop()
     masks = g.adjacency_masks
+    r, _ = g.residues
     observed: dict[int, set[int]] = {i: set() for i in range(1, d)}
-    # R(v) of the docstring; a vertex's layers are disjoint, so their sum is their union
-    residue = [sum(lv[0::4]) + sum(lv[1::4]) for lv in layers]
-    # the class: the z at even distance from any of its vertices
-    own = sum(layers[vertices[0]][0::2])
-    everyone = (1 << g.num_vertices) - 1
     # below eccentricity 2 there is no Gamma_2(x), so no triple to count
     for x in vertices if d >= 2 else ():
         lx = layers[x]
-        inner = everyone ^ lx[0] ^ lx[d]  # levels 1..D-1: the layers cover the connected graph
+        inner = sum(lx[1:d])  # levels 1..D-1, disjoint, so their sum is their union
         # ~ gives negative ints (infinitely many high bits), cut back by inner
         joined: dict[int, int] = {}
         for y in bits(lx[2] >> (x + 1) << (x + 1)):
             common = masks[x] & masks[y]
-            joined[common] = joined.get(common, 0) | ~(residue[x] ^ residue[y])
-        shifted = residue[x] ^ own  # the z at distance 1 or 2 mod 4 from x
+            joined[common] = joined.get(common, 0) | ~(r[x] ^ r[y])
         # buckets may overlap: a z in two groups' joins can take a count in each
         by_count: dict[int, int] = {}
         for common, same in joined.items():
-            planes = plane_sum(inner & ~(shifted ^ residue[w]) for w in bits(common))
-            for count, members in plane_counts(planes, same & inner):
+            for count, members in nearer_counts(g, x, common, same & inner):
                 by_count[count] = by_count.get(count, 0) | members
         for i in range(1, d):
             for count, members in by_count.items():
@@ -217,13 +214,11 @@ def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:
         skipped = "graph is not distance-regularized on both sides"
     else:
         try:
-            formula_verdict = homogeneous_by_formula(side_arr, other_arr)
+            deltas, formula_verdict = _formula_route(side_arr, other_arr)
         except HypothesisViolatedError as exc:
             skipped = str(exc)
         else:
-            d = side_arr.eccentricity
-            p2 = {i: p2ii_formula(side_arr, other_arr, i) for i in range(2, d)}
-            deltas = delta_map(side_arr, other_arr)
+            p2 = {i: p2ii_formula(side_arr, other_arr, i) for i in range(2, side_arr.eccentricity)}
             # the two routes are provably equivalent under these hypotheses
             if formula_verdict != brute.verdict:
                 raise ConsistencyError(

@@ -19,11 +19,14 @@ from spbibd.core import (
     PointIndexOutOfRangeError,
     SpbibdParams,
     ToolkitError,
+    bits,
     build_bipartite,
+    nearer_counts,
     validate_structure,
 )
+from spbibd.generators import even_cycle
 from spbibd.graph import all_distances
-from util import oracle_distances, random_connected_bipartite
+from util import hypercube_graph, nx_graph, oracle_distances, random_connected_bipartite
 
 
 FANO_RAW = [[i % 7, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
@@ -152,6 +155,39 @@ def test_build_bipartite_matches_networkx(graph):
         assert g.side[0] == 0 and all(g.side[u] != g.side[v] for u, v in edges)
 
 
+# built once: the 8-cube (256 vertices, diameter 8) and a long even cycle
+# (diameter 101), past the levels that a small random graph reaches
+_WIDE_GRAPHS = (hypercube_graph(8), even_cycle(202))
+
+
+@st.composite
+def nearer_count_cases(draw):
+    """A graph, a vertex x, a subset ws of N(x) and a mask of vertices."""
+    if draw(st.booleans()):
+        g = random_connected_bipartite(draw(st.randoms(use_true_random=False)))
+    else:
+        g = draw(st.sampled_from(_WIDE_GRAPHS))
+    x = draw(st.integers(0, g.num_vertices - 1))
+    nbrs = list(bits(g.adjacency_masks[x]))
+    ws = draw(st.lists(st.sampled_from(nbrs), unique=True))
+    return g, x, ws, draw(st.integers(0, (1 << g.num_vertices) - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(nearer_count_cases())
+def test_nearer_counts_match_networkx_distances(case):
+    g, x, ws, mask = case
+    h = nx_graph(g)
+    dist = {v: nx.single_source_shortest_path_length(h, v) for v in (x, *ws)}
+    expected: dict[int, set[int]] = {}
+    for z in bits(mask):
+        closer = sum(dist[w][z] == dist[x][z] - 1 for w in ws)
+        expected.setdefault(closer, set()).add(z)
+    groups = nearer_counts(g, x, sum(1 << w for w in ws), mask)
+    assert {count: set(bits(members)) for count, members in groups} == expected
+    assert len(groups) == len(expected)
+
+
 def test_too_few_edges_rejected_before_allocating():
     tracemalloc.start()
     try:
@@ -245,6 +281,9 @@ def test_records_validate_in_the_constructor_and_cache_their_views():
         d.num_points = 8
     with pytest.raises(AttributeError):
         g.side = (0, 0, 0, 0)
-    assert d.block_sets is d.block_sets and d.point_degrees is d.point_degrees
-    assert g.layers is g.layers and g.adjacency_masks is g.adjacency_masks
+    assert d.block_sets is d.block_sets and d.point_blocks is d.point_blocks
+    assert g.layers is g.layers and g.adjacency_masks is g.adjacency_masks and g.residues is g.residues
     assert g.layers[0] == (0b0001, 0b1010, 0b0100)
+    # distance 0 or 1 mod 4, and 1 or 2 mod 4, from vertex 0
+    assert (g.residues[0][0], g.residues[1][0]) == (0b1011, 0b1110)
+    assert d.point_blocks[0] == (0, 1, 2)

@@ -494,6 +494,12 @@ def test_parameter_homogeneity_not_in_scope():
     assert str(exc.value) == (
         "x = 0, y = 1 forces lambda1 = 1 (two blocks through a pair would meet twice); got lambda1 = 2"
     )
+    # y > 0 means two blocks share a point, so r >= 2: one block of three
+    # points is out of scope, though its equalities alone would give full_2b
+    one_block = SpbibdParams(v=3, b=1, r=1, k=3, lambda1=1, lambda2=0, s=2, t=1, x=0, y=1)
+    assert not one_block.in_scope
+    with pytest.raises(NotInScopeError):
+        parameter_homogeneity(one_block)
 
 
 def test_homogeneity_report_runs_one_bfs_per_vertex(monkeypatch):
