@@ -20,7 +20,7 @@ from .core import (
     build_bipartite,
     validate_structure,
 )
-from .graph import uniform_array
+from .graph import classify
 
 
 class ResultDisconnectedError(ToolkitError):
@@ -127,20 +127,22 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     """Read a graph as the incidence graph of a design whose points are the
     chosen color class ("Y" or "Yprime").
 
-    Requires the chosen class to be distance-regularized with one common
-    array and eccentricity 4.  Blocks are the neighborhoods of the other
-    class; parameters come from the array (see DerivedDesignParams).
+    The chosen class must be distance-regularized with one common array
+    and eccentricity 4 (:func:`graph.classify`); blocks are the neighborhoods
+    of the other class, parameters come from the array (DerivedDesignParams).
     """
     point_vertices = g.class_vertices(points)
     other = SIDES[1 - SIDES.index(points)]
     block_vertices_raw = g.class_vertices(other)
 
-    arr, _, witness = uniform_array(g, point_vertices)
+    cls = classify(g)
+    witness = cls.witness_for(points)
     if witness is not None:
         raise NotSemiregularError(
             f"vertex {witness.vertex} of class {points} is not distance-regularized "
             f"(witnesses {witness.witnesses} at distance {witness.distance})"
         )
+    arr = cls.array_for(points)
     if arr is None:
         raise NotSemiregularError(f"class {points} has no common intersection array")
     if arr.eccentricity != 4:
@@ -162,7 +164,7 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
 
     # y = c'_2 when the other class is regularized too; the class valency
     # identity k = b_1 + 1 = b'_0 is checked at the same time.
-    other_arr, _, _ = uniform_array(g, block_vertices_raw)
+    other_arr = cls.array_for(other)
     y = None if other_arr is None else other_arr.c[2]
     if other_arr is not None and other_arr.b[0] != k:
         raise DerivationError(f"block valency {other_arr.b[0]} differs from b_1 + 1 = {k}")

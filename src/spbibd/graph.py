@@ -5,9 +5,9 @@ per vertex, the int bitset of the vertices at each distance, built for
 all sources in one level-by-level sweep, at most once per graph; and
 ``residues``, the same distances mod 4).  Intersection numbers are
 popcounts: c_i of y is the number of y's neighbours in the layer i-1, and
-b_i = degree - c_i.  A class is decided for all its vertices at once from
-bit-sliced counts (:func:`core.nearer_counts`), about one bitset
-operation per edge, whatever the diameter; every test stays exhaustive.
+b_i = degree - c_i.  :func:`classify` decides both classes in one sweep of
+bit-sliced counts (:func:`core.nearer_counts`), one per vertex and about one
+bitset operation per edge, whatever the diameter; every test stays exhaustive.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import (
     ConsistencyError,
     IntersectionArray,
     NoEdgesError,  # re-exported: classify raises it through class_vertices
+    YPRIME_SIDE,
     Y_SIDE,
     distance_row,
     nearer_counts,
@@ -92,7 +93,9 @@ class ClassificationResult(NamedTuple):
     """Outcome of testing distance-regularity at every vertex.
 
     ``ecc_y`` / ``ecc_yprime`` are the maximum eccentricities over each
-    class (all equal within a class whenever that class is uniform).
+    class (all equal within a class whenever that class is uniform).  Each
+    class's first witness in vertex order is ``witness_y`` / ``witness_yprime``;
+    ``witness``, the one analyze-graph reports, is Y's, else Yprime's.
     """
 
     kind: str
@@ -100,76 +103,56 @@ class ClassificationResult(NamedTuple):
     array_yprime: IntersectionArray | None
     ecc_y: int
     ecc_yprime: int
-    witness: NotRegularizedAt | None = None
+    witness_y: NotRegularizedAt | None = None
+    witness_yprime: NotRegularizedAt | None = None
+
+    @property
+    def witness(self) -> NotRegularizedAt | None:
+        return self.witness_y if self.witness_y is not None else self.witness_yprime
 
     def array_for(self, side: str) -> IntersectionArray | None:
         return self.array_y if side == Y_SIDE else self.array_yprime
 
+    def witness_for(self, side: str) -> NotRegularizedAt | None:
+        return self.witness_y if side == Y_SIDE else self.witness_yprime
 
-def _class_levels(g: BipartiteGraph, vertices: tuple[int, ...], ecc: int) -> list[dict] | None:
-    """For each level i = 0..ecc, the keys (b, c) that the class vertices x
-    see at distance i, each mapped to the bitset of those x; None as soon
-    as one class vertex sees two keys at one level.
+
+def _class_levels(g: BipartiteGraph, classes: tuple[int, ...], eccs: tuple[int, ...]) -> list[list[dict] | None]:
+    """Per class (bitsets of Y and Yprime), for each level i = 0..ecc, the
+    keys (b, c) its vertices x see at distance i, each mapped to the bitset
+    of those x; None, and no further scan, once one x sees two at a level.
 
     The counts of every x come at once, per y: c_x(y) is the number of
     neighbours of y one step closer to x than y is, which
-    :func:`nearer_counts` gives for the whole class in one bit-sliced sum
-    over N(y); the groups are then split by the level of x from y.
+    :func:`nearer_counts` gives for both classes in one bit-sliced sum
+    over N(y); each group is split by class, then by the level of x from y.
     """
-    cls = sum(1 << v for v in vertices)
-    levels: list[dict] = [{} for _ in range(ecc + 1)]
-    seen = [0] * len(levels)
-    for y, ly in enumerate(g.layers):
-        nbrs = g.adjacency_masks[y]
+    levels = [[{} for _ in range(ecc + 1)] for ecc in eccs]
+    seen = [[0] * (ecc + 1) for ecc in eccs]
+    live = classes[0] | classes[1]
+    for y, (ly, nbrs) in enumerate(zip(g.layers, g.adjacency_masks)):
         deg = nbrs.bit_count()
-        # only the levels of y's parity as seen from the class meet it
-        parity = g.side[y] ^ g.side[vertices[0]]
-        for c, members in nearer_counts(g, y, nbrs, cls):
-            for i in range(parity, len(ly), 2):
-                hit = members & ly[i]
-                if hit:
-                    keys = levels[i]
-                    key = (deg - c, c)
-                    had = keys.get(key, 0)
-                    if hit & seen[i] & ~had:
-                        return None
-                    keys[key] = had | hit
-                    seen[i] |= hit
-                    members ^= hit
-                    if not members:
-                        break
-    return levels
-
-
-def uniform_array(
-    g: BipartiteGraph, vertices: tuple[int, ...]
-) -> tuple[IntersectionArray | None, int, NotRegularizedAt | None]:
-    """A class's common array (None unless every vertex is
-    distance-regularized with the same array), its maximum eccentricity,
-    and the first non-regularity witness in vertex order when one exists.
-    ``vertices`` is a whole class, never empty (BipartiteGraph.class_vertices).
-
-    The verdict comes from the per-level keys of every vertex at once
-    (:func:`_class_levels`); a vertex is called through
-    ``local_intersection_numbers`` only to read a uniform class's array
-    from its first vertex, or, in vertex order up to the first witness,
-    to name that witness."""
-    ecc = max(len(g.layers[v]) - 1 for v in vertices)
-    levels = _class_levels(g, vertices, ecc)
-    if levels is None:
-        for v in vertices:
-            arr = local_intersection_numbers(g, v)
-            if isinstance(arr, NotRegularizedAt):
-                return None, ecc, arr
-        raise ConsistencyError("class scan found an irregular vertex that has no witness")
-    # every vertex has a key at level 0, and b_i > 0 exactly below its
-    # eccentricity, so one key per level is one array for the whole class
-    if any(len(keys) != 1 for keys in levels):
-        return None, ecc, None
-    arr = local_intersection_numbers(g, vertices[0])
-    if isinstance(arr, NotRegularizedAt):
-        raise ConsistencyError(f"class scan missed the witness at vertex {arr.vertex}")
-    return arr, ecc, None
+        for c, group in nearer_counts(g, y, nbrs, live):
+            key = (deg - c, c)
+            for side, cls in enumerate(classes):
+                members = group & cls & live
+                # only the levels of y's parity as seen from the class meet it
+                i = g.side[y] ^ side
+                while members:
+                    hit = members & ly[i]
+                    if hit:
+                        keys = levels[side][i]
+                        had = keys.get(key, 0)
+                        if hit & seen[side][i] & ~had:
+                            live &= ~cls
+                            break
+                        keys[key] = had | hit
+                        seen[side][i] |= hit
+                        members ^= hit
+                    i += 2
+        if not live:
+            break
+    return [keys if cls & live else None for keys, cls in zip(levels, classes)]
 
 
 def classify(g: BipartiteGraph) -> ClassificationResult:
@@ -178,12 +161,32 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
     Distance-regular when all vertices share one array; distance-biregular
     when the array depends only on the color class (and the graph is not
     regular); semiregular-one-side when only one class is uniform.
-    The one-vertex graph raises NoEdgesError.
+    The one-vertex graph raises NoEdgesError.  Both classes are decided in
+    one sweep (:func:`_class_levels`); then only a uniform class's first
+    vertex, and an irregular class's vertices up to its first witness, are
+    called through local_intersection_numbers.
     """
-    ys = g.class_vertices("Y")
-    yps = g.class_vertices("Yprime")
-    array_y, ecc_y, wit_y = uniform_array(g, ys)
-    array_yp, ecc_yp, wit_yp = uniform_array(g, yps)
+    classes = (g.class_vertices(Y_SIDE), g.class_vertices(YPRIME_SIDE))
+    eccs = tuple(max(len(g.layers[v]) - 1 for v in vertices) for vertices in classes)
+    masks = tuple(sum(1 << v for v in vertices) for vertices in classes)
+    verdicts = []
+    for vertices, levels in zip(classes, _class_levels(g, masks, eccs)):
+        arr = witness = None
+        if levels is None:
+            for v in vertices:
+                witness = local_intersection_numbers(g, v)
+                if isinstance(witness, NotRegularizedAt):
+                    break
+            else:
+                raise ConsistencyError("class scan found an irregular vertex that has no witness")
+        # every vertex has a key at level 0, and b_i > 0 exactly below its
+        # eccentricity, so one key per level is one array for the whole class
+        elif all(len(keys) == 1 for keys in levels):
+            arr = local_intersection_numbers(g, vertices[0])
+            if isinstance(arr, NotRegularizedAt):
+                raise ConsistencyError(f"class scan missed the witness at vertex {arr.vertex}")
+        verdicts.append((arr, witness))
+    (array_y, wit_y), (array_yp, wit_yp) = verdicts
 
     if array_y is not None and array_yp is not None:
         kind = (
@@ -197,11 +200,4 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
         kind = KIND_SEMIREGULAR_YPRIME_ONLY
     else:
         kind = KIND_NOT_REGULARIZED
-    return ClassificationResult(
-        kind=kind,
-        array_y=array_y,
-        array_yprime=array_yp,
-        ecc_y=ecc_y,
-        ecc_yprime=ecc_yp,
-        witness=wit_y if wit_y is not None else wit_yp,
-    )
+    return ClassificationResult(kind, array_y, array_yp, *eccs, wit_y, wit_yp)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from spbibd import generators
 from spbibd.cli import _COMMANDS, graph_file_doc, main
 from spbibd.correspondence import incidence_graph
-from util import hypercube_design
+from util import hexagonal_prism, hypercube_design
 
 
 def run_cli(capsys, *argv):
@@ -174,9 +174,8 @@ def test_generate_out_of_range_size_is_a_one_line_error(capsys, args):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_generate_wq_names_a_large_non_prime_as_not_prime(capsys):
-    # the prime test comes before the size test, as at any other size
-    assert run_cli(capsys, "generate", "wq", "--n", "10000") == (1, "", "error: wq: q must be a prime, got 10000\n")
+def test_generate_wq_names_a_non_prime_within_the_size_limit(capsys):
+    assert run_cli(capsys, "generate", "wq", "--n", "6") == (1, "", "error: wq: q must be a prime, got 6\n")
 
 
 def _address_space_600mb():
@@ -192,6 +191,10 @@ def _address_space_600mb():
         ("grid", "--n", "100000"),
         ("complete", "--v", "100000", "--b", "100000"),
         ("wq", "--n", "10007"),
+        # the size test comes before the prime test: trial division of
+        # 2^61 - 1 takes isqrt(q) ~ 1.5e9 steps
+        ("wq", "--n", "10000"),
+        ("wq", "--n", str(2**61 - 1)),
     ],
     ids=" ".join,
 )
@@ -429,6 +432,32 @@ def test_analyze_graph_reports_non_regularity_witness(tmp_path, capsys):
     assert rep["kind"] == "not-distance-regularized"
     w = rep["witness"]
     assert w is not None and w["counts"][0] != w["counts"][1]
+
+
+def test_from_graph_names_the_witness_of_its_own_class(tmp_path, capsys):
+    # both classes of the 8-path are irregular; Y's first witness is at
+    # vertex 2, Yprime's at vertex 1
+    gpath = tmp_path / "p8.json"
+    run_cli(capsys, "generate", "path", "--n", "8", "--out", str(gpath))
+    assert run_cli(capsys, "from-graph", str(gpath), "--points", "Yprime") == (
+        1,
+        "",
+        "error: NotSemiregularError: vertex 1 of class Yprime is not distance-regularized "
+        "(witnesses (0, 2) at distance 1)\n",
+    )
+
+
+def test_analyze_graph_reports_a_failed_class_scan_cross_check(tmp_path, capsys, monkeypatch):
+    # a class scan that puts every vertex in count 0 reads the hexagonal
+    # prism C6 x K2, cubic but not distance-regularized, as uniform
+    monkeypatch.setattr("spbibd.graph.nearer_counts", lambda g, x, ws, mask: [(0, mask)])
+    gpath = tmp_path / "prism.json"
+    write_json(gpath, graph_file_doc(hexagonal_prism()))
+    assert run_cli(capsys, "analyze-graph", str(gpath)) == (
+        3,
+        "",
+        "error: ConsistencyError: class scan missed the witness at vertex 0\n",
+    )
 
 
 def test_check_homogeneous_tutte(tmp_path, capsys, gq22_file):

@@ -4,8 +4,8 @@ import networkx as nx
 import pytest
 
 from spbibd import graph
-from spbibd.core import build_bipartite, layer_bfs
-from spbibd.correspondence import expected_incidence_arrays, incidence_graph
+from spbibd.core import ConsistencyError, build_bipartite, layer_bfs
+from spbibd.correspondence import design_from_graph, expected_incidence_arrays, incidence_graph
 from spbibd.generators import (
     even_cycle,
     fano,
@@ -25,12 +25,12 @@ from spbibd.graph import (
     bfs_distances,
     classify,
     local_intersection_numbers,
-    uniform_array,
 )
 from util import (
     degree,
     eccentricity,
     girth,
+    hexagonal_prism,
     hypercube_graph,
     is_distance_semiregular,
     nx_graph,
@@ -242,7 +242,14 @@ def test_local_intersection_numbers_match_independent_oracle():
                 assert (got.b, got.c) == expected
 
 
-def test_uniform_array_stops_at_first_witness(monkeypatch):
+def class_verdict(cls, side):
+    """One class's part of a classification, in the form of
+    uniform_array_oracle: (array, maximum eccentricity, first witness)."""
+    ecc = cls.ecc_y if side == "Y" else cls.ecc_yprime
+    return cls.array_for(side), ecc, cls.witness_for(side)
+
+
+def test_classify_stops_at_each_class_first_witness(monkeypatch):
     rng = random.Random(31)
     graphs = [path_graph(8)] + [random_connected_bipartite(rng, max_side=8) for _ in range(20)]
     real = local_intersection_numbers
@@ -255,22 +262,89 @@ def test_uniform_array_stops_at_first_witness(monkeypatch):
     monkeypatch.setattr(graph, "local_intersection_numbers", counting)
     skipped = 0
     for g in graphs:
+        scanned.clear()
+        cls = classify(g)
+        expected_calls = []
         for side in ("Y", "Yprime"):
             vertices = g.class_vertices(side)
             arrays = [real(g, v) for v in vertices]
             witnesses = [a for a in arrays if isinstance(a, NotRegularizedAt)]
-            scanned.clear()
-            arr, ecc, witness = uniform_array(g, vertices)
+            arr, ecc, witness = class_verdict(cls, side)
             assert ecc == max(eccentricity(g, v) for v in vertices)
             if not witnesses:
                 # the verdict needs no per-vertex scan: a uniform class's
                 # array is read from its first vertex
-                assert witness is None and scanned == ([vertices[0]] if arr is not None else [])
+                assert witness is None
+                expected_calls += [vertices[0]] if arr is not None else []
                 continue
             assert arr is None and witness == witnesses[0]
-            assert scanned == list(vertices[: vertices.index(witness.vertex) + 1])
+            expected_calls += vertices[: vertices.index(witness.vertex) + 1]
             skipped += len(witnesses) - 1
+        # Y's calls, then Yprime's, and no other
+        assert scanned == expected_calls
     assert skipped > 0  # later witnesses exist and were never computed
+
+
+def subdivided_star(m):
+    """S(K_{1,m}): centre 0, middles 1..m, leaf m + i hanging from middle i."""
+    return build_bipartite(2 * m + 1, [(0, i) for i in range(1, m + 1)] + [(i, m + i) for i in range(1, m + 1)])
+
+
+def test_classify_names_one_class_witness_while_the_other_stays_mixed(monkeypatch):
+    # class Y (the centre and the leaves) is regularized at every vertex
+    # with two arrays; class Yprime (the middles) has its witness at vertex
+    # 1.  Only that witness is computed vertex by vertex: Yprime drops out
+    # of the sweep at its first conflict and Y is decided without calls.
+    g = subdivided_star(300)
+    real = local_intersection_numbers
+    scanned = []
+
+    def counting(g, v):
+        scanned.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(graph, "local_intersection_numbers", counting)
+    cls = classify(g)
+    assert scanned == [1]
+    assert cls.kind == KIND_NOT_REGULARIZED
+    assert cls.array_y is None and cls.witness_y is None
+    assert cls.witness == cls.witness_yprime == real(g, 1)
+
+
+def test_one_sweep_sums_once_per_vertex(monkeypatch):
+    g = incidence_graph(symplectic_gq(5))
+    assert g.num_vertices == 312
+    calls = []
+    real = graph.nearer_counts
+
+    def counting(g, x, ws, mask):
+        calls.append(x)
+        return real(g, x, ws, mask)
+
+    monkeypatch.setattr(graph, "nearer_counts", counting)
+    assert classify(g).kind == KIND_DISTANCE_REGULAR
+    assert sorted(calls) == list(range(312))
+    calls.clear()
+    design_from_graph(g, "Y")
+    assert sorted(calls) == list(range(312))
+
+
+@pytest.mark.parametrize(
+    "mutant, g, message",
+    [
+        # every vertex in count 0: one key per level, a uniform verdict
+        # that the per-vertex call on the first vertex contradicts
+        (lambda g, x, ws, mask: [(0, mask)], hexagonal_prism(), "class scan missed the witness at vertex 0"),
+        # vertex 0 alone counts 1: a conflict on the distance-regular
+        # 8-cycle, whose per-vertex scan finds no witness
+        (lambda g, x, ws, mask: [(int(x == 0), mask)], even_cycle(8), "has no witness"),
+    ],
+    ids=["missed-witness", "no-witness"],
+)
+def test_class_scan_cross_checks_are_live(monkeypatch, mutant, g, message):
+    monkeypatch.setattr(graph, "nearer_counts", mutant)
+    with pytest.raises(ConsistencyError, match=message):
+        classify(g)
 
 
 def kernel_fixtures():
@@ -293,13 +367,13 @@ def test_all_source_layers_match_per_source_bfs():
         assert g.layers == tuple(layer_bfs(masks, v) for v in range(g.num_vertices))
 
 
-def test_uniform_array_matches_vertex_order_oracle():
+def test_classify_matches_vertex_order_oracle():
     outcomes = {"array": 0, "mixed": 0, "witness": 0}
     for g in kernel_fixtures():
+        cls = classify(g)
         for side in ("Y", "Yprime"):
-            vertices = g.class_vertices(side)
-            expected = uniform_array_oracle(g, vertices)
-            assert uniform_array(g, vertices) == expected
+            expected = uniform_array_oracle(g, g.class_vertices(side))
+            assert class_verdict(cls, side) == expected
             arr, _, witness = expected
             outcomes["witness" if witness else "array" if arr else "mixed"] += 1
     # every branch of the verdict is exercised

@@ -79,8 +79,10 @@ def eccentricity(g: BipartiteGraph, v: int) -> int:
 def uniform_array_oracle(
     g: BipartiteGraph, vertices: tuple[int, ...]
 ) -> tuple[IntersectionArray | None, int, NotRegularizedAt | None]:
-    """graph.uniform_array by the vertex-order scan it replaced: every
-    vertex's local_intersection_numbers until the first witness."""
+    """One class's part of graph.classify (its common array or None, its
+    maximum eccentricity, its first witness) by the vertex-order scan
+    that the class sweep replaced: every vertex's
+    local_intersection_numbers until the first witness."""
     ecc = max((len(g.layers[v]) - 1 for v in vertices), default=0)
     arrays = set()
     for v in vertices:
@@ -259,6 +261,12 @@ def hypercube_graph(dim: int) -> BipartiteGraph:
         (u, u ^ (1 << bit)) for u in range(1 << dim) for bit in range(dim) if u < (u ^ (1 << bit))
     ]
     return build_bipartite(1 << dim, edges)
+
+
+def hexagonal_prism() -> BipartiteGraph:
+    """C6 x K2: cubic and bipartite, but not distance-regularized."""
+    outer = [(i, (i + 1) % 6) for i in range(6)]
+    return build_bipartite(12, outer + [(6 + u, 6 + v) for u, v in outer] + [(i, 6 + i) for i in range(6)])
 
 
 def contract_degree_two(g: BipartiteGraph) -> nx.Graph:
