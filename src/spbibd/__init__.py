@@ -1,17 +1,20 @@
 """Toolkit for the correspondence between quasi-symmetric SPBIBDs and
 bipartite distance-regularized graphs with vertices of eccentricity 4.
 
-Every CLI command uses ``core`` and ``graph``, so they are imported here.
-The other submodules are registered in ``sys.modules`` through
-``importlib.util.LazyLoader``: a process compiles and runs a module's code
-only at its first attribute access, so each command loads only what it
-runs.  The public names below resolve on first use (PEP 562).
+Every CLI command uses ``core``, so it is imported here.  The other
+submodules, ``graph`` included (``search``, ``generate``, ``to-graph`` and
+``analyze-design`` never classify a graph), are registered in
+``sys.modules`` through ``importlib.util.LazyLoader``: a process compiles
+and runs a module's code only at its first attribute access, so each
+command loads only what it runs.  Modules call ``graph.classify`` through
+the module, since binding the name at import would load it.  The public
+names below resolve on first use (PEP 562).
 """
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import core, graph
+from . import core
 
 # defining module -> the public names it provides
 _PUBLIC = {
@@ -66,6 +69,7 @@ def _register_lazily(module: str):
 correspondence = _register_lazily("correspondence")
 design = _register_lazily("design")
 generators = _register_lazily("generators")
+graph = _register_lazily("graph")
 homogeneity = _register_lazily("homogeneity")
 search = _register_lazily("search")
 

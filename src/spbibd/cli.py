@@ -16,7 +16,7 @@ import sys
 from types import SimpleNamespace
 from typing import Any
 
-from . import correspondence, design, generators, homogeneity, search
+from . import correspondence, design, generators, graph, homogeneity, search
 from .core import (
     BipartiteGraph,
     ConsistencyError,
@@ -28,7 +28,6 @@ from .core import (
     build_bipartite,
     validate_structure,
 )
-from .graph import classify
 
 
 class ParseError(ToolkitError):
@@ -183,7 +182,7 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
 
 
 def analyze_graph_report(g: BipartiteGraph) -> dict:
-    cls = classify(g)
+    cls = graph.classify(g)
     return {
         "schema": "spbibd.analyze-graph/1",
         "counts": {

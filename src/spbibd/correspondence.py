@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import graph
 from .core import (
     BipartiteGraph,
     IncidenceStructure,
@@ -20,7 +21,6 @@ from .core import (
     build_bipartite,
     validate_structure,
 )
-from .graph import classify
 
 
 class ResultDisconnectedError(ToolkitError):
@@ -135,7 +135,7 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     other = SIDES[1 - SIDES.index(points)]
     block_vertices_raw = g.class_vertices(other)
 
-    cls = classify(g)
+    cls = graph.classify(g)
     witness = cls.witness_for(points)
     if witness is not None:
         raise NotSemiregularError(

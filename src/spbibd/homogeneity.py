@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from . import graph
 from .core import (
     BipartiteGraph,
     ConsistencyError,
@@ -23,7 +24,6 @@ from .core import (
     bits,
     nearer_counts,
 )
-from .graph import classify
 
 VERDICT_TWO_HOMOGENEOUS = "2-homogeneous"
 VERDICT_ALMOST_ONLY = "almost-only"
@@ -53,6 +53,14 @@ def _verdict(constant: Callable[[int], bool], full_top: int, almost_top: int) ->
     return VERDICT_NEITHER
 
 
+def _p2ii_numerator(
+    side_arr: IntersectionArray, other_arr: IntersectionArray, i: int
+) -> int:
+    """p^i_{2,i} times the side c_2, for 2 <= i <= D - 1 (see p2ii_formula)."""
+    arr = side_arr if i % 2 == 0 else other_arr
+    return arr.b_at(i) * (arr.c_at(i + 1) - 1) + arr.c_at(i) * (arr.b_at(i - 1) - 1)
+
+
 def p2ii_formula(
     side_arr: IntersectionArray, other_arr: IntersectionArray, i: int
 ) -> Fraction:
@@ -67,9 +75,7 @@ def p2ii_formula(
     d = side_arr.eccentricity
     if i < 2 or i > d - 1:
         raise IndexOutOfRangeError(f"i = {i} outside 2..{d - 1}")
-    arr = side_arr if i % 2 == 0 else other_arr
-    num = arr.b_at(i) * (arr.c_at(i + 1) - 1) + arr.c_at(i) * (arr.b_at(i - 1) - 1)
-    return Fraction(num, side_arr.c[2])
+    return Fraction(_p2ii_numerator(side_arr, other_arr, i), side_arr.c[2])
 
 
 def delta_value(
@@ -81,15 +87,18 @@ def delta_value(
         odd  i: (b'_{i-1} - 1)*(c'_{i+1} - 1) - p^i_{2,i} * (c'_2 - 1)
 
     for 1 <= i <= min(D - 1, D' - 1).  At i = 1 the scalar is informational
-    only (p^1_{2,1} = b_1 by definition); verdicts start at i = 2.
+    only (p^1_{2,1} = b_1 by definition); verdicts start at i = 2.  With
+    p^i_{2,i} = N_i/c_2 this is the one Fraction
+    (lead*c_2 - N_i*(c'_2 - 1))/c_2.
     """
     bound = min(side_arr.eccentricity - 1, other_arr.eccentricity - 1)
     if i < 1 or i > bound:
         raise IndexOutOfRangeError(f"i = {i} outside 1..{bound}")
-    p = Fraction(side_arr.b[1]) if i == 1 else p2ii_formula(side_arr, other_arr, i)
+    c2 = side_arr.c[2]
+    num = side_arr.b[1] * c2 if i == 1 else _p2ii_numerator(side_arr, other_arr, i)
     arr = side_arr if i % 2 == 0 else other_arr
     lead = (arr.b_at(i - 1) - 1) * (arr.c_at(i + 1) - 1)
-    return lead - p * (other_arr.c_at(2) - 1)
+    return Fraction(lead * c2 - num * (other_arr.c_at(2) - 1), c2)
 
 
 def delta_map(
@@ -203,7 +212,7 @@ class HomogeneityReport(NamedTuple):
 
 def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:
     brute = homogeneous_by_bruteforce(g, side)
-    cls = classify(g)
+    cls = graph.classify(g)
     side_arr = cls.array_for(side)
     other_arr = cls.array_for(SIDES[1 - SIDES.index(side)])
     p2: dict[int, Fraction] = {}
@@ -245,6 +254,13 @@ EQUALITY_LABELS = ("K3", "K4", "K30", "K40")
 TARGET_NEEDS = dict(zip(TARGETS, (("K3",), ("K3", "K4"), ("K30",), ("K30", "K40"))))
 
 
+def k3_terms(k: int, t: int, y: int) -> tuple[int, int]:
+    """(a, m) with K3 holding exactly when a*r == lambda1*m:
+    a = (y-1)(t-1) and m = (k-2)(t-y) + a."""
+    a = (y - 1) * (t - 1)
+    return a, (k - 2) * (t - y) + a
+
+
 def r_coefficients(label: str, k: int, lambda1: int, t: int, y: int) -> tuple[int, int]:
     """(a, c) such that the equality ``label``, K3 or K30, holds exactly
     when a*r == c; both are linear in r:
@@ -253,8 +269,8 @@ def r_coefficients(label: str, k: int, lambda1: int, t: int, y: int) -> tuple[in
         K30: lambda1*y*(t-y) * r = (k-y)(t*lambda1-y)(lambda1-1) + 2*lambda1*y*(t-y)
     """
     if label == "K3":
-        a = (y - 1) * (t - 1)
-        return a, lambda1 * ((k - 2) * (t - y) + a)
+        a, m = k3_terms(k, t, y)
+        return a, lambda1 * m
     if label == "K30":
         a = lambda1 * y * (t - y)
         return a, (k - y) * (t * lambda1 - y) * (lambda1 - 1) + 2 * a

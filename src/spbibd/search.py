@@ -8,10 +8,12 @@ A target needs the equalities that homogeneity.TARGET_NEEDS lists, the
 table parameter_homogeneity reads too.  The first is K3 (Delta_2 of the
 point class) or K30 (Delta_2 of the block class), both linear in r
 (homogeneity.r_coefficients), so the enumeration runs over (y, t) and,
-innermost, lambda1, and solves it for r instead of sweeping r.  The
-solved r grows strictly with lambda1, so each lambda1 sweep ends at the
-first solved r above max_r (the proof is in _candidates_for_k).  The old
-sweep over every r is kept only as the test oracle.
+innermost, lambda1, and solves it for r instead of sweeping r.  It tries
+only the lambda1 for which the solved r can be an integer: for K3 the
+multiples of one step up to the last r <= max_r, for K30 the divisors of
+y(k-y), each sweep ending at the first solved r above max_r (the proofs
+are in _k3_lambda1s, _k30_lambda1s and _candidates_for_k).  The old sweep
+over every r is kept only as the test oracle.
 
 Emitting a tuple never asserts that a design with these parameters
 exists; every row carries an explicit "unresolved" existence marker.
@@ -20,6 +22,7 @@ exists; every row carries an explicit "unresolved" existence marker.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .core import TARGETS, ConsistencyError, ToolkitError, scope_inequalities
@@ -28,6 +31,7 @@ from .homogeneity import (
     EQUALITY_LABELS,
     TARGET_NEEDS,
     delta_value,
+    k3_terms,
     r_coefficients,
     satisfied_equalities,
 )
@@ -95,19 +99,39 @@ def deltas_from_arrays(r: int, k: int, lambda1: int, t: int, y: int) -> dict[str
     }
 
 
+def _k3_lambda1s(k: int, t: int, y: int, max_r: int) -> range:
+    """The lambda1 whose K3 solution r = lambda1*m/a is an integer <= max_r,
+    for t > y > 1 (a, m = homogeneity.k3_terms, so 0 < a < m): a divides
+    lambda1*m exactly when a/gcd(a, m) divides lambda1, and r <= max_r
+    exactly when lambda1 <= max_r*a/m, which is below max_r."""
+    a, m = k3_terms(k, t, y)
+    step = a // gcd(a, m)
+    return range(step, max_r * a // m + 1, step)
+
+
+def _k30_lambda1s(k: int, y: int, max_r: int) -> list[int]:
+    """The lambda1 < max_r that divide y(k-y), ascending: for y > 1 the only
+    ones whose K30 solution can be integral.  a = lambda1*y*(t-y), so a
+    divides c only if lambda1 divides c - 2a = (k-y)(t*lambda1-y)(lambda1-1),
+    which is y(k-y) modulo lambda1."""
+    n = y * (k - y)
+    return [d for d in range(1, min(max_r, n + 1)) if n % d == 0]
+
+
 def _candidates_for_k(
     k: int, max_r: int, target: str, force_y: int | None
 ) -> list[CandidateTuple]:
     """The target's admissible tuples at block size k, r <= max_r.
 
     For each (y, t) the sweep over lambda1 solves a*r = c
-    (homogeneity.r_coefficients) for r and ends at the first lambda1 with
+    (homogeneity.r_coefficients) for r, only for the lambda1 that can give
+    an integral r (_k3_lambda1s, _k30_lambda1s).  The K3 range ends at the
+    last r <= max_r.  A K30 sweep ends at the first lambda1 with
     c/a > max_r, because c/a grows strictly with lambda1 whenever a > 0:
 
-        K3:  c/a = lambda1*(1 + (k-2)(t-y)/((y-1)(t-1)))
-        K30: c/a = 2 + (k-y)(t*lambda1 - y)(lambda1 - 1)/(lambda1*y*(t-y)),
-             whose step from lambda1 to lambda1 + 1 is
-             (k-y)/(y(t-y)) * (t - y/(lambda1(lambda1 + 1))) > 0 for t > y.
+        c/a = 2 + (k-y)(t*lambda1 - y)(lambda1 - 1)/(lambda1*y*(t-y)),
+        whose step from lambda1 to lambda1 + 1 is
+        (k-y)/(y(t-y)) * (t - y/(lambda1(lambda1 + 1))) > 0 for t > y.
 
     a = 0 only happens for y = 1 (K3) or t = y = 1 (K30); then every r
     fits or none does.  y = 1 admits only lambda1 = 1
@@ -118,8 +142,15 @@ def _candidates_for_k(
     out = []
     y_range = range(2, k - 1) if force_y is None else (force_y,)
     for y in y_range:
+        divisors = _k30_lambda1s(k, y, max_r) if solved_from == "K30" else ()
         for t in range(y + 1 if y > 1 else y, min(k, max_r)):
-            for lambda1 in range(1, max_r if y > 1 else 2):
+            if y == 1:
+                lambda1s = (1,)
+            elif solved_from == "K3":
+                lambda1s = _k3_lambda1s(k, t, y, max_r)
+            else:
+                lambda1s = divisors
+            for lambda1 in lambda1s:
                 r_min = max(4, lambda1 + 1, t + 1)
                 a, c = r_coefficients(solved_from, k, lambda1, t, y)
                 if a == 0:

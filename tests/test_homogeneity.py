@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spbibd import core
-from spbibd.core import IntersectionArray, SpbibdParams, build_bipartite
+from spbibd.core import IntersectionArray, SpbibdParams, ToolkitError, build_bipartite
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
 from spbibd.design import NotInScopeError, dual, spbibd_type
 from spbibd.generators import (
@@ -38,6 +38,7 @@ from spbibd.homogeneity import (
 from util import (
     bruteforce_oracle,
     constant_at,
+    delta_oracle,
     hypercube_design,
     hypercube_graph,
     p2ii_direct_counts,
@@ -129,6 +130,61 @@ def test_delta_level_one_is_zero_on_regularized_graphs():
         cls = classify(g)
         assert delta_value(cls.array_y, cls.array_yprime, 1) == 0
         assert delta_value(cls.array_yprime, cls.array_y, 1) == 0
+
+
+def _check_one_fraction_per_scalar(side_arr, other_arr):
+    # the same value and the same str: each Fraction is in lowest terms
+    bound = min(side_arr.eccentricity, other_arr.eccentricity) - 1
+    for i in range(1, side_arr.eccentricity):
+        p, delta = delta_oracle(side_arr, other_arr, i)
+        if i >= 2:
+            value = p2ii_formula(side_arr, other_arr, i)
+            assert (value, str(value)) == (p, str(p)), (side_arr, other_arr, i)
+        if i <= bound:
+            value = delta_value(side_arr, other_arr, i)
+            assert (value, str(value)) == (delta, str(delta)), (side_arr, other_arr, i)
+
+
+def test_delta_and_p2ii_match_the_three_fraction_oracle_on_predicted_arrays():
+    # every array pair of a parameter tuple with r, k <= 20, lambda1 < r and
+    # 1 <= y <= t < k that expected_incidence_arrays accepts.  Read from the
+    # block side, (r, k, lambda1, t, y) is the point side of its dual
+    # (k, r, y, t*lambda1/y, lambda1), in the same range, so one side per
+    # tuple covers both.
+    pairs = 0
+    for r in range(2, 21):
+        for k in range(2, 21):
+            for lambda1 in range(1, r):
+                for t in range(1, k):
+                    for y in range(1, t + 1):
+                        try:
+                            point, block = expected_incidence_arrays(r, k, lambda1, t, y)
+                        except ToolkitError:
+                            continue
+                        _check_one_fraction_per_scalar(point, block)
+                        pairs += 1
+    assert pairs > 60_000
+
+
+def test_delta_and_p2ii_match_the_three_fraction_oracle_on_golden_graphs():
+    graphs = [
+        tutte_coxeter(),
+        even_cycle(12),
+        path_graph(8),
+        subdivision_complete_bipartite(4),
+        incidence_graph(symplectic_gq(3)),
+        incidence_graph(hypercube_design()),
+        incidence_graph(grid_design(5)),
+        build_bipartite(20, nx.desargues_graph().edges()),
+    ]
+    checked = 0
+    for g in graphs:
+        cls = classify(g)
+        if cls.array_y is not None and cls.array_yprime is not None:
+            _check_one_fraction_per_scalar(cls.array_y, cls.array_yprime)
+            _check_one_fraction_per_scalar(cls.array_yprime, cls.array_y)
+            checked += 1
+    assert checked == len(graphs) - 1  # all but the path
 
 
 def test_delta_map_covers_expected_levels():

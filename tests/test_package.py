@@ -22,13 +22,14 @@ print(' '.join(sorted(n for n, m in sys.modules.items() if type(m) is types.Modu
 """
 RUN_CLI = "import sys; from spbibd.cli import main; main(sys.argv[1:])"
 
-ALWAYS = {"spbibd", "spbibd.cli", "spbibd.core", "spbibd.graph"}
-# what a command loads beyond ALWAYS
+ALWAYS = {"spbibd", "spbibd.cli", "spbibd.core"}
+# what a command loads beyond ALWAYS: only the commands that classify a
+# graph load spbibd.graph
 LOADS = {
-    ("analyze-graph", "tc.json"): set(),
+    ("analyze-graph", "tc.json"): {"spbibd.graph"},
     ("to-graph", "gq22.json"): {"spbibd.correspondence"},
-    ("from-graph", "tc.json"): {"spbibd.correspondence"},
-    ("check-homogeneous", "tc.json"): {"spbibd.homogeneity", "fractions"},
+    ("from-graph", "tc.json"): {"spbibd.correspondence", "spbibd.graph"},
+    ("check-homogeneous", "tc.json"): {"spbibd.graph", "spbibd.homogeneity", "fractions"},
     ("analyze-design", "gq22.json"): {"spbibd.design", "spbibd.homogeneity", "fractions"},
     ("search", "--target", "full-b", "--max-r", "12", "--max-k", "12"): {
         "spbibd.correspondence",
@@ -76,7 +77,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
 def test_cli_import_loads_no_exact_arithmetic(bare):
     loaded = fresh_interpreter("import spbibd.cli" + PRINT_LOADED) - bare
     assert "spbibd.cli" in loaded
-    assert not {"fractions", "decimal"} & loaded
+    assert not {"fractions", "decimal", "spbibd.graph"} & loaded
     assert not NEVER & loaded
 
 

@@ -257,15 +257,18 @@ def test_lambda1_cut_off_equals_the_r_sweep_on_uneven_bounds(case):
 
 
 # (r_coefficients, admissibility_failures) calls of
-# enumerate_candidates(20, 20, target, force_y=force_y): each lambda1 sweep
-# ends at the first solved r above 20.  Without the cut-off every
-# (k, lambda1, y, t) of the grid is solved, 18,411 calls per target.  y = 1
-# admits only lambda1 = 1, so that is the only lambda1 tried there.
+# enumerate_candidates(20, 20, target, force_y=force_y).  K3 tries only the
+# multiples of a/gcd(a, m) up to the last r <= 20 (8,771 calls when every
+# lambda1 was tried up to the first r above 20), K30 only the divisors of
+# y(k-y), each sweep ending at the first r above 20 (6,167 calls before).
+# Without any cut-off every (k, lambda1, y, t) of the grid is solved,
+# 18,411 calls per target.  y = 1 admits only lambda1 = 1, so that is the
+# only lambda1 tried there.
 SOLVES_20 = {
-    (None, "almost-p"): (8771, 562),
-    (None, "full-p"): (8771, 562),
-    (None, "almost-b"): (6167, 218),
-    (None, "full-b"): (6167, 218),
+    (None, "almost-p"): (961, 562),
+    (None, "full-p"): (961, 562),
+    (None, "almost-b"): (4070, 218),
+    (None, "full-b"): (4070, 218),
     (1, "almost-p"): (187, 289),
     (1, "full-p"): (187, 289),
     (1, "almost-b"): (187, 289),
@@ -308,6 +311,27 @@ def test_linear_form_tracks_the_equalities():
     assert {("K3", True, True), ("K3", True, False), ("K30", True, True), ("K30", True, False)} <= branches
     with pytest.raises(ValueError):
         r_coefficients("K4", 4, 1, 2, 1)
+
+
+def test_pruned_lambda1_keep_every_integral_solution():
+    # the divisibility lemmas of _candidates_for_k against the unpruned
+    # lambda1 loop: every lambda1 < 60 with a | c is tried, the K3 range at
+    # the smallest max_r that admits its r; and every lambda1 the K3 range
+    # tries gives an integral r, so its step is exact
+    for k in range(4, 31):
+        for y in range(2, k - 1):
+            k30 = search._k30_lambda1s(k, y, 60)
+            for t in range(y + 1, k):
+                for lambda1 in range(1, 60):
+                    a, c = r_coefficients("K3", k, lambda1, t, y)
+                    if c % a == 0:
+                        assert lambda1 in search._k3_lambda1s(k, t, y, c // a), (k, lambda1, t, y)
+                    a, c = r_coefficients("K30", k, lambda1, t, y)
+                    if c % a == 0:
+                        assert lambda1 in k30, (k, lambda1, t, y)
+                for lambda1 in search._k3_lambda1s(k, t, y, 60):
+                    a, c = r_coefficients("K3", k, lambda1, t, y)
+                    assert c % a == 0 and c <= 60 * a, (k, lambda1, t, y)
 
 
 def _shift_solved_r(monkeypatch):

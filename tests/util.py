@@ -383,6 +383,22 @@ def bruteforce_oracle(g: BipartiteGraph, side: str) -> tuple[dict[int, tuple[int
     return counts, verdict
 
 
+def delta_oracle(
+    side_arr: IntersectionArray, other_arr: IntersectionArray, i: int
+) -> tuple[Fraction, Fraction]:
+    """(p^i_{2,i}, Delta_i) as homogeneity built them before Delta_i became
+    one Fraction per scalar: p^i_{2,i} as its own Fraction (b_1 at i = 1),
+    then Delta_i = lead - p^i_{2,i}*(c'_2 - 1), three Fractions in all."""
+    arr = side_arr if i % 2 == 0 else other_arr
+    if i == 1:
+        p = Fraction(side_arr.b[1])
+    else:
+        num = arr.b_at(i) * (arr.c_at(i + 1) - 1) + arr.c_at(i) * (arr.b_at(i - 1) - 1)
+        p = Fraction(num, side_arr.c[2])
+    lead = (arr.b_at(i - 1) - 1) * (arr.c_at(i + 1) - 1)
+    return p, lead - p * (other_arr.c_at(2) - 1)
+
+
 def product_form_equalities(r: int, k: int, lambda1: int, t: int, y: int) -> frozenset[str]:
     """K3, K4, K30 and K40 as products, each side factored the way the
     Delta_2 and Delta_3 scalars clear their denominators; the oracle for
