@@ -41,6 +41,7 @@ _PUBLIC = {
         "replication_and_block_size",
         "spbibd_type",
     ),
+    "equalities": ("parameter_homogeneity",),
     "graph": ("ClassificationResult", "bfs_distances", "classify", "local_intersection_numbers"),
     "homogeneity": (
         "HomogeneityReport",
@@ -49,7 +50,6 @@ _PUBLIC = {
         "homogeneous_by_bruteforce",
         "homogeneous_by_formula",
         "p2ii_formula",
-        "parameter_homogeneity",
     ),
     "search": ("CandidateTuple", "enumerate_candidates"),
 }
@@ -68,6 +68,7 @@ def _register_lazily(module: str):
 
 correspondence = _register_lazily("correspondence")
 design = _register_lazily("design")
+equalities = _register_lazily("equalities")
 generators = _register_lazily("generators")
 graph = _register_lazily("graph")
 homogeneity = _register_lazily("homogeneity")

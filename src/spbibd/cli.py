@@ -16,7 +16,7 @@ import sys
 from types import SimpleNamespace
 from typing import Any
 
-from . import correspondence, design, generators, graph, homogeneity, search
+from . import correspondence, design, equalities, generators, graph, homogeneity, search
 from .core import (
     BipartiteGraph,
     ConsistencyError,
@@ -174,7 +174,7 @@ def analyze_design_report(d: IncidenceStructure) -> dict:
     except NotInScopeError as exc:
         report["constraints"] = {"not_in_scope": str(exc)}
     try:
-        props = homogeneity.parameter_homogeneity(params)
+        props = equalities.parameter_homogeneity(params)
         report["parameter_homogeneity"] = _plain(props)
     except NotInScopeError as exc:
         report["parameter_homogeneity"] = {"not_in_scope": str(exc)}

@@ -415,11 +415,11 @@ class IntersectionArray(_ArrayFields):
 
     def b_at(self, i: int) -> int:
         """b_i, with b_i = 0 outside 0..D."""
-        return self.b[i] if 0 <= i <= self.eccentricity else 0
+        return self.b[i] if 0 <= i < len(self.b) else 0
 
     def c_at(self, i: int) -> int:
         """c_i, with c_i = 0 outside 0..D."""
-        return self.c[i] if 0 <= i <= self.eccentricity else 0
+        return self.c[i] if 0 <= i < len(self.c) else 0
 
 
 class SpbibdParams(NamedTuple):

@@ -4,10 +4,10 @@
 admissible when it passes core.SCOPE_INEQUALITIES, the rows that the
 analyze-design checklist renders, and gives integral v and b.
 
-A target needs the equalities that homogeneity.TARGET_NEEDS lists, the
+A target needs the equalities that equalities.TARGET_NEEDS lists, the
 table parameter_homogeneity reads too.  The first is K3 (Delta_2 of the
 point class) or K30 (Delta_2 of the block class), both linear in r
-(homogeneity.r_coefficients), so the enumeration runs over (y, t) and,
+(equalities.r_coefficients), so the enumeration runs over (y, t) and,
 innermost, lambda1, and solves it for r instead of sweeping r.  It tries
 only the lambda1 for which the solved r can be an integer: for K3 the
 multiples of one step up to the last r <= max_r, for K30 the divisors of
@@ -21,16 +21,15 @@ exists; every row carries an explicit "unresolved" existence marker.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 from .core import TARGETS, ConsistencyError, ToolkitError, scope_inequalities
 from .correspondence import derived_sizes, expected_incidence_arrays
-from .homogeneity import (
+from .equalities import (
     EQUALITY_LABELS,
     TARGET_NEEDS,
-    delta_value,
+    delta_numerator,
     k3_terms,
     r_coefficients,
     satisfied_equalities,
@@ -87,21 +86,23 @@ def admissibility_failures(r: int, k: int, lambda1: int, t: int, y: int) -> list
     return reasons
 
 
-def deltas_from_arrays(r: int, k: int, lambda1: int, t: int, y: int) -> dict[str, Fraction]:
+def deltas_from_arrays(r: int, k: int, lambda1: int, t: int, y: int) -> dict[str, int]:
     """Independent evaluation of the same four scalars through the
-    predicted intersection arrays and the Delta definition."""
+    predicted intersection arrays and the Delta definition: each is
+    Delta_i times the side c_2 > 0 (equalities.delta_numerator), so it is
+    zero exactly when Delta_i is."""
     point, block = expected_incidence_arrays(r, k, lambda1, t, y)
     return {
-        "K3": delta_value(point, block, 2),
-        "K4": delta_value(point, block, 3),
-        "K30": delta_value(block, point, 2),
-        "K40": delta_value(block, point, 3),
+        "K3": delta_numerator(point, block, 2),
+        "K4": delta_numerator(point, block, 3),
+        "K30": delta_numerator(block, point, 2),
+        "K40": delta_numerator(block, point, 3),
     }
 
 
 def _k3_lambda1s(k: int, t: int, y: int, max_r: int) -> range:
     """The lambda1 whose K3 solution r = lambda1*m/a is an integer <= max_r,
-    for t > y > 1 (a, m = homogeneity.k3_terms, so 0 < a < m): a divides
+    for t > y > 1 (a, m = equalities.k3_terms, so 0 < a < m): a divides
     lambda1*m exactly when a/gcd(a, m) divides lambda1, and r <= max_r
     exactly when lambda1 <= max_r*a/m, which is below max_r."""
     a, m = k3_terms(k, t, y)
@@ -124,7 +125,7 @@ def _candidates_for_k(
     """The target's admissible tuples at block size k, r <= max_r.
 
     For each (y, t) the sweep over lambda1 solves a*r = c
-    (homogeneity.r_coefficients) for r, only for the lambda1 that can give
+    (equalities.r_coefficients) for r, only for the lambda1 that can give
     an integral r (_k3_lambda1s, _k30_lambda1s).  The K3 range ends at the
     last r <= max_r.  A K30 sweep ends at the first lambda1 with
     c/a > max_r, because c/a grows strictly with lambda1 whenever a > 0:

@@ -247,6 +247,18 @@ def test_intersection_array_invariants():
         IntersectionArray(b=(2, 1), c=(0, 1))  # b_D != 0
 
 
+@pytest.mark.parametrize("b, c", [((3, 0), (0, 1)), ((3, 2, 2, 2, 0), (0, 1, 1, 1, 3))])
+def test_array_entries_are_zero_outside_0_to_d(b, c):
+    arr = IntersectionArray(b=b, c=c)
+    d = arr.eccentricity
+    assert (arr.b_at(-1), arr.c_at(-1)) == (0, 0)
+    assert (arr.b_at(0), arr.c_at(0)) == (b[0], 0)
+    assert (arr.b_at(d), arr.c_at(d)) == (0, c[d])
+    assert (arr.b_at(d + 1), arr.c_at(d + 1)) == (0, 0)
+    assert [arr.b_at(i) for i in range(d + 1)] == list(b)
+    assert [arr.c_at(i) for i in range(d + 1)] == list(c)
+
+
 def test_spbibd_params_flags():
     gq = SpbibdParams(v=15, b=15, r=3, k=3, lambda1=1, lambda2=0, s=2, t=1, x=0, y=1)
     # quasi-symmetric: both block intersection sizes are realized

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -455,6 +456,30 @@ CHECKLISTS = {
         ("k >= 4", True, "k = 5"),
         ("r >= 4", True, "r = 4"),
     ),
+    # in scope with t*lambda1/y = 3/2: only integrality fails
+    (5, 4, 1, 3, 2): (
+        ("y <= t", True, "2 <= 3"),
+        ("t < k", True, "3 < 4"),
+        ("t < r", True, "3 < 5"),
+        ("t*lambda1/y integral", False, "t*lambda1/y = 3/2"),
+        ("t > y", True, "3 > 2"),
+        ("lambda1 < t*lambda1/y", True, "1 < 3/2"),
+        ("t*lambda1/y < r", True, "3/2 < 5"),
+        ("k >= 4", True, "k = 4"),
+        ("r >= 4", True, "r = 5"),
+    ),
+    # in scope with t*lambda1/y = 10/4, rendered in lowest terms
+    (7, 6, 2, 5, 4): (
+        ("y <= t", True, "4 <= 5"),
+        ("t < k", True, "5 < 6"),
+        ("t < r", True, "5 < 7"),
+        ("t*lambda1/y integral", False, "t*lambda1/y = 5/2"),
+        ("t > y", True, "5 > 4"),
+        ("lambda1 < t*lambda1/y", True, "2 < 5/2"),
+        ("t*lambda1/y < r", True, "5/2 < 7"),
+        ("k >= 4", True, "k = 6"),
+        ("r >= 4", True, "r = 7"),
+    ),
     (4, 4, 2, 2, 2): (
         ("y <= t", True, "2 <= 2"),
         ("t < k", True, "2 < 4"),
@@ -473,6 +498,16 @@ CHECKLISTS = {
 def test_constraint_report_literal_oracle(rklty):
     expected = ConstraintReport(tuple(ConstraintCheck(*check) for check in CHECKLISTS[rklty]))
     assert check_parameter_constraints(_params(*rklty)) == expected
+
+
+def test_constraint_details_render_t_lambda1_over_y_as_its_fraction():
+    # the detail of the integrality row, which every y >= 1 checks, is
+    # str(Fraction(t*lambda1, y)) in lowest terms
+    for t in range(1, 31):
+        for lambda1 in range(1, 31):
+            for y in range(1, 31):
+                name, _, detail = check_parameter_constraints(_params(40, 31, lambda1, t, y)).checks[3]
+                assert (name, detail) == ("t*lambda1/y integral", f"t*lambda1/y = {Fraction(t * lambda1, y)}")
 
 
 def test_constraints_not_in_scope():

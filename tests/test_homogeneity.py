@@ -9,6 +9,7 @@ from spbibd import core
 from spbibd.core import IntersectionArray, SpbibdParams, ToolkitError, build_bipartite
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
 from spbibd.design import NotInScopeError, dual, spbibd_type
+from spbibd.equalities import delta_numerator, p2ii_numerator
 from spbibd.generators import (
     even_cycle,
     fano,
@@ -133,16 +134,20 @@ def test_delta_level_one_is_zero_on_regularized_graphs():
 
 
 def _check_one_fraction_per_scalar(side_arr, other_arr):
-    # the same value and the same str: each Fraction is in lowest terms
+    # the same value and the same str: each Fraction is in lowest terms;
+    # the integer numerators are the same scalars times the side c_2
     bound = min(side_arr.eccentricity, other_arr.eccentricity) - 1
+    c2 = side_arr.c[2]
     for i in range(1, side_arr.eccentricity):
         p, delta = delta_oracle(side_arr, other_arr, i)
         if i >= 2:
             value = p2ii_formula(side_arr, other_arr, i)
             assert (value, str(value)) == (p, str(p)), (side_arr, other_arr, i)
+            assert p2ii_numerator(side_arr, other_arr, i) == value * c2, (side_arr, other_arr, i)
         if i <= bound:
             value = delta_value(side_arr, other_arr, i)
             assert (value, str(value)) == (delta, str(delta)), (side_arr, other_arr, i)
+            assert delta_numerator(side_arr, other_arr, i) == value * c2, (side_arr, other_arr, i)
 
 
 def test_delta_and_p2ii_match_the_three_fraction_oracle_on_predicted_arrays():

@@ -24,23 +24,31 @@ RUN_CLI = "import sys; from spbibd.cli import main; main(sys.argv[1:])"
 
 ALWAYS = {"spbibd", "spbibd.cli", "spbibd.core"}
 # what a command loads beyond ALWAYS: only the commands that classify a
-# graph load spbibd.graph
+# graph load spbibd.graph, and only the one that reports Delta as a
+# rational loads spbibd.homogeneity and fractions
 LOADS = {
     ("analyze-graph", "tc.json"): {"spbibd.graph"},
     ("to-graph", "gq22.json"): {"spbibd.correspondence"},
     ("from-graph", "tc.json"): {"spbibd.correspondence", "spbibd.graph"},
-    ("check-homogeneous", "tc.json"): {"spbibd.graph", "spbibd.homogeneity", "fractions"},
-    ("analyze-design", "gq22.json"): {"spbibd.design", "spbibd.homogeneity", "fractions"},
+    ("check-homogeneous", "tc.json"): {
+        "spbibd.graph",
+        "spbibd.homogeneity",
+        "spbibd.equalities",
+        "fractions",
+    },
+    ("analyze-design", "gq22.json"): {"spbibd.design", "spbibd.equalities"},
     ("search", "--target", "full-b", "--max-r", "12", "--max-k", "12"): {
         "spbibd.correspondence",
-        "spbibd.homogeneity",
+        "spbibd.equalities",
         "spbibd.search",
-        "fractions",
     },
     ("generate", "fano"): {"spbibd.correspondence", "spbibd.generators"},
 }
 # what no command loads: the command line is parsed from the table in cli
 NEVER = {"argparse", "gettext", "locale"}
+# what the commands that only decide integer equalities never load
+INTEGER_ONLY = {"analyze-design", "search"}
+NO_RATIONALS = {"fractions", "decimal", "spbibd.homogeneity", "spbibd.graph"}
 
 
 def fresh_interpreter(script: str, *args: str, cwd=None) -> set[str]:
@@ -72,6 +80,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
     ours = {m for m in loaded if m.partition(".")[0] in ("spbibd", "fractions")}
     assert ours == (ALWAYS | LOADS[argv]) - bare
     assert not NEVER & loaded
+    if argv[0] in INTEGER_ONLY:
+        assert not NO_RATIONALS & loaded
 
 
 def test_cli_import_loads_no_exact_arithmetic(bare):
@@ -85,7 +95,7 @@ def test_cli_import_registers_every_traced_module():
     # a tracer that wraps package functions from outside looks the
     # submodules up in sys.modules right after this import
     registered = fresh_interpreter("import sys, spbibd.cli; print(' '.join(sys.modules))")
-    names = {"cli", "core", "graph", "design", "correspondence", "homogeneity", "search"}
+    names = {"cli", "core", "graph", "design", "correspondence", "equalities", "homogeneity", "search"}
     assert {f"spbibd.{n}" for n in names} <= registered
 
 
@@ -98,7 +108,12 @@ def test_public_names_are_their_defining_modules_objects():
 
 
 def test_readme_imports_and_unknown_names():
+    from spbibd import delta_value, parameter_homogeneity
     from spbibd import design_from_graph, generators, homogeneity_report, incidence_graph
+    from spbibd.equalities import parameter_homogeneity as home
+    from spbibd.homogeneity import delta_value as delta_home
+
+    assert (parameter_homogeneity, delta_value) == (home, delta_home)
 
     d = generators.gq22()
     ext = design_from_graph(incidence_graph(d), "Y")

@@ -15,7 +15,7 @@ from spbibd.cli import main as cli_main
 from spbibd.core import ConsistencyError, SpbibdParams
 from spbibd.correspondence import derived_sizes, expected_incidence_arrays
 from spbibd.design import check_parameter_constraints
-from spbibd.homogeneity import parameter_homogeneity, r_coefficients
+from spbibd.equalities import parameter_homogeneity, r_coefficients
 from spbibd.search import (
     CSV_HEADER,
     TARGETS,
