@@ -7,11 +7,13 @@ pipelines can diff them; verdict outcomes never set a nonzero exit code.
 Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
 2 a bad command line, 3 an internal cross-check disagreed
 (ConsistencyError, a defect here).
+
+``json`` is imported where a file is read or a report is written, not at
+import: ``search`` writes CSV and reads no file, so it never loads it.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 from typing import Any
@@ -35,6 +37,8 @@ class ParseError(ToolkitError):
 
 
 def _read_json(path: str) -> Any:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -116,7 +120,12 @@ def graph_file_doc(g: BipartiteGraph) -> dict:
 def _emit(doc: Any, out: str | None, human: bool = False) -> None:
     """Writes text as it is, a document as sorted-key JSON or indented text."""
     if not isinstance(doc, str):
-        doc = (_render_human(doc) if human else json.dumps(doc, indent=2, sort_keys=True)) + "\n"
+        if human:
+            doc = _render_human(doc) + "\n"
+        else:
+            import json
+
+            doc = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(doc)
     else:

@@ -13,15 +13,16 @@ them in ``__init__`` (``_make`` and ``_replace`` skip the check), and the
 constructor functions (``validate_structure``, ``build_bipartite``)
 canonicalize raw input first; nothing is validated lazily.  The
 subclasses keep an instance ``__dict__``, so their derived views (block
-sets, the blocks through each point, the graph's adjacency bitsets, its
-distance layers and its distances mod 4) are cached properties, computed
-at most once per object; every scan reads them and builds no copy of its
-own.
+sets, the blocks through each point, the meets of the blocks, the graph's
+adjacency bitsets, its distance layers and its distances mod 4) are
+cached properties, computed at most once per object; every scan reads
+them and builds no copy of its own.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -116,6 +117,23 @@ class IncidenceStructure(_IncidenceFields):
             for p in blk:
                 through.setdefault(p, []).append(j)
         return MappingProxyType({p: tuple(js) for p, js in through.items()})
+
+    @cached_property
+    def block_meets(self) -> Mapping[tuple[int, int], int]:
+        """|B_i n B_j| for each pair i < j of blocks through a common point,
+        counted through the points (O(sum of r^2)); a pair with no entry
+        meets in 0."""
+        return MappingProxyType(covered_pairs(self.point_blocks.values()))
+
+
+def covered_pairs(sets: Iterable[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """How many of ``sets`` (each strictly increasing) contain each pair
+    that at least one of them contains."""
+    counts: dict[tuple[int, int], int] = {}
+    for members in sets:
+        for pair in combinations(members, 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
 
 
 def validate_structure(

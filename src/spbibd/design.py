@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, combinations
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     ConsistencyError,
@@ -18,6 +18,7 @@ from .core import (
     NotInScopeError,
     SpbibdParams,
     ToolkitError,
+    covered_pairs,
     scope_inequalities,
     validate_structure,
 )
@@ -70,12 +71,12 @@ class QuasiSymmetryInfo(NamedTuple):
 
 
 def block_intersections(d: IncidenceStructure) -> QuasiSymmetryInfo:
-    """Exact set of |B n B'| over distinct block pairs, counted through the
-    points (O(sum of r^2)): a pair of blocks through no common point meets
-    in 0."""
+    """Exact set of |B n B'| over distinct block pairs, read from the
+    cached IncidenceStructure.block_meets: a pair of blocks through no
+    common point meets in 0."""
     if d.num_blocks < 2:
         raise FewerThanTwoBlocksError("need at least two blocks")
-    meets = _covered_pairs(d.point_blocks.values())
+    meets = d.block_meets
     sizes = set(meets.values())
     if len(meets) < d.num_blocks * (d.num_blocks - 1) // 2:
         sizes.add(0)
@@ -94,21 +95,11 @@ class NotSpbibd(NamedTuple):
     detail: str
 
 
-def _covered_pairs(sets: Iterable[Sequence[int]]) -> dict[tuple[int, int], int]:
-    """How many of ``sets`` (each strictly increasing) contain each pair
-    that at least one of them contains."""
-    counts: dict[tuple[int, int], int] = {}
-    for members in sets:
-        for pair in combinations(members, 2):
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
 def pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
     """Number of blocks containing each pair of distinct points that some
     block covers; an absent pair is in no block.  O(sum of k^2), not
     O(v^2)."""
-    return _covered_pairs(d.blocks)
+    return covered_pairs(d.blocks)
 
 
 def spbibd_type(d: IncidenceStructure) -> SpbibdParams | NotSpbibd:

@@ -9,11 +9,13 @@ table parameter_homogeneity reads too.  The first is K3 (Delta_2 of the
 point class) or K30 (Delta_2 of the block class), both linear in r
 (equalities.r_coefficients), so the enumeration runs over (y, t) and,
 innermost, lambda1, and solves it for r instead of sweeping r.  It tries
-only the lambda1 for which the solved r can be an integer: for K3 the
-multiples of one step up to the last r <= max_r, for K30 the divisors of
-y(k-y), each sweep ending at the first solved r above max_r (the proofs
-are in _k3_lambda1s, _k30_lambda1s and _candidates_for_k).  The old sweep
-over every r is kept only as the test oracle.
+only the lambda1 for which the solved r can be an integer and the scope
+row "t*lambda1/y integral" can hold: for K3 the multiples of one step up
+to the last r <= max_r, for K30 the divisors of y(k-y) that are
+multiples of q = y/gcd(y, t), each sweep ending at the first solved r
+above max_r (the proofs are in _integral_c3_step, _k3_lambda1s,
+_k30_lambda1s and _candidates_for_k).  The old sweep over every r is kept
+only as the test oracle.
 
 Emitting a tuple never asserts that a design with these parameters
 exists; every row carries an explicit "unresolved" existence marker.
@@ -21,7 +23,7 @@ exists; every row carries an explicit "unresolved" existence marker.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .core import TARGETS, ConsistencyError, ToolkitError, scope_inequalities
@@ -100,13 +102,25 @@ def deltas_from_arrays(r: int, k: int, lambda1: int, t: int, y: int) -> dict[str
     }
 
 
+def _integral_c3_step(t: int, y: int) -> int:
+    """q = y/gcd(y, t), whose multiples are exactly the lambda1 that pass
+    the scope row "t*lambda1/y integral" (t*lambda1/y is c3 of the block
+    class): with g = gcd(y, t), y divides t*lambda1 iff q divides
+    (t/g)*lambda1, which, q being coprime to t/g, holds iff q divides
+    lambda1."""
+    return y // gcd(y, t)
+
+
 def _k3_lambda1s(k: int, t: int, y: int, max_r: int) -> range:
-    """The lambda1 whose K3 solution r = lambda1*m/a is an integer <= max_r,
-    for t > y > 1 (a, m = equalities.k3_terms, so 0 < a < m): a divides
-    lambda1*m exactly when a/gcd(a, m) divides lambda1, and r <= max_r
-    exactly when lambda1 <= max_r*a/m, which is below max_r."""
+    """The lambda1 whose K3 solution r = lambda1*m/a is an integer <= max_r
+    and whose t*lambda1/y is an integer, for t > y > 1 (a, m =
+    equalities.k3_terms, so 0 < a < m): a divides lambda1*m exactly when
+    a/gcd(a, m) divides lambda1, y divides t*lambda1 exactly when q =
+    _integral_c3_step(t, y) does, so both hold exactly when their lcm
+    divides lambda1; and r <= max_r exactly when lambda1 <= max_r*a/m,
+    which is below max_r."""
     a, m = k3_terms(k, t, y)
-    step = a // gcd(a, m)
+    step = lcm(a // gcd(a, m), _integral_c3_step(t, y))
     return range(step, max_r * a // m + 1, step)
 
 
@@ -126,9 +140,10 @@ def _candidates_for_k(
 
     For each (y, t) the sweep over lambda1 solves a*r = c
     (equalities.r_coefficients) for r, only for the lambda1 that can give
-    an integral r (_k3_lambda1s, _k30_lambda1s).  The K3 range ends at the
-    last r <= max_r.  A K30 sweep ends at the first lambda1 with
-    c/a > max_r, because c/a grows strictly with lambda1 whenever a > 0:
+    an integral r and t*lambda1/y (_k3_lambda1s, and the multiples of
+    _integral_c3_step among _k30_lambda1s).  The K3 range ends at the last
+    r <= max_r.  A K30 sweep, still ascending, ends at the first lambda1
+    with c/a > max_r, because c/a grows strictly with lambda1 when a > 0:
 
         c/a = 2 + (k-y)(t*lambda1 - y)(lambda1 - 1)/(lambda1*y*(t-y)),
         whose step from lambda1 to lambda1 + 1 is
@@ -150,7 +165,8 @@ def _candidates_for_k(
             elif solved_from == "K3":
                 lambda1s = _k3_lambda1s(k, t, y, max_r)
             else:
-                lambda1s = divisors
+                q = _integral_c3_step(t, y)
+                lambda1s = [d for d in divisors if d % q == 0]
             for lambda1 in lambda1s:
                 r_min = max(4, lambda1 + 1, t + 1)
                 a, c = r_coefficients(solved_from, k, lambda1, t, y)

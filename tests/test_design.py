@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbibd import design
+from spbibd import core, design
+from spbibd.cli import analyze_design_report
 from spbibd.core import DuplicateBlockError, SpbibdParams, validate_structure
 from spbibd.design import (
     ConstraintCheck,
@@ -304,6 +305,28 @@ def test_block_intersections_match_every_block_pair():
         blocks = [rng.sample(range(v), rng.randint(1, v)) for _ in range(rng.randint(2, 7))]
         d = validate_structure(v, blocks, allow_repeated=True)
         assert block_intersections(d).sizes == block_intersection_sizes_oracle(d)
+
+
+def test_analyze_design_counts_pairs_in_two_passes(monkeypatch):
+    # one pass over the blocks for the pair concurrences and one over
+    # point_blocks for the block meets, which block_intersections and
+    # spbibd_type both read from the cached view (three passes before)
+    d = symplectic_gq(5)
+    passes = []
+    real = core.covered_pairs
+
+    def counting(sets):
+        passes.append(sets)
+        return real(sets)
+
+    monkeypatch.setattr(core, "covered_pairs", counting)
+    monkeypatch.setattr(design, "covered_pairs", counting)
+    report = analyze_design_report(d)
+    assert len(passes) == 2
+    assert report["quasi_symmetry"]["sizes"] == [0, 1] and report["spbibd"]["y"] == 1
+    sets = d.block_sets
+    meets = {(i, j): len(sets[i] & sets[j]) for i, j in combinations(range(d.num_blocks), 2)}
+    assert dict(d.block_meets) == {pair: n for pair, n in meets.items() if n}
 
 
 def test_block_intersections_needs_two_blocks():

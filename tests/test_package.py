@@ -46,9 +46,10 @@ LOADS = {
 }
 # what no command loads: the command line is parsed from the table in cli
 NEVER = {"argparse", "gettext", "locale"}
-# what the commands that only decide integer equalities never load
-INTEGER_ONLY = {"analyze-design", "search"}
+# what the commands that only decide integer equalities never load, and
+# search, which reads no file and writes CSV, loads no json either
 NO_RATIONALS = {"fractions", "decimal", "spbibd.homogeneity", "spbibd.graph"}
+NEVER_IN = {"analyze-design": NO_RATIONALS, "search": NO_RATIONALS | {"json"}}
 
 
 def fresh_interpreter(script: str, *args: str, cwd=None) -> set[str]:
@@ -79,16 +80,31 @@ def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
     assert (tmp_path / "report").stat().st_size > 0
     ours = {m for m in loaded if m.partition(".")[0] in ("spbibd", "fractions")}
     assert ours == (ALWAYS | LOADS[argv]) - bare
-    assert not NEVER & loaded
-    if argv[0] in INTEGER_ONLY:
-        assert not NO_RATIONALS & loaded
+    assert not (NEVER | NEVER_IN.get(argv[0], set())) & loaded
 
 
 def test_cli_import_loads_no_exact_arithmetic(bare):
     loaded = fresh_interpreter("import spbibd.cli" + PRINT_LOADED) - bare
     assert "spbibd.cli" in loaded
-    assert not {"fractions", "decimal", "spbibd.graph"} & loaded
+    assert not {"fractions", "decimal", "spbibd.graph", "json"} & loaded
     assert not NEVER & loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("--help",), 0), (("search", "--help"), 0), (("search", "--target", "nope"), 2)],
+    ids=["help", "search-help", "usage-error"],
+)
+def test_help_and_usage_errors_load_no_json(bare, argv, code):
+    # the command's output is swallowed, so only the exit code and the
+    # loaded modules are printed
+    quiet = (
+        "import io, sys; from spbibd.cli import main; sys.stdout = sys.stderr = io.StringIO(); "
+        "code = main(sys.argv[1:]); sys.stdout = sys.__stdout__; print('exit', code)"
+    )
+    loaded = fresh_interpreter(quiet + PRINT_LOADED, *argv) - bare
+    assert {"exit", str(code)} <= loaded
+    assert not ({"json"} | NEVER) & loaded
 
 
 def test_cli_import_registers_every_traced_module():

@@ -258,17 +258,19 @@ def test_lambda1_cut_off_equals_the_r_sweep_on_uneven_bounds(case):
 
 # (r_coefficients, admissibility_failures) calls of
 # enumerate_candidates(20, 20, target, force_y=force_y).  K3 tries only the
-# multiples of a/gcd(a, m) up to the last r <= 20 (8,771 calls when every
-# lambda1 was tried up to the first r above 20), K30 only the divisors of
-# y(k-y), each sweep ending at the first r above 20 (6,167 calls before).
-# Without any cut-off every (k, lambda1, y, t) of the grid is solved,
-# 18,411 calls per target.  y = 1 admits only lambda1 = 1, so that is the
-# only lambda1 tried there.
+# multiples of lcm(a/gcd(a, m), q) up to the last r <= 20, for q =
+# y/gcd(y, t) (961 and 562 calls with the step a/gcd(a, m) alone, 8,771
+# r_coefficients calls when every lambda1 was tried up to the first r
+# above 20); K30 only the multiples of q among the divisors of y(k-y),
+# each sweep ending at the first r above 20 (4,070 and 218 calls with
+# every divisor, 6,167 r_coefficients calls before).  Without any cut-off
+# every (k, lambda1, y, t) of the grid is solved, 18,411 calls per target.
+# y = 1 admits only lambda1 = 1, so that is the only lambda1 tried there.
 SOLVES_20 = {
-    (None, "almost-p"): (961, 562),
-    (None, "full-p"): (961, 562),
-    (None, "almost-b"): (4070, 218),
-    (None, "full-b"): (4070, 218),
+    (None, "almost-p"): (276, 237),
+    (None, "full-p"): (276, 237),
+    (None, "almost-b"): (1992, 184),
+    (None, "full-b"): (1992, 184),
     (1, "almost-p"): (187, 289),
     (1, "full-p"): (187, 289),
     (1, "almost-b"): (187, 289),
@@ -315,23 +317,37 @@ def test_linear_form_tracks_the_equalities():
 
 def test_pruned_lambda1_keep_every_integral_solution():
     # the divisibility lemmas of _candidates_for_k against the unpruned
-    # lambda1 loop: every lambda1 < 60 with a | c is tried, the K3 range at
-    # the smallest max_r that admits its r; and every lambda1 the K3 range
-    # tries gives an integral r, so its step is exact
+    # lambda1 loop: every lambda1 < 60 with a | c and y | t*lambda1 is
+    # tried, the K3 range at the smallest max_r that admits its r; every
+    # lambda1 the K3 range tries gives an integral r and t*lambda1/y, so its
+    # step is exact; and every lambda1 with a | c that the sweep skips is
+    # rejected by admissibility_failures for t*lambda1/y
+    skipped = {"K3": 0, "K30": 0}
     for k in range(4, 31):
         for y in range(2, k - 1):
-            k30 = search._k30_lambda1s(k, y, 60)
+            divisors = search._k30_lambda1s(k, y, 60)
             for t in range(y + 1, k):
+                q = search._integral_c3_step(t, y)
+                k30 = [d for d in divisors if d % q == 0]
                 for lambda1 in range(1, 60):
-                    a, c = r_coefficients("K3", k, lambda1, t, y)
-                    if c % a == 0:
-                        assert lambda1 in search._k3_lambda1s(k, t, y, c // a), (k, lambda1, t, y)
-                    a, c = r_coefficients("K30", k, lambda1, t, y)
-                    if c % a == 0:
-                        assert lambda1 in k30, (k, lambda1, t, y)
+                    for label in ("K3", "K30"):
+                        a, c = r_coefficients(label, k, lambda1, t, y)
+                        if c % a:
+                            continue
+                        if label == "K3":
+                            tried = lambda1 in search._k3_lambda1s(k, t, y, c // a)
+                        else:
+                            tried = lambda1 in k30
+                        if (t * lambda1) % y == 0:
+                            assert tried, (label, k, lambda1, t, y)
+                        elif not tried:
+                            skipped[label] += 1
+                            failures = admissibility_failures(c // a, k, lambda1, t, y)
+                            assert "t*lambda1/y integral" in failures, (label, k, lambda1, t, y)
                 for lambda1 in search._k3_lambda1s(k, t, y, 60):
                     a, c = r_coefficients("K3", k, lambda1, t, y)
-                    assert c % a == 0 and c <= 60 * a, (k, lambda1, t, y)
+                    assert c % a == 0 and c <= 60 * a and (t * lambda1) % y == 0, (k, lambda1, t, y)
+    assert min(skipped.values()) > 0
 
 
 def _shift_solved_r(monkeypatch):
