@@ -8,7 +8,10 @@ submodules, ``graph`` included (``search``, ``generate``, ``to-graph`` and
 and runs a module's code only at its first attribute access, so each
 command loads only what it runs.  Modules call ``graph.classify`` through
 the module, since binding the name at import would load it.  The public
-names below resolve on first use (PEP 562).
+names below resolve on first use (PEP 562).  ``LazyLoader`` is not
+thread-safe before Python 3.12; the package starts no threads, so a
+threaded caller should touch each lazily registered submodule from one
+thread first.
 """
 
 import sys

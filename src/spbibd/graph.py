@@ -18,7 +18,6 @@ from .core import (
     BipartiteGraph,
     ConsistencyError,
     IntersectionArray,
-    NoEdgesError,  # re-exported: classify raises it through class_vertices
     YPRIME_SIDE,
     Y_SIDE,
     distance_row,

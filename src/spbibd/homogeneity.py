@@ -21,18 +21,8 @@ from .core import (
     bits,
     nearer_counts,
 )
-# the parameter-level names are re-bound here, where they were first public
-from .equalities import (
-    EQUALITY_LABELS,
-    TARGET_NEEDS,
-    ParameterHomogeneity,
-    delta_numerator,
-    k3_terms,
-    p2ii_numerator,
-    parameter_homogeneity,
-    r_coefficients,
-    satisfied_equalities,
-)
+# parameter_homogeneity is unused here: perfbench/spans.TRACED patches it in this module
+from .equalities import delta_numerator, p2ii_numerator, parameter_homogeneity
 
 VERDICT_TWO_HOMOGENEOUS = "2-homogeneous"
 VERDICT_ALMOST_ONLY = "almost-only"
@@ -90,35 +80,36 @@ def delta_value(
     return Fraction(delta_numerator(side_arr, other_arr, i), side_arr.c[2])
 
 
-def delta_map(
-    side_arr: IntersectionArray, other_arr: IntersectionArray
-) -> dict[int, Fraction]:
-    bound = min(side_arr.eccentricity - 1, other_arr.eccentricity - 1)
-    return {i: delta_value(side_arr, other_arr, i) for i in range(1, bound + 1)}
+class FormulaResult(NamedTuple):
+    """The closed-formula view of one class: p^i_{2,i} for levels 2..D-1,
+    Delta_i for levels 1..min(D-1, D'-1) and the verdict from the Delta_i."""
+
+    p2ii: dict[int, Fraction]
+    delta: dict[int, Fraction]
+    verdict: str
 
 
 def homogeneous_by_formula(
     side_arr: IntersectionArray, other_arr: IntersectionArray
-) -> str:
-    """Verdict from the Delta scalars alone: 2-homogeneous iff Delta_i = 0
-    for 2 <= i <= min(D-1, D'-1), almost iff Delta_i = 0 for 2 <= i <= D-2.
+) -> FormulaResult:
+    """The formula route: p^i_{2,i}, Delta_i and the verdict from the Delta
+    scalars alone, 2-homogeneous iff Delta_i = 0 for 2 <= i <= min(D-1,
+    D'-1), almost iff Delta_i = 0 for 2 <= i <= D-2.
 
     Only valid for k' >= 3 and D >= 3; graphs with k' = 2 must use the
     brute-force path.
     """
-    return _formula_route(side_arr, other_arr)[1]
-
-
-def _formula_route(
-    side_arr: IntersectionArray, other_arr: IntersectionArray
-) -> tuple[dict[int, Fraction], str]:
-    """The Delta scalars of levels 1..min(D-1, D'-1) and the verdict from them."""
     d = side_arr.eccentricity
     k_prime = other_arr.valency
     if k_prime < 3 or d < 3:
         raise HypothesisViolatedError(f"needs k' >= 3 and D >= 3, got k' = {k_prime}, D = {d}")
-    deltas = delta_map(side_arr, other_arr)
-    return deltas, _verdict(lambda i: deltas[i] == 0, len(deltas), d - 2)
+    top = min(d - 1, other_arr.eccentricity - 1)
+    deltas = {i: delta_value(side_arr, other_arr, i) for i in range(1, top + 1)}
+    return FormulaResult(
+        p2ii={i: p2ii_formula(side_arr, other_arr, i) for i in range(2, d)},
+        delta=deltas,
+        verdict=_verdict(lambda i: deltas[i] == 0, top, d - 2),
+    )
 
 
 class BruteForceResult(NamedTuple):
@@ -204,30 +195,16 @@ def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:
     cls = graph.classify(g)
     side_arr = cls.array_for(side)
     other_arr = cls.array_for(SIDES[1 - SIDES.index(side)])
-    p2: dict[int, Fraction] = {}
-    deltas: dict[int, Fraction] = {}
-    formula_verdict = None
-    skipped = None
     if side_arr is None or other_arr is None:
         skipped = "graph is not distance-regularized on both sides"
     else:
         try:
-            deltas, formula_verdict = _formula_route(side_arr, other_arr)
+            formula = homogeneous_by_formula(side_arr, other_arr)
         except HypothesisViolatedError as exc:
             skipped = str(exc)
         else:
-            p2 = {i: p2ii_formula(side_arr, other_arr, i) for i in range(2, side_arr.eccentricity)}
             # the two routes are provably equivalent under these hypotheses
-            if formula_verdict != brute.verdict:
-                raise ConsistencyError(
-                    f"formula verdict {formula_verdict} != brute force {brute.verdict}"
-                )
-    return HomogeneityReport(
-        side=side,
-        verdict=brute.verdict,
-        bruteforce_counts=brute.level_counts,
-        p2ii=p2,
-        delta=deltas,
-        formula_verdict=formula_verdict,
-        formula_skipped=skipped,
-    )
+            if formula.verdict != brute.verdict:
+                raise ConsistencyError(f"formula verdict {formula.verdict} != brute force {brute.verdict}")
+            return HomogeneityReport(side, brute.verdict, brute.level_counts, *formula, None)
+    return HomogeneityReport(side, brute.verdict, brute.level_counts, {}, {}, None, skipped)

@@ -16,6 +16,7 @@ from spbibd.correspondence import (
     incidence_graph,
 )
 from spbibd.design import check_parameter_constraints, dual, spbibd_type
+from spbibd.equalities import parameter_homogeneity
 from spbibd.generators import (
     fano,
     gq22,
@@ -38,7 +39,6 @@ from spbibd.homogeneity import (
     homogeneity_report,
     homogeneous_by_bruteforce,
     p2ii_formula,
-    parameter_homogeneity,
 )
 from spbibd.search import candidates_csv, enumerate_candidates
 from util import (

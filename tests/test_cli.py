@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from spbibd import generators
 from spbibd.cli import _COMMANDS, graph_file_doc, main
 from spbibd.correspondence import incidence_graph
-from util import hexagonal_prism, hypercube_design
+from util import hexagonal_prism, hypercube_design, hyperoval_design, hyperoval_dual_design
 
 
 def run_cli(capsys, *argv):
@@ -678,9 +678,17 @@ _GOLDEN_WRITTEN = {
     "flagcount": {"v": 5, "blocks": [[0, 1, 2], [0, 1, 4], [0, 2, 3], [1, 3, 4], [2, 3, 4]]},
     # the only "neither" verdict among the golden reports
     "desargues": {"n": 20, "edges": [list(e) for e in nx.desargues_graph().edges()]},
+    # the q = 4 hyperoval design: y = 2 and c_2 = 4, 2-homogeneous on Y
+    # with Delta = 0, 0, 0, neither on Yprime with Delta = 0, 30, 60
+    "hyperoval": {"v": 24, "blocks": [list(blk) for blk in hyperoval_design().blocks]},
 }
 # incidence graphs, written by to-graph from the design file of that name
-_GOLDEN_INCIDENCE = {"w3-graph": "w3", "cube4-graph": "cube4", "grid5-graph": "grid5"}
+_GOLDEN_INCIDENCE = {
+    "w3-graph": "w3",
+    "cube4-graph": "cube4",
+    "grid5-graph": "grid5",
+    "hyperoval-graph": "hyperoval",
+}
 # SHA-256 of stdout, recorded before the report records became NamedTuples
 # (they were frozen dataclasses serialized by dataclasses.asdict).  Between
 # them the reports serialize every record of a report section:
@@ -745,6 +753,14 @@ GOLDEN_REPORTS = {
     ("check-homogeneous", "desargues", "--side", "Yprime"): (
         "e2c85e47860c686dc59087e17d6ef8d8de6cc0e19cff1f03caccfb131443e9d4"
     ),
+    # recorded before homogeneous_by_formula became the one formula route
+    ("analyze-design", "hyperoval"): "acfdcd08f8f266e2aca8a7f2a842c6dc384227a51130499b55d376a1ca68b33d",
+    ("check-homogeneous", "hyperoval-graph", "--side", "Y"): (
+        "c0d348e1fb6abefe2c251e55dea8a47c5329c0781b357d933b669bb0cfb4b660"
+    ),
+    ("check-homogeneous", "hyperoval-graph", "--side", "Yprime"): (
+        "8009c4dee8043085f0352c47a9894c2cb9a867a3068166b09c97ea2575a7b84c"
+    ),
 }
 
 
@@ -766,6 +782,53 @@ def test_report_bytes_are_pinned(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, command, str(golden_file(name)), *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
+
+
+# The dual of the hyperoval design, (6, 16, 2, 10, 4, 64, 24): a real
+# in-scope design that the scope row `t < r` rejects (10 < 6).  PAPER.md
+# states only 0 < y <= t < k, whose dual is t*lambda1/y < r, not t < r.
+ITEM_1_DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: t < r is not closed under duality")
+
+
+@pytest.fixture
+def hyperoval_dual_file(tmp_path):
+    path = tmp_path / "hyperoval-dual.json"
+    write_json(path, {"v": 64, "blocks": [list(blk) for blk in hyperoval_dual_design().blocks]})
+    return path
+
+
+def test_hyperoval_dual_is_in_scope_and_both_routes_agree(tmp_path, capsys, hyperoval_dual_file):
+    code, out, _ = run_cli(capsys, "analyze-design", str(hyperoval_dual_file))
+    assert code == 0
+    report = json.loads(out)
+    assert report["flags"]["in_scope"] is True
+    assert [c["name"] for c in report["constraints"]["checks"] if not c["holds"]] == ["t < r"]
+    graph_path = tmp_path / "hyperoval-dual-graph.json"
+    assert run_cli(capsys, "to-graph", str(hyperoval_dual_file), "--out", str(graph_path))[0] == 0
+    verdicts = {}
+    for side in ("Y", "Yprime"):
+        code, out, _ = run_cli(capsys, "check-homogeneous", str(graph_path), "--side", side)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["formula_skipped"] is None
+        assert rep["formula_verdict"] == rep["verdict"]
+        verdicts[side] = rep["verdict"]
+    # the block class of the dual is the point class of the hyperoval design
+    assert verdicts == {"Y": "neither", "Yprime": "2-homogeneous"}
+
+
+@ITEM_1_DEFECT
+def test_hyperoval_dual_passes_every_constraint(capsys, hyperoval_dual_file):
+    code, out, _ = run_cli(capsys, "analyze-design", str(hyperoval_dual_file))
+    assert code == 0
+    assert json.loads(out)["constraints"]["all_pass"] is True
+
+
+@ITEM_1_DEFECT
+def test_full_b_search_lists_the_hyperoval_dual(capsys):
+    code, out, _ = run_cli(capsys, "search", "--target", "full-b", "--max-r", "20", "--max-k", "20")
+    assert code == 0
+    assert "6,16,2,10,4,64,24" in [",".join(row.split(",")[:7]) for row in out.splitlines()]
 
 
 def test_cli_import_loads_no_dataclass_machinery():

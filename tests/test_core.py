@@ -207,6 +207,28 @@ def test_no_assert_statements_in_package():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
+# (module file, imported name) -> why the module binds a name it never reads
+UNUSED_IMPORTS_ALLOWED = {
+    ("__init__.py", "core"): "every command uses core, so the package loads it; __getattr__ reads globals()",
+    ("homogeneity.py", "parameter_homogeneity"): "perfbench/spans.TRACED patches it in this module",
+}
+
+
+def test_every_module_level_import_is_used():
+    # one home per name: a module imports only what it reads itself
+    unused = set()
+    for path in sorted(Path(spbibd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+                unused |= {(path.name, name) for name in bound - loaded}
+    assert unused == set(UNUSED_IMPORTS_ALLOWED)
+
+
 def test_edge_vertex_range_checked():
     with pytest.raises(PointIndexOutOfRangeError):
         build_bipartite(2, [(0, 2)])

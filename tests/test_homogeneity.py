@@ -5,11 +5,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbibd import core
-from spbibd.core import IntersectionArray, SpbibdParams, ToolkitError, build_bipartite
+from spbibd import core, homogeneity
+from spbibd.core import ConsistencyError, IntersectionArray, SpbibdParams, ToolkitError, build_bipartite
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
 from spbibd.design import NotInScopeError, dual, spbibd_type
-from spbibd.equalities import delta_numerator, p2ii_numerator
+from spbibd.equalities import delta_numerator, p2ii_numerator, parameter_homogeneity
 from spbibd.generators import (
     even_cycle,
     fano,
@@ -28,13 +28,11 @@ from spbibd.homogeneity import (
     EccentricityNotUniformError,
     HypothesisViolatedError,
     IndexOutOfRangeError,
-    delta_map,
     delta_value,
     homogeneity_report,
     homogeneous_by_bruteforce,
     homogeneous_by_formula,
     p2ii_formula,
-    parameter_homogeneity,
 )
 from util import (
     bruteforce_oracle,
@@ -192,26 +190,31 @@ def test_delta_and_p2ii_match_the_three_fraction_oracle_on_golden_graphs():
     assert checked == len(graphs) - 1  # all but the path
 
 
-def test_delta_map_covers_expected_levels():
+def test_formula_deltas_cover_expected_levels():
     point, block = TUTTE_ARRAYS
-    assert set(delta_map(point, block)) == {1, 2, 3}
+    formula = homogeneous_by_formula(point, block)
+    assert set(formula.delta) == {1, 2, 3}
+    assert formula.delta == {i: delta_value(point, block, i) for i in (1, 2, 3)}
+    assert formula.p2ii == {2: 1, 3: 5}
 
 
 def test_theorem_verdict_tutte_almost_only():
     point, block = TUTTE_ARRAYS
-    assert homogeneous_by_formula(point, block) == VERDICT_ALMOST_ONLY
-    assert homogeneous_by_formula(block, point) == VERDICT_ALMOST_ONLY
+    assert homogeneous_by_formula(point, block).verdict == VERDICT_ALMOST_ONLY
+    assert homogeneous_by_formula(block, point).verdict == VERDICT_ALMOST_ONLY
 
 
 def test_theorem_verdict_neither_for_t2_y1_arrays():
     point, block = expected_incidence_arrays(4, 4, 1, 2, 1)
     assert delta_value(point, block, 2) == (4 - 2) * (2 - 1)
-    assert homogeneous_by_formula(point, block) == VERDICT_NEITHER
+    assert homogeneous_by_formula(point, block).verdict == VERDICT_NEITHER
 
 
 def test_theorem_verdict_two_homogeneous_at_d3():
     # D = 3 with Delta_2 = 0: the 3-cube
-    assert homogeneous_by_formula(Q3_ARRAY, Q3_ARRAY) == VERDICT_TWO_HOMOGENEOUS
+    formula = homogeneous_by_formula(Q3_ARRAY, Q3_ARRAY)
+    assert formula.verdict == VERDICT_TWO_HOMOGENEOUS
+    assert formula.delta[2] == 0 and set(formula.p2ii) == {2}
 
 
 def test_theorem_hypothesis_violated():
@@ -414,6 +417,27 @@ def test_report_fields_tutte():
     assert rep.p2ii == {2: Fraction(1), 3: Fraction(5)}
     assert rep.delta == {1: Fraction(0), 2: Fraction(0), 3: Fraction(2)}
     assert rep.bruteforce_counts[1] == (1,)
+
+
+def test_report_takes_one_formula_result_and_cross_checks_it(monkeypatch):
+    real = homogeneity.homogeneous_by_formula
+    calls = []
+
+    def counted(side_arr, other_arr):
+        calls.append(side_arr)
+        return real(side_arr, other_arr)
+
+    monkeypatch.setattr(homogeneity, "homogeneous_by_formula", counted)
+    point, block = TUTTE_ARRAYS
+    rep = homogeneity_report(tutte_coxeter(), "Y")
+    assert calls == [point]
+    assert (rep.p2ii, rep.delta, rep.formula_verdict) == tuple(real(point, block))
+    # a formula verdict that the brute force contradicts is a typed error
+    monkeypatch.setattr(
+        homogeneity, "homogeneous_by_formula", lambda s, o: real(s, o)._replace(verdict=VERDICT_NEITHER)
+    )
+    with pytest.raises(ConsistencyError, match="formula verdict neither"):
+        homogeneity_report(tutte_coxeter(), "Y")
 
 
 def test_verdict_lattice_is_monotone():

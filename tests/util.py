@@ -30,6 +30,7 @@ from spbibd.design import (
     replication_and_block_size,
     spbibd_type,
 )
+from spbibd.equalities import TARGET_NEEDS
 from spbibd.graph import (
     KIND_DISTANCE_BIREGULAR,
     KIND_DISTANCE_REGULAR,
@@ -42,7 +43,6 @@ from spbibd.graph import (
     local_intersection_numbers,
 )
 from spbibd.homogeneity import (
-    TARGET_NEEDS,
     VERDICT_ALMOST_ONLY,
     VERDICT_NEITHER,
     VERDICT_TWO_HOMOGENEOUS,
@@ -256,6 +256,45 @@ def hypercube_design() -> IncidenceStructure:
     return validate_structure(len(evens), blocks)
 
 
+# GF(4) = {0, 1, w, w^2} as 0, 1, 2, 3 with w^2 = w + 1: sums are XOR
+GF4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+# the regular hyperoval of PG(2, 4): the conic (1, t, t^2) and its two
+# points (0, 0, 1), (0, 1, 0) off the affine part
+HYPEROVAL_4 = tuple((1, t, GF4_MUL[t][t]) for t in range(4)) + ((0, 0, 1), (0, 1, 0))
+
+
+def _hyperoval_incidence() -> list[list[int]]:
+    """Per vector x of GF(4)^3 (x0*16 + x1*4 + x2), the points (i, s) with
+    o_i . x = s, point (i, s) numbered 4*i + s."""
+    blocks = []
+    for x in range(64):
+        xs = (x >> 4, (x >> 2) & 3, x & 3)
+        blocks.append(
+            [4 * i + (GF4_MUL[o[0]][xs[0]] ^ GF4_MUL[o[1]][xs[1]] ^ GF4_MUL[o[2]][xs[2]])
+             for i, o in enumerate(HYPEROVAL_4)]
+        )
+    return blocks
+
+
+def hyperoval_design() -> IncidenceStructure:
+    """The q = 4 regular-hyperoval design: points the 24 pairs (i, s) of a
+    hyperoval point o_i and s in GF(4), blocks the 64 vectors x of GF(4)^3,
+    x containing (i, s) when o_i . x = s.  (v, b, r, k, lambda1, t, y) =
+    (24, 64, 16, 6, 4, 5, 2): a y > 1 design with c_2 = 4."""
+    return validate_structure(24, _hyperoval_incidence())
+
+
+def hyperoval_dual_design() -> IncidenceStructure:
+    """The dual of :func:`hyperoval_design`: 64 points (the vectors x), 24
+    blocks of size 16 (the x with o_i . x = s); the tuple
+    (6, 16, 2, 10, 4, 64, 24) that ROADMAP item 1's `t < r` row rejects."""
+    blocks: list[list[int]] = [[] for _ in range(24)]
+    for x, points in enumerate(_hyperoval_incidence()):
+        for p in points:
+            blocks[p].append(x)
+    return validate_structure(64, blocks)
+
+
 def hypercube_graph(dim: int) -> BipartiteGraph:
     edges = [
         (u, u ^ (1 << bit)) for u in range(1 << dim) for bit in range(dim) if u < (u ^ (1 << bit))
@@ -444,7 +483,7 @@ def sweep_candidates(
 def y1_homogeneity_oracle(r: int, k: int, t: int) -> tuple[bool, bool, bool, bool]:
     """(almost_2p, full_2p, almost_2b, full_2b) of an in-scope design with
     y = 1 (so lambda1 = 1) by the case rules parameter_homogeneity used
-    before it read homogeneity.TARGET_NEEDS: block size 2 (replication 2)
+    before it read the target table, equalities.TARGET_NEEDS: block size 2 (replication 2)
     gives the subdivision graph of a complete bipartite graph, fully
     homogeneous for that class; otherwise the class is almost homogeneous
     iff t = 1 (a generalized quadrangle) and never fully."""
