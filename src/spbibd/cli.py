@@ -28,6 +28,7 @@ from .core import (
     TARGETS,
     ToolkitError,
     build_bipartite,
+    fraction_text,
     validate_structure,
 )
 
@@ -51,8 +52,8 @@ def _read_json(path: str) -> Any:
 
 
 def _is_int(x: Any) -> bool:
-    """JSON integers only: ``true``/``false`` load as bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """JSON integers only: the exact type refuses ``true`` (a bool, an int subclass) and ``1.0``."""
+    return type(x) is int
 
 
 def parse_design_file(path: str, *, allow_repeated: bool = False) -> IncidenceStructure:
@@ -82,7 +83,7 @@ def parse_graph_file(path: str) -> BipartiteGraph:
     if not _is_int(n) or not isinstance(edges, list):
         raise ParseError(f"{path}: 'n' must be an integer and 'edges' a list")
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(_is_int(u) for u in e):
+        if type(e) is not list or len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
             raise ParseError(f"{path}: edges must be 2-element integer lists")
     try:
         g = build_bipartite(n, edges)
@@ -220,8 +221,8 @@ def homogeneity_report_doc(g: BipartiteGraph, side: str) -> dict:
         "side": side,
         "verdict": rep.verdict,
         "bruteforce_counts": {str(i): list(v) for i, v in rep.bruteforce_counts.items()},
-        "p2ii": {str(i): str(v) for i, v in rep.p2ii.items()},
-        "delta": {str(i): str(v) for i, v in rep.delta.items()},
+        "p2ii": {str(i): fraction_text(v, rep.c2) for i, v in rep.p2ii.items()},
+        "delta": {str(i): fraction_text(v, rep.c2) for i, v in rep.delta.items()},
         "formula_verdict": rep.formula_verdict,
         "formula_skipped": rep.formula_skipped,
     }

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class ToolkitError(Exception):
@@ -246,12 +247,14 @@ def edge_masks(num_vertices: int, edges: Iterable[Sequence[int]]) -> tuple[int, 
     return tuple(masks)
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending, in a list: no generator frame per index."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def layer_bfs(masks: Sequence[int], source: int) -> tuple[int, ...]:
@@ -276,7 +279,7 @@ def all_layers(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     the union of its neighbours' layers i minus v's ball of radius i.  That
     costs sum(deg(v) * ecc(v)) bitset unions, where one BFS per source
     would visit every vertex n times."""
-    nbrs = [tuple(bits(m)) for m in masks]
+    nbrs = [bits(m) for m in masks]
     front = [1 << v for v in range(len(masks))]
     ball = front[:]
     layers = [[f] for f in front]
@@ -344,7 +347,7 @@ def nearer_counts(g: BipartiteGraph, x: int, ws: int, mask: int) -> list[tuple[i
     r, s = g.residues
     sx = s[x]
     # ~ gives negative ints (infinitely many high bits), cut back by mask
-    return plane_counts(plane_sum(mask & ~(sx ^ r[w]) for w in bits(ws)), mask)
+    return plane_counts(plane_sum([mask & ~(sx ^ r[w]) for w in bits(ws)]), mask)
 
 
 def distance_row(layers: Sequence[int], num_vertices: int) -> list[int]:
@@ -367,23 +370,20 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     if num_vertices < 1:
         raise NotConnectedError("graph needs at least one vertex")
     seen = set()
-    norm = []
-    for e in edges:
-        u, v = e
+    for u, v in edges:
         if u == v:
             raise OddCycleError(f"self-loop at vertex {u}")
-        if min(u, v) < 0 or max(u, v) >= num_vertices:
+        key = (u, v) if u < v else (v, u)
+        if key[0] < 0 or key[1] >= num_vertices:
             raise PointIndexOutOfRangeError(f"edge ({u}, {v}) exceeds vertex range 0..{num_vertices - 1}")
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            norm.append(key)
-    norm.sort()
+        seen.add(key)
+    norm = sorted(seen)
     # a connected graph needs n - 1 edges; refuse before allocating O(n)
     if len(norm) < num_vertices - 1:
         raise NotConnectedError(f"{len(norm)} edges cannot connect {num_vertices} vertices")
 
-    layers = layer_bfs(edge_masks(num_vertices, norm), 0)
+    masks = edge_masks(num_vertices, norm)
+    layers = layer_bfs(masks, 0)
     # the layers are disjoint, so their sum is their union
     missing = ~sum(layers) & ((1 << num_vertices) - 1)
     if missing:
@@ -392,7 +392,9 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     # a parity colouring of a connected graph is proper iff there is no odd
     # cycle; BipartiteGraph refuses any edge inside one class
     side = tuple(d % 2 for d in distance_row(layers, num_vertices))
-    return BipartiteGraph(num_vertices, tuple(norm), side)
+    g = BipartiteGraph(num_vertices, tuple(norm), side)
+    g.__dict__["adjacency_masks"] = masks  # the cached property, filled from the BFS's bitsets
+    return g
 
 
 class _ArrayFields(NamedTuple):
@@ -519,6 +521,13 @@ SCOPE_INEQUALITIES = (
     ScopeInequality("k >= 4", lambda r, k, lambda1, t, y: k >= 4, "k = {k}"),
     ScopeInequality("r >= 4", lambda r, k, lambda1, t, y: r >= 4, "r = {r}"),
 )
+
+
+def fraction_text(num: int, den: int) -> str:
+    """num/den (den > 0) as ``str(Fraction(num, den))`` prints it, "n/d" in
+    lowest terms or "n": the reports' one renderer of a rational."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if den > g else str(num // g)
 
 
 def scope_inequalities(y: int) -> tuple[ScopeInequality, ...]:

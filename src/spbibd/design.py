@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, combinations
-from math import gcd
 from typing import NamedTuple
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     SpbibdParams,
     ToolkitError,
     covered_pairs,
+    fraction_text,
     scope_inequalities,
     validate_structure,
 )
@@ -244,8 +244,8 @@ def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
 
     Checks the rows of core.SCOPE_INEQUALITIES that apply at y (four for
     y = 1, nine for y > 1) and renders their details with t*lambda1/y in
-    lowest terms, "n/d", or "n" when it is an integer.  Raises
-    NotInScopeError when the preconditions themselves fail.
+    lowest terms (core.fraction_text).  Raises NotInScopeError when the
+    preconditions themselves fail.
     """
     if p.lambda2 != 0:
         raise NotInScopeError(f"lambda2 = {p.lambda2}, scope needs lambda2 = 0")
@@ -255,9 +255,7 @@ def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
         raise NotInScopeError(f"intersection numbers x = {p.x}, y = {p.y}; scope needs x = 0 and y > 0")
 
     values = {"r": p.r, "k": p.k, "lambda1": p.lambda1, "t": p.t, "y": p.y}
-    g = gcd(p.t * p.lambda1, p.y)
-    num, den = p.t * p.lambda1 // g, p.y // g
-    c3 = f"{num}/{den}" if den > 1 else str(num)
+    c3 = fraction_text(p.t * p.lambda1, p.y)
     return ConstraintReport(
         tuple(
             ConstraintCheck(row.name, row.test(**values), row.detail.format(c3=c3, **values))

@@ -2,7 +2,8 @@
 p^i_{2,i} as numerators over the side c_2, the Delta-vanishing equalities
 K3/K4/K30/K40 of an in-scope design, the target table and the
 parameter-level homogeneity flags.  Nothing here needs ``fractions``;
-homogeneity turns the numerators into the reported rationals.
+the check-homogeneous report prints the numerators over c_2 with
+core.fraction_text.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 class: closed-formula evaluation through the scalars Delta_i, brute-force
 triple counting, and the report that sets them side by side.
 
-Each scalar is one exact Fraction, its ``equalities`` numerator over the
-side c_2; zero tests are exact.
+Each scalar is its ``equalities`` integer numerator over the side c_2,
+so zero tests are exact; only delta_value and p2ii_formula load fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import graph
 from .core import (
@@ -23,6 +22,9 @@ from .core import (
 )
 # parameter_homogeneity is unused here: perfbench/spans.TRACED patches it in this module
 from .equalities import delta_numerator, p2ii_numerator, parameter_homogeneity
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 VERDICT_TWO_HOMOGENEOUS = "2-homogeneous"
 VERDICT_ALMOST_ONLY = "almost-only"
@@ -52,28 +54,26 @@ def _verdict(constant: Callable[[int], bool], full_top: int, almost_top: int) ->
     return VERDICT_NEITHER
 
 
-def p2ii_formula(
-    side_arr: IntersectionArray, other_arr: IntersectionArray, i: int
-) -> Fraction:
+def p2ii_formula(side_arr: IntersectionArray, other_arr: IntersectionArray, i: int) -> Fraction:
     """|Gamma_2(x) n Gamma_i(z)| for x in the side class and z at distance
     i, computed from the two intersection arrays: the one Fraction
     equalities.p2ii_numerator / c_2, with the side c_2 for even and odd i.
     Valid for 2 <= i <= D - 1.
     """
+    from fractions import Fraction
     d = side_arr.eccentricity
     if i < 2 or i > d - 1:
         raise IndexOutOfRangeError(f"i = {i} outside 2..{d - 1}")
     return Fraction(p2ii_numerator(side_arr, other_arr, i), side_arr.c[2])
 
 
-def delta_value(
-    side_arr: IntersectionArray, other_arr: IntersectionArray, i: int
-) -> Fraction:
+def delta_value(side_arr: IntersectionArray, other_arr: IntersectionArray, i: int) -> Fraction:
     """The scalar Delta_i of the side class, for 1 <= i <= min(D - 1, D' - 1):
     the one Fraction equalities.delta_numerator / c_2, with the formula
     there.  At i = 1 the scalar is informational only; verdicts start at
     i = 2.
     """
+    from fractions import Fraction
     bound = min(side_arr.eccentricity - 1, other_arr.eccentricity - 1)
     if i < 1 or i > bound:
         raise IndexOutOfRangeError(f"i = {i} outside 1..{bound}")
@@ -81,17 +81,16 @@ def delta_value(
 
 
 class FormulaResult(NamedTuple):
-    """The closed-formula view of one class: p^i_{2,i} for levels 2..D-1,
-    Delta_i for levels 1..min(D-1, D'-1) and the verdict from the Delta_i."""
+    """The closed-formula view of one class: the integer numerators over c2
+    of p^i_{2,i} (levels 2..D-1) and Delta_i (1..min(D-1, D'-1)), and the verdict."""
 
-    p2ii: dict[int, Fraction]
-    delta: dict[int, Fraction]
+    p2ii: dict[int, int]
+    delta: dict[int, int]
+    c2: int
     verdict: str
 
 
-def homogeneous_by_formula(
-    side_arr: IntersectionArray, other_arr: IntersectionArray
-) -> FormulaResult:
+def homogeneous_by_formula(side_arr: IntersectionArray, other_arr: IntersectionArray) -> FormulaResult:
     """The formula route: p^i_{2,i}, Delta_i and the verdict from the Delta
     scalars alone, 2-homogeneous iff Delta_i = 0 for 2 <= i <= min(D-1,
     D'-1), almost iff Delta_i = 0 for 2 <= i <= D-2.
@@ -104,10 +103,11 @@ def homogeneous_by_formula(
     if k_prime < 3 or d < 3:
         raise HypothesisViolatedError(f"needs k' >= 3 and D >= 3, got k' = {k_prime}, D = {d}")
     top = min(d - 1, other_arr.eccentricity - 1)
-    deltas = {i: delta_value(side_arr, other_arr, i) for i in range(1, top + 1)}
+    deltas = {i: delta_numerator(side_arr, other_arr, i) for i in range(1, top + 1)}
     return FormulaResult(
-        p2ii={i: p2ii_formula(side_arr, other_arr, i) for i in range(2, d)},
+        p2ii={i: p2ii_numerator(side_arr, other_arr, i) for i in range(2, d)},
         delta=deltas,
+        c2=side_arr.c[2],
         verdict=_verdict(lambda i: deltas[i] == 0, top, d - 2),
     )
 
@@ -179,13 +179,14 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
 class HomogeneityReport(NamedTuple):
     """Combined view: brute-force verdict (always computed, authoritative)
     plus the formula path when the graph is distance-regularized on both
-    sides and satisfies the k' >= 3, D >= 3 hypotheses."""
+    sides and satisfies k' >= 3, D >= 3 (c2 is None when it is skipped)."""
 
     side: str
     verdict: str
     bruteforce_counts: dict[int, tuple[int, ...]]
-    p2ii: dict[int, Fraction]
-    delta: dict[int, Fraction]
+    p2ii: dict[int, int]
+    delta: dict[int, int]
+    c2: int | None
     formula_verdict: str | None
     formula_skipped: str | None
 
@@ -207,4 +208,4 @@ def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:
             if formula.verdict != brute.verdict:
                 raise ConsistencyError(f"formula verdict {formula.verdict} != brute force {brute.verdict}")
             return HomogeneityReport(side, brute.verdict, brute.level_counts, *formula, None)
-    return HomogeneityReport(side, brute.verdict, brute.level_counts, {}, {}, None, skipped)
+    return HomogeneityReport(side, brute.verdict, brute.level_counts, {}, {}, None, None, skipped)

@@ -178,9 +178,9 @@ def test_criterion_6_quadrangle_propositions_and_delta3():
     point, block = expected_incidence_arrays(p.r, p.k, p.lambda1, p.t, p.y)
     assert delta_value(point, block, 3) == (p.k - 2) * (p.k - 1) == 2
     assert delta_value(block, point, 3) == (p.r - 2) * (p.r - 1) == 2
-    # the graph itself confirms the failing level
+    # the graph itself confirms the failing level: numerator 2 over c_2 = 1
     rep = homogeneity_report(tutte_coxeter(), "Y")
-    assert rep.delta[3] == 2 and rep.verdict == VERDICT_ALMOST_ONLY
+    assert (rep.delta[3], rep.c2) == (2, 1) and rep.verdict == VERDICT_ALMOST_ONLY
     elapsed = time.perf_counter() - start
     _report(6, elapsed, "almost-but-not-fully homogeneous on both classes, Delta_3 = 2 twice")
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spbibd import generators
-from spbibd.cli import _COMMANDS, graph_file_doc, main
+from spbibd.cli import _COMMANDS, graph_file_doc, main, parse_graph_file
+from spbibd.core import edge_masks
 from spbibd.correspondence import incidence_graph
 from util import hexagonal_prism, hypercube_design, hyperoval_design, hyperoval_dual_design
 
@@ -135,6 +136,34 @@ def test_json_booleans_and_floats_are_not_integers(tmp_path, capsys, command, do
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "edges, reason",
+    [
+        ([[0, 1], [1, 1], [2, 5]], "self-loop at vertex 1"),
+        # an edge is named as given, not in its sorted orientation
+        ([[0, 1], [5, 2], [1, 1]], "edge (5, 2) exceeds vertex range 0..2"),
+        ([[0, -1], [2, 2]], "edge (0, -1) exceeds vertex range 0..2"),
+        # every edge's type is checked before any edge is built
+        ([[1, 1], [0, 1], [0, True]], "edges must be 2-element integer lists"),
+        ([[5, 0], [1.0, 2]], "edges must be 2-element integer lists"),
+    ],
+)
+def test_first_bad_edge_of_a_graph_file_decides_the_error(tmp_path, capsys, edges, reason):
+    path = tmp_path / "bad.json"
+    write_json(path, {"n": 3, "edges": edges})
+    assert run_cli(capsys, "analyze-graph", str(path)) == (1, "", f"error: {path}: {reason}\n")
+
+
+def test_adjacency_view_is_the_edges_bitsets_with_and_without_a_partition(tmp_path):
+    edges = [[0, 1], [0, 2], [3, 1], [3, 2], [4, 1]]
+    for partition in (None, [0, 1, 1, 0, 0], [1, 0, 0, 1, 1]):
+        path = tmp_path / "g.json"
+        write_json(path, {"n": 5, "edges": edges} | ({"partition": partition} if partition else {}))
+        g = parse_graph_file(str(path))
+        assert list(g.side) == (partition or [0, 1, 1, 0, 0])
+        assert g.adjacency_masks == edge_masks(g.num_vertices, g.edges) == edge_masks(5, edges)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import ast
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from spbibd.core import (
     ToolkitError,
     bits,
     build_bipartite,
+    edge_masks,
+    fraction_text,
     nearer_counts,
     validate_structure,
 )
@@ -153,6 +156,8 @@ def test_build_bipartite_matches_networkx(graph):
         lengths = dict(nx.all_pairs_shortest_path_length(h))
         assert all_distances(g) == tuple(tuple(lengths[u][v] for v in range(n)) for u in range(n))
         assert g.side[0] == 0 and all(g.side[u] != g.side[v] for u, v in edges)
+        # the bitsets the build's BFS ran on are the graph's adjacency view
+        assert g.adjacency_masks == edge_masks(n, g.edges) == edge_masks(n, edges)
 
 
 # built once: the 8-cube (256 vertices, diameter 8) and a long even cycle
@@ -232,6 +237,13 @@ def test_every_module_level_import_is_used():
 def test_edge_vertex_range_checked():
     with pytest.raises(PointIndexOutOfRangeError):
         build_bipartite(2, [(0, 2)])
+
+
+def test_fraction_text_prints_what_fraction_prints():
+    # sign, zero, integral and lowest-terms values
+    for num in range(-60, 61):
+        for den in range(1, 13):
+            assert fraction_text(num, den) == str(Fraction(num, den)), (num, den)
 
 
 def test_every_edge_crosses_partition_random():

@@ -1,12 +1,18 @@
 import random
-from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spbibd import core, homogeneity
-from spbibd.core import ConsistencyError, IntersectionArray, SpbibdParams, ToolkitError, build_bipartite
+from spbibd.core import (
+    ConsistencyError,
+    IntersectionArray,
+    SpbibdParams,
+    ToolkitError,
+    build_bipartite,
+    fraction_text,
+)
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
 from spbibd.design import NotInScopeError, dual, spbibd_type
 from spbibd.equalities import delta_numerator, p2ii_numerator, parameter_homogeneity
@@ -133,19 +139,22 @@ def test_delta_level_one_is_zero_on_regularized_graphs():
 
 def _check_one_fraction_per_scalar(side_arr, other_arr):
     # the same value and the same str: each Fraction is in lowest terms;
-    # the integer numerators are the same scalars times the side c_2
+    # the integer numerators are the same scalars times the side c_2, and
+    # the report renders them over c_2 as the Fraction prints
     bound = min(side_arr.eccentricity, other_arr.eccentricity) - 1
     c2 = side_arr.c[2]
     for i in range(1, side_arr.eccentricity):
         p, delta = delta_oracle(side_arr, other_arr, i)
         if i >= 2:
             value = p2ii_formula(side_arr, other_arr, i)
+            num = p2ii_numerator(side_arr, other_arr, i)
             assert (value, str(value)) == (p, str(p)), (side_arr, other_arr, i)
-            assert p2ii_numerator(side_arr, other_arr, i) == value * c2, (side_arr, other_arr, i)
+            assert (num, fraction_text(num, c2)) == (value * c2, str(value)), (side_arr, other_arr, i)
         if i <= bound:
             value = delta_value(side_arr, other_arr, i)
+            num = delta_numerator(side_arr, other_arr, i)
             assert (value, str(value)) == (delta, str(delta)), (side_arr, other_arr, i)
-            assert delta_numerator(side_arr, other_arr, i) == value * c2, (side_arr, other_arr, i)
+            assert (num, fraction_text(num, c2)) == (value * c2, str(value)), (side_arr, other_arr, i)
 
 
 def test_delta_and_p2ii_match_the_three_fraction_oracle_on_predicted_arrays():
@@ -191,11 +200,13 @@ def test_delta_and_p2ii_match_the_three_fraction_oracle_on_golden_graphs():
 
 
 def test_formula_deltas_cover_expected_levels():
+    # the numerators over the side c_2, as exact ints
     point, block = TUTTE_ARRAYS
     formula = homogeneous_by_formula(point, block)
-    assert set(formula.delta) == {1, 2, 3}
-    assert formula.delta == {i: delta_value(point, block, i) for i in (1, 2, 3)}
+    assert set(formula.delta) == {1, 2, 3} and formula.c2 == point.c[2] == 1
+    assert formula.delta == {i: delta_numerator(point, block, i) for i in (1, 2, 3)} == {1: 0, 2: 0, 3: 2}
     assert formula.p2ii == {2: 1, 3: 5}
+    assert all(type(v) is int for v in (*formula.delta.values(), *formula.p2ii.values()))
 
 
 def test_theorem_verdict_tutte_almost_only():
@@ -214,7 +225,8 @@ def test_theorem_verdict_two_homogeneous_at_d3():
     # D = 3 with Delta_2 = 0: the 3-cube
     formula = homogeneous_by_formula(Q3_ARRAY, Q3_ARRAY)
     assert formula.verdict == VERDICT_TWO_HOMOGENEOUS
-    assert formula.delta[2] == 0 and set(formula.p2ii) == {2}
+    # numerators over c_2 = 2: p^2_{2,2} = 4/2, the two common neighbours
+    assert formula.delta == {1: 0, 2: 0} and formula.p2ii == {2: 4} and formula.c2 == 2
 
 
 def test_theorem_hypothesis_violated():
@@ -414,8 +426,8 @@ def test_report_skips_formula_when_not_regularized():
 
 def test_report_fields_tutte():
     rep = homogeneity_report(tutte_coxeter(), "Y")
-    assert rep.p2ii == {2: Fraction(1), 3: Fraction(5)}
-    assert rep.delta == {1: Fraction(0), 2: Fraction(0), 3: Fraction(2)}
+    assert (rep.p2ii, rep.delta, rep.c2) == ({2: 1, 3: 5}, {1: 0, 2: 0, 3: 2}, 1)
+    assert all(type(v) is int for v in (*rep.p2ii.values(), *rep.delta.values()))
     assert rep.bruteforce_counts[1] == (1,)
 
 
@@ -431,7 +443,7 @@ def test_report_takes_one_formula_result_and_cross_checks_it(monkeypatch):
     point, block = TUTTE_ARRAYS
     rep = homogeneity_report(tutte_coxeter(), "Y")
     assert calls == [point]
-    assert (rep.p2ii, rep.delta, rep.formula_verdict) == tuple(real(point, block))
+    assert (rep.p2ii, rep.delta, rep.c2, rep.formula_verdict) == tuple(real(point, block))
     # a formula verdict that the brute force contradicts is a typed error
     monkeypatch.setattr(
         homogeneity, "homogeneous_by_formula", lambda s, o: real(s, o)._replace(verdict=VERDICT_NEITHER)

@@ -24,8 +24,9 @@ RUN_CLI = "import sys; from spbibd.cli import main; main(sys.argv[1:])"
 
 ALWAYS = {"spbibd", "spbibd.cli", "spbibd.core"}
 # what a command loads beyond ALWAYS: only the commands that classify a
-# graph load spbibd.graph, and only the one that reports Delta as a
-# rational loads spbibd.homogeneity and fractions
+# graph load spbibd.graph, and only the one that reports Delta loads
+# spbibd.homogeneity; it renders each rational from integers, so no
+# command loads fractions
 LOADS = {
     ("analyze-graph", "tc.json"): {"spbibd.graph"},
     ("to-graph", "gq22.json"): {"spbibd.correspondence"},
@@ -34,7 +35,6 @@ LOADS = {
         "spbibd.graph",
         "spbibd.homogeneity",
         "spbibd.equalities",
-        "fractions",
     },
     ("analyze-design", "gq22.json"): {"spbibd.design", "spbibd.equalities"},
     ("search", "--target", "full-b", "--max-r", "12", "--max-k", "12"): {
@@ -47,9 +47,14 @@ LOADS = {
 # what no command loads: the command line is parsed from the table in cli
 NEVER = {"argparse", "gettext", "locale"}
 # what the commands that only decide integer equalities never load, and
-# search, which reads no file and writes CSV, loads no json either
+# search, which reads no file and writes CSV, loads no json either;
+# check-homogeneous prints its rationals from integer numerators
 NO_RATIONALS = {"fractions", "decimal", "spbibd.homogeneity", "spbibd.graph"}
-NEVER_IN = {"analyze-design": NO_RATIONALS, "search": NO_RATIONALS | {"json"}}
+NEVER_IN = {
+    "analyze-design": NO_RATIONALS,
+    "search": NO_RATIONALS | {"json"},
+    "check-homogeneous": {"fractions", "decimal"},
+}
 
 
 def fresh_interpreter(script: str, *args: str, cwd=None) -> set[str]:
