@@ -2,7 +2,8 @@
 bipartite distance-regularized graphs with vertices of eccentricity 4.
 
 Every CLI command uses ``core``, so it is imported here.  The other
-submodules, ``graph`` included (``search``, ``generate``, ``to-graph`` and
+submodules but ``usage`` (which ``cli`` imports where it needs it),
+``graph`` included (``search``, ``generate``, ``to-graph`` and
 ``analyze-design`` never classify a graph), are registered in
 ``sys.modules`` through ``importlib.util.LazyLoader``: a process compiles
 and runs a module's code only at its first attribute access, so each
@@ -25,7 +26,6 @@ _PUBLIC = {
         "BipartiteGraph",
         "IncidenceStructure",
         "IntersectionArray",
-        "SpbibdParams",
         "ToolkitError",
         "build_bipartite",
         "validate_structure",
@@ -44,7 +44,7 @@ _PUBLIC = {
         "replication_and_block_size",
         "spbibd_type",
     ),
-    "equalities": ("parameter_homogeneity",),
+    "equalities": ("SpbibdParams", "parameter_homogeneity"),
     "graph": ("ClassificationResult", "bfs_distances", "classify", "local_intersection_numbers"),
     "homogeneity": (
         "HomogeneityReport",

@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
 
 ``json`` is imported where a file is read or a report is written, not at
 import: ``search`` writes CSV and reads no file, so it never loads it.
+Each report is built in the module that computes it, and ``usage`` holds
+the help text, ``--human`` and ``generate``'s families, loaded likewise.
 """
 
 from __future__ import annotations
@@ -18,17 +20,15 @@ import sys
 from types import SimpleNamespace
 from typing import Any
 
-from . import correspondence, design, equalities, generators, graph, homogeneity, search
+from . import correspondence, design, graph, homogeneity, search
 from .core import (
     BipartiteGraph,
     ConsistencyError,
     IncidenceStructure,
-    NotInScopeError,
     SIDES,
     TARGETS,
     ToolkitError,
     build_bipartite,
-    fraction_text,
     validate_structure,
 )
 
@@ -101,8 +101,11 @@ def parse_graph_file(path: str) -> BipartiteGraph:
         if part != g.side:
             if tuple(1 - p for p in part) != g.side:
                 raise ParseError(f"{path}: 'partition' does not match the BFS 2-coloring")
-            # the complement of a proper colouring is proper: nothing to recheck
-            g = g._replace(side=part)
+            # the complement of a proper colouring is proper: nothing to
+            # recheck, and the edges, so their cached bitsets, stay
+            flipped = g._replace(side=part)
+            flipped.__dict__["adjacency_masks"] = g.adjacency_masks
+            g = flipped
     return g
 
 
@@ -111,18 +114,16 @@ def design_file_doc(d: IncidenceStructure) -> dict:
 
 
 def graph_file_doc(g: BipartiteGraph) -> dict:
-    return {
-        "n": g.num_vertices,
-        "edges": [list(e) for e in g.edges],
-        "partition": list(g.side),
-    }
+    return {"n": g.num_vertices, "edges": [list(e) for e in g.edges], "partition": list(g.side)}
 
 
 def _emit(doc: Any, out: str | None, human: bool = False) -> None:
     """Writes text as it is, a document as sorted-key JSON or indented text."""
     if not isinstance(doc, str):
         if human:
-            doc = _render_human(doc) + "\n"
+            from .usage import render_human
+
+            doc = render_human(doc) + "\n"
         else:
             import json
 
@@ -134,148 +135,23 @@ def _emit(doc: Any, out: str | None, human: bool = False) -> None:
             fh.write(doc)
 
 
-def _plain(x: Any) -> Any:
-    """A report section as JSON-shaped data: a record becomes a dict of its
-    fields and a tuple a list, recursively."""
-    if hasattr(x, "_asdict"):
-        return {key: _plain(val) for key, val in x._asdict().items()}
-    if isinstance(x, tuple):
-        return [_plain(v) for v in x]
-    return x
-
-
-def analyze_design_report(d: IncidenceStructure) -> dict:
-    report: dict[str, Any] = {
-        "schema": "spbibd.analyze-design/1",
-        "counts": {"points": d.num_points, "blocks": d.num_blocks, "simple": d.simple},
-    }
-    rk = design.replication_and_block_size(d)
-    if isinstance(rk, design.NotUniform):
-        report["uniform"] = {
-            "witness": {"what": rk.what, "indices": list(rk.witnesses), "values": list(rk.values)}
-        }
-    else:
-        report["uniform"] = {"r": rk[0], "k": rk[1]}
-
-    if d.num_blocks >= 2:
-        qs = design.block_intersections(d)
-        report["quasi_symmetry"] = _plain(qs)
-    else:
-        report["quasi_symmetry"] = None
-
-    params = design.spbibd_type(d)
-    if isinstance(params, design.NotSpbibd):
-        report["spbibd"] = {"rejected": params.reason, "detail": params.detail}
-        report["flags"] = None
-        report["constraints"] = None
-        report["parameter_homogeneity"] = None
-        return report
-
-    report["spbibd"] = _plain(params)
-    report["flags"] = {
-        "two_design_degenerate": params.two_design_degenerate,
-        "in_scope": params.in_scope,
-        "partial_geometry": params.is_partial_geometry,
-        "generalized_quadrangle": params.is_generalized_quadrangle,
-    }
-    try:
-        cons = design.check_parameter_constraints(params)
-        report["constraints"] = {"all_pass": cons.all_pass, **_plain(cons)}
-    except NotInScopeError as exc:
-        report["constraints"] = {"not_in_scope": str(exc)}
-    try:
-        props = equalities.parameter_homogeneity(params)
-        report["parameter_homogeneity"] = _plain(props)
-    except NotInScopeError as exc:
-        report["parameter_homogeneity"] = {"not_in_scope": str(exc)}
-    return report
-
-
-def analyze_graph_report(g: BipartiteGraph) -> dict:
-    cls = graph.classify(g)
-    return {
-        "schema": "spbibd.analyze-graph/1",
-        "counts": {
-            "vertices": g.num_vertices,
-            "edges": len(g.edges),
-            "class_sizes": [len(g.class_vertices("Y")), len(g.class_vertices("Yprime"))],
-        },
-        "kind": cls.kind,
-        "eccentricities": {"Y": cls.ecc_y, "Yprime": cls.ecc_yprime},
-        "arrays": {"Y": _plain(cls.array_y), "Yprime": _plain(cls.array_yprime)},
-        "witness": _plain(cls.witness),
-    }
-
-
-def homogeneity_report_doc(g: BipartiteGraph, side: str) -> dict:
-    try:
-        rep = homogeneity.homogeneity_report(g, side)
-    except homogeneity.EccentricityNotUniformError as exc:
-        return {
-            "schema": "spbibd.check-homogeneous/1",
-            "side": side,
-            "not_in_scope": str(exc),
-        }
-    return {
-        "schema": "spbibd.check-homogeneous/1",
-        "side": side,
-        "verdict": rep.verdict,
-        "bruteforce_counts": {str(i): list(v) for i, v in rep.bruteforce_counts.items()},
-        "p2ii": {str(i): fraction_text(v, rep.c2) for i, v in rep.p2ii.items()},
-        "delta": {str(i): fraction_text(v, rep.c2) for i, v in rep.delta.items()},
-        "formula_verdict": rep.formula_verdict,
-        "formula_skipped": rep.formula_skipped,
-    }
-
-
-def _render_human(doc: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(doc, dict):
-        lines = []
-        for key in sorted(doc):
-            val = doc[key]
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_human(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {val}")
-        return "\n".join(lines)
-    if isinstance(doc, list):
-        if all(not isinstance(v, (dict, list)) for v in doc):
-            return f"{pad}{', '.join(str(v) for v in doc)}"
-        return "\n".join(_render_human(v, indent) for v in doc)
-    return f"{pad}{doc}"
-
-
-# family -> file document; a size outside a family's range raises ValueError
-_FAMILIES = {
-    "gq22": lambda a: design_file_doc(generators.gq22()),
-    "fano": lambda a: design_file_doc(generators.fano()),
-    "grid": lambda a: design_file_doc(generators.grid_design(a.n)),
-    "wq": lambda a: design_file_doc(generators.symplectic_gq(a.n)),
-    "complete": lambda a: design_file_doc(generators.complete_bipartite_design(a.v, a.b)),
-    "cycle": lambda a: graph_file_doc(generators.even_cycle(a.n)),
-    "path": lambda a: graph_file_doc(generators.path_graph(a.n)),
-    "subdivision": lambda a: graph_file_doc(generators.subdivision_complete_bipartite(a.n)),
-    "tutte-coxeter": lambda a: graph_file_doc(generators.tutte_coxeter()),
-}
-
-
 def _cmd_generate(args) -> None:
+    from .usage import FAMILIES
+
     try:
-        doc = _FAMILIES[args.family](args)
+        built = FAMILIES[args.family](args)
     except ValueError as exc:
         raise ParseError(f"{args.family}: {exc}") from exc
-    _emit(doc, args.out)
+    _emit(design_file_doc(built) if isinstance(built, IncidenceStructure) else graph_file_doc(built), args.out)
 
 
 def _cmd_analyze_design(args) -> None:
     d = parse_design_file(args.path, allow_repeated=args.allow_repeated)
-    _emit(analyze_design_report(d), args.out, args.human)
+    _emit(design.analyze_design_report(d), args.out, args.human)
 
 
 def _cmd_analyze_graph(args) -> None:
-    _emit(analyze_graph_report(parse_graph_file(args.path)), args.out, args.human)
+    _emit(graph.analyze_graph_report(parse_graph_file(args.path)), args.out, args.human)
 
 
 def _cmd_to_graph(args) -> None:
@@ -289,7 +165,7 @@ def _cmd_from_graph(args) -> None:
 
 
 def _cmd_check_homogeneous(args) -> None:
-    _emit(homogeneity_report_doc(parse_graph_file(args.path), args.side), args.out, args.human)
+    _emit(homogeneity.homogeneity_report_doc(parse_graph_file(args.path), args.side), args.out, args.human)
 
 
 def _cmd_search(args) -> None:
@@ -298,27 +174,24 @@ def _cmd_search(args) -> None:
 
 
 def _cmd_help(command: str | None) -> None:
-    """The usage line, then one line per command, or per argument of one."""
-    if command is None:
-        text, rows = _ABOUT, [(name, entry[0]) for name, entry in _COMMANDS.items()]
-    else:
-        text, rows = _COMMANDS[command][0], [(_spelling(a), a[4]) for a in _COMMANDS[command][2]]
-    rows.insert(0, ("-h, --help", "show this help and exit"))
-    print(_usage(command), "", text, "", *(f"  {left:<20}  {right}" for left, right in rows), sep="\n")
+    from .usage import print_help
+
+    print_help(_COMMANDS, command)
 
 
 _PATH = ("path", str, None, True, "input file")
 _REPEATED = ("--allow-repeated", bool, False, False, "accept repeated blocks")
 _HUMAN = ("--human", bool, False, False, "indented text instead of JSON")
 _OUT = ("--out", str, None, False, "write to this file instead of stdout")
-_ABOUT = "Verify designs and bipartite distance-regularized graphs, check 2-homogeneity and search parameter tuples."
+# generate's families, in the order of usage.FAMILIES, which builds them
+_FAMILIES = ("gq22", "fano", "grid", "wq", "complete", "cycle", "path", "subdivision", "tutte-coxeter")
 
 # command -> (help, handler, arguments).  An argument is (name, kind, default
 # or choices, required, help) with kind int, str or bool (a flag, taking no
 # value); a name without dashes is positional, and choices default to the first.
 _COMMANDS = {
     "generate": ("emit a fixture design or graph file", _cmd_generate, (
-        ("family", str, tuple(_FAMILIES), True, "fixture family"),
+        ("family", str, _FAMILIES, True, "fixture family"),
         ("--n", int, 3, False, "size parameter (grid/cycle/path/subdivision; prime q for wq)"),
         ("--v", int, 2, False, "points (complete)"),
         ("--b", int, 2, False, "blocks (complete)"), _OUT)),
@@ -339,20 +212,6 @@ _COMMANDS = {
 
 class UsageError(Exception):
     """(command or None, reason) of a bad command line: exit code 2."""
-
-
-def _spelling(arg: tuple) -> str:
-    """An argument as a command line writes it: name and value placeholder."""
-    name, kind, default = arg[:3]
-    value = "{%s}" % ",".join(default) if isinstance(default, tuple) else name.lstrip("-").upper()
-    return value if name[0] != "-" else name if kind is bool else f"{name} {value}"
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return "usage: spbibd [-h] {%s} ..." % ",".join(_COMMANDS)
-    words = (_spelling(a) if a[3] else f"[{_spelling(a)}]" for a in _COMMANDS[command][2])
-    return " ".join(("usage: spbibd", command, "[-h]", *words))
 
 
 def _is_option(word: str) -> bool:
@@ -404,7 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         handler(args)
         return 0
     except UsageError as exc:
-        print(f"{_usage(exc.args[0])}\nspbibd: error: {exc.args[1]}", file=sys.stderr)
+        from .usage import usage_line
+
+        print(f"{usage_line(_COMMANDS, exc.args[0])}\nspbibd: error: {exc.args[1]}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""SPBIBD detection, quasi-symmetry, duality and the parameter
-constraints that every in-scope design must satisfy.
+"""SPBIBD detection, quasi-symmetry, duality, the parameter constraints
+that every in-scope design must satisfy, and the analyze-design report
+that sets them out.
 
 All counts are exact integer counts over all pairs / flags; nothing is
 sampled.
@@ -9,19 +10,18 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, combinations
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .core import (
     ConsistencyError,
     IncidenceStructure,
     NotInScopeError,
-    SpbibdParams,
     ToolkitError,
     covered_pairs,
-    fraction_text,
-    scope_inequalities,
+    plain,
     validate_structure,
 )
+from .equalities import SpbibdParams, fraction_text, parameter_homogeneity, scope_inequalities
 
 
 class FewerThanTwoBlocksError(ToolkitError):
@@ -242,9 +242,9 @@ def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
     """Itemized inequality checks for quasi-symmetric designs with
     lambda2 = 0, type (k-1, t), x = 0, y > 0.
 
-    Checks the rows of core.SCOPE_INEQUALITIES that apply at y (four for
-    y = 1, nine for y > 1) and renders their details with t*lambda1/y in
-    lowest terms (core.fraction_text).  Raises NotInScopeError when the
+    Checks the rows of equalities.SCOPE_INEQUALITIES that apply at y (four
+    for y = 1, nine for y > 1) and renders their details with t*lambda1/y
+    in lowest terms (equalities.fraction_text).  Raises NotInScopeError when the
     preconditions themselves fail.
     """
     if p.lambda2 != 0:
@@ -262,3 +262,39 @@ def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
             for row in scope_inequalities(p.y)
         )
     )
+
+
+def analyze_design_report(d: IncidenceStructure) -> dict:
+    report: dict[str, Any] = {
+        "schema": "spbibd.analyze-design/1",
+        "counts": {"points": d.num_points, "blocks": d.num_blocks, "simple": d.simple},
+    }
+    rk = replication_and_block_size(d)
+    if isinstance(rk, NotUniform):
+        report["uniform"] = {"witness": {"what": rk.what, "indices": list(rk.witnesses), "values": list(rk.values)}}
+    else:
+        report["uniform"] = {"r": rk[0], "k": rk[1]}
+    report["quasi_symmetry"] = plain(block_intersections(d)) if d.num_blocks >= 2 else None
+
+    params = spbibd_type(d)
+    if isinstance(params, NotSpbibd):
+        report["spbibd"] = {"rejected": params.reason, "detail": params.detail}
+        return report | dict.fromkeys(("flags", "constraints", "parameter_homogeneity"))
+
+    report["spbibd"] = plain(params)
+    report["flags"] = {
+        "two_design_degenerate": params.two_design_degenerate,
+        "in_scope": params.in_scope,
+        "partial_geometry": params.is_partial_geometry,
+        "generalized_quadrangle": params.is_generalized_quadrangle,
+    }
+    try:
+        cons = check_parameter_constraints(params)
+        report["constraints"] = {"all_pass": cons.all_pass, **plain(cons)}
+    except NotInScopeError as exc:
+        report["constraints"] = {"not_in_scope": str(exc)}
+    try:
+        report["parameter_homogeneity"] = plain(parameter_homogeneity(params))
+    except NotInScopeError as exc:
+        report["parameter_homogeneity"] = {"not_in_scope": str(exc)}
+    return report

@@ -1,16 +1,111 @@
-"""The parameter algebra of the correspondence in integers: Delta_i and
-p^i_{2,i} as numerators over the side c_2, the Delta-vanishing equalities
-K3/K4/K30/K40 of an in-scope design, the target table and the
-parameter-level homogeneity flags.  Nothing here needs ``fractions``;
-the check-homogeneous report prints the numerators over c_2 with
-core.fraction_text.
+"""The parameter algebra of the correspondence in integers: the design
+parameter records, the scope inequalities, Delta_i and p^i_{2,i} as
+numerators over the side c_2, the Delta-vanishing equalities K3/K4/K30/K40
+of an in-scope design, the target table and the parameter-level
+homogeneity flags.  Nothing here needs ``fractions``; the reports print
+each rational with fraction_text.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from math import gcd
+from typing import Callable, NamedTuple
 
-from .core import IntersectionArray, NotInScopeError, SpbibdParams, TARGETS
+from .core import IntersectionArray, NotInScopeError, TARGETS
+
+
+class SpbibdParams(NamedTuple):
+    """Parameters (v, b, r, k, lambda1, lambda2) of type (s, t), plus the
+    block intersection numbers (x, y) when the design is quasi-symmetric.
+
+    ``lambda2_realized`` is False when every point pair has the same
+    concurrence; lambda2 is then reported as 0 by convention.
+    """
+
+    v: int
+    b: int
+    r: int
+    k: int
+    lambda1: int
+    lambda2: int
+    s: int
+    t: int
+    x: int | None = None
+    y: int | None = None
+    lambda2_realized: bool = True
+
+    @property
+    def two_design_degenerate(self) -> bool:
+        """t = k means every pair of points is in lambda1 blocks (a 2-design)."""
+        return self.t == self.k
+
+    @property
+    def in_scope(self) -> bool:
+        """Quasi-symmetric with lambda2 = 0, s = k-1, x = 0, y > 0, 0 < t < k;
+        and r >= 2, since with y > 0 two blocks share a point."""
+        return (
+            self.lambda2 == 0
+            and self.s == self.k - 1
+            and self.x == 0
+            and self.y is not None
+            and self.y > 0
+            and 0 < self.t < self.k
+            and self.r >= 2
+        )
+
+    @property
+    def is_partial_geometry(self) -> bool:
+        return self.in_scope and self.lambda1 == 1 and self.y == 1
+
+    @property
+    def is_generalized_quadrangle(self) -> bool:
+        return self.is_partial_geometry and self.t == 1
+
+
+class ScopeInequality(NamedTuple):
+    """One inequality that an in-scope design satisfies: its report name,
+    an exact integer test over (r, k, lambda1, t, y) for y >= 1, and its
+    report detail, a ``str.format`` template over r, k, lambda1, t, y and
+    c3 = t*lambda1/y."""
+
+    name: str
+    test: Callable[[int, int, int, int, int], bool]
+    detail: str
+
+
+# The one home of the scope inequalities: design renders them as the
+# analyze-design checklist and search filters tuples by them.  The tests
+# compare t*lambda1/y by cross-multiplying with y > 0, so they stay in
+# integers.
+SCOPE_INEQUALITIES = (
+    ScopeInequality("y <= t", lambda r, k, lambda1, t, y: y <= t, "{y} <= {t}"),
+    ScopeInequality("t < k", lambda r, k, lambda1, t, y: t < k, "{t} < {k}"),
+    ScopeInequality("t < r", lambda r, k, lambda1, t, y: t < r, "{t} < {r}"),
+    ScopeInequality(
+        "t*lambda1/y integral", lambda r, k, lambda1, t, y: (t * lambda1) % y == 0, "t*lambda1/y = {c3}"
+    ),
+    # for y > 1 only: the incidence graph's arrays force these as well
+    ScopeInequality("t > y", lambda r, k, lambda1, t, y: t > y, "{t} > {y}"),
+    ScopeInequality(
+        "lambda1 < t*lambda1/y", lambda r, k, lambda1, t, y: lambda1 * y < t * lambda1, "{lambda1} < {c3}"
+    ),
+    ScopeInequality("t*lambda1/y < r", lambda r, k, lambda1, t, y: t * lambda1 < r * y, "{c3} < {r}"),
+    ScopeInequality("k >= 4", lambda r, k, lambda1, t, y: k >= 4, "k = {k}"),
+    ScopeInequality("r >= 4", lambda r, k, lambda1, t, y: r >= 4, "r = {r}"),
+)
+
+
+def fraction_text(num: int, den: int) -> str:
+    """num/den (den > 0) as ``str(Fraction(num, den))`` prints it, "n/d" in
+    lowest terms or "n": the reports' one renderer of a rational."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if den > g else str(num // g)
+
+
+def scope_inequalities(y: int) -> tuple[ScopeInequality, ...]:
+    """The rows that apply at y >= 1: the first four for y = 1, all nine
+    for y > 1."""
+    return SCOPE_INEQUALITIES if y > 1 else SCOPE_INEQUALITIES[:4]
 
 
 def p2ii_numerator(side_arr: IntersectionArray, other_arr: IntersectionArray, i: int) -> int:

@@ -22,6 +22,7 @@ from .core import (
     Y_SIDE,
     distance_row,
     nearer_counts,
+    plain,
 )
 
 KIND_DISTANCE_REGULAR = "distance-regular"
@@ -200,3 +201,16 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
     else:
         kind = KIND_NOT_REGULARIZED
     return ClassificationResult(kind, array_y, array_yp, *eccs, wit_y, wit_yp)
+
+
+def analyze_graph_report(g: BipartiteGraph) -> dict:
+    cls = classify(g)
+    return {
+        "schema": "spbibd.analyze-graph/1",
+        "counts": {"vertices": g.num_vertices, "edges": len(g.edges),
+                   "class_sizes": [len(g.class_vertices("Y")), len(g.class_vertices("Yprime"))]},
+        "kind": cls.kind,
+        "eccentricities": {"Y": cls.ecc_y, "Yprime": cls.ecc_yprime},
+        "arrays": {"Y": plain(cls.array_y), "Yprime": plain(cls.array_yprime)},
+        "witness": plain(cls.witness),
+    }

@@ -21,7 +21,7 @@ from .core import (
     nearer_counts,
 )
 # parameter_homogeneity is unused here: perfbench/spans.TRACED patches it in this module
-from .equalities import delta_numerator, p2ii_numerator, parameter_homogeneity
+from .equalities import delta_numerator, fraction_text, p2ii_numerator, parameter_homogeneity
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -209,3 +209,21 @@ def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:
                 raise ConsistencyError(f"formula verdict {formula.verdict} != brute force {brute.verdict}")
             return HomogeneityReport(side, brute.verdict, brute.level_counts, *formula, None)
     return HomogeneityReport(side, brute.verdict, brute.level_counts, {}, {}, None, None, skipped)
+
+
+def homogeneity_report_doc(g: BipartiteGraph, side: str) -> dict:
+    """The check-homogeneous report, each rational in lowest terms."""
+    try:
+        rep = homogeneity_report(g, side)
+    except EccentricityNotUniformError as exc:
+        return {"schema": "spbibd.check-homogeneous/1", "side": side, "not_in_scope": str(exc)}
+    return {
+        "schema": "spbibd.check-homogeneous/1",
+        "side": side,
+        "verdict": rep.verdict,
+        "bruteforce_counts": {str(i): list(v) for i, v in rep.bruteforce_counts.items()},
+        "p2ii": {str(i): fraction_text(v, rep.c2) for i, v in rep.p2ii.items()},
+        "delta": {str(i): fraction_text(v, rep.c2) for i, v in rep.delta.items()},
+        "formula_verdict": rep.formula_verdict,
+        "formula_skipped": rep.formula_skipped,
+    }

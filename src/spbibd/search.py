@@ -1,7 +1,7 @@
 """Bounded exhaustive enumeration of admissible parameter tuples
 (r, k, lambda1, t, y) with y > 1 whose incidence graph would be (almost)
 2-homogeneous with respect to the point or block class.  A tuple is
-admissible when it passes core.SCOPE_INEQUALITIES, the rows that the
+admissible when it passes equalities.SCOPE_INEQUALITIES, the rows that the
 analyze-design checklist renders, and gives integral v and b.
 
 A target needs the equalities that equalities.TARGET_NEEDS lists, the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .core import TARGETS, ConsistencyError, ToolkitError, scope_inequalities
+from .core import TARGETS, ConsistencyError, ToolkitError
 from .correspondence import derived_sizes, expected_incidence_arrays
 from .equalities import (
     EQUALITY_LABELS,
@@ -35,6 +35,7 @@ from .equalities import (
     k3_terms,
     r_coefficients,
     satisfied_equalities,
+    scope_inequalities,
 )
 
 
@@ -59,7 +60,7 @@ class CandidateTuple(NamedTuple):
 
 def admissibility_failures(r: int, k: int, lambda1: int, t: int, y: int) -> list[str]:
     """Reasons a tuple fails the scope and counting filters (empty when
-    admissible): the names of the failing core.SCOPE_INEQUALITIES rows,
+    admissible): the names of the failing equalities.SCOPE_INEQUALITIES rows,
     then the integrality of v and b, which is derived only once every row
     holds.
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from spbibd.core import SpbibdParams
+from spbibd.equalities import SpbibdParams
 from spbibd.correspondence import (
     WrongEccentricityError,
     design_from_graph,

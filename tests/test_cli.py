@@ -166,6 +166,18 @@ def test_adjacency_view_is_the_edges_bitsets_with_and_without_a_partition(tmp_pa
         assert g.adjacency_masks == edge_masks(g.num_vertices, g.edges) == edge_masks(5, edges)
 
 
+def test_a_flipped_partition_keeps_the_cached_bitsets(tmp_path):
+    # the CI smoke test's flipped graph: its class 0 does not hold vertex 0,
+    # so the parsed graph is the BFS one with the other side; the bitsets
+    # that build_bipartite stored come with it, not rebuilt on first use
+    path = tmp_path / "flipped.json"
+    write_json(path, {"n": 5, "edges": [[0, 1], [0, 2], [3, 1], [3, 2], [4, 1]], "partition": [1, 0, 0, 1, 1]})
+    g = parse_graph_file(str(path))
+    assert g.side == (1, 0, 0, 1, 1)
+    assert "adjacency_masks" in g.__dict__
+    assert g.adjacency_masks == edge_masks(5, g.edges)
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -18,15 +18,14 @@ from spbibd.core import (
     NotConnectedError,
     OddCycleError,
     PointIndexOutOfRangeError,
-    SpbibdParams,
     ToolkitError,
     bits,
     build_bipartite,
     edge_masks,
-    fraction_text,
     nearer_counts,
     validate_structure,
 )
+from spbibd.equalities import SpbibdParams, fraction_text
 from spbibd.generators import even_cycle
 from spbibd.graph import all_distances
 from util import hypercube_graph, nx_graph, oracle_distances, random_connected_bipartite

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbibd.core import SpbibdParams, build_bipartite, validate_structure
+from spbibd.core import build_bipartite, validate_structure
 from spbibd.correspondence import (
     DerivationError,
     GraphDesignExtraction,
@@ -18,6 +18,7 @@ from spbibd.correspondence import (
     incidence_graph,
 )
 from spbibd.design import spbibd_type
+from spbibd.equalities import SpbibdParams
 from spbibd.generators import (
     even_cycle,
     fano,

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spbibd import core, design
-from spbibd.cli import analyze_design_report
-from spbibd.core import DuplicateBlockError, SpbibdParams, validate_structure
+from spbibd.core import DuplicateBlockError, validate_structure
 from spbibd.design import (
     ConstraintCheck,
     ConstraintReport,
@@ -15,6 +14,7 @@ from spbibd.design import (
     NotInScopeError,
     NotSpbibd,
     NotUniform,
+    analyze_design_report,
     block_intersections,
     check_parameter_constraints,
     dual,
@@ -23,6 +23,7 @@ from spbibd.design import (
     replication_and_block_size,
     spbibd_type,
 )
+from spbibd.equalities import SpbibdParams
 from spbibd.generators import complete_bipartite_design, fano, gq22, grid_design, symplectic_gq
 from util import (
     block_intersection_sizes_oracle,

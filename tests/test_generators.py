@@ -4,9 +4,10 @@ import networkx as nx
 import pytest
 
 from spbibd import generators
-from spbibd.core import IntersectionArray, SpbibdParams
+from spbibd.core import IntersectionArray
 from spbibd.correspondence import incidence_graph
 from spbibd.design import replication_and_block_size, spbibd_type
+from spbibd.equalities import SpbibdParams
 from spbibd.generators import (
     complete_bipartite_design,
     even_cycle,

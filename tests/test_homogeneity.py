@@ -8,14 +8,12 @@ from spbibd import core, homogeneity
 from spbibd.core import (
     ConsistencyError,
     IntersectionArray,
-    SpbibdParams,
     ToolkitError,
     build_bipartite,
-    fraction_text,
 )
 from spbibd.correspondence import expected_incidence_arrays, incidence_graph
 from spbibd.design import NotInScopeError, dual, spbibd_type
-from spbibd.equalities import delta_numerator, p2ii_numerator, parameter_homogeneity
+from spbibd.equalities import SpbibdParams, delta_numerator, fraction_text, p2ii_numerator, parameter_homogeneity
 from spbibd.generators import (
     even_cycle,
     fano,

@@ -1,6 +1,8 @@
 """The package surface: which modules each CLI command loads, and the
 public names that resolve on first use."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,7 +13,8 @@ import pytest
 import spbibd
 from spbibd.cli import main
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 # prints the modules in sys.modules whose code has run: a lazily registered
 # submodule stays an importlib.util._LazyModule until its first attribute
@@ -29,6 +32,7 @@ ALWAYS = {"spbibd", "spbibd.cli", "spbibd.core"}
 # command loads fractions
 LOADS = {
     ("analyze-graph", "tc.json"): {"spbibd.graph"},
+    ("analyze-graph", "tc.json", "--human"): {"spbibd.graph", "spbibd.usage"},
     ("to-graph", "gq22.json"): {"spbibd.correspondence"},
     ("from-graph", "tc.json"): {"spbibd.correspondence", "spbibd.graph"},
     ("check-homogeneous", "tc.json"): {
@@ -42,8 +46,11 @@ LOADS = {
         "spbibd.equalities",
         "spbibd.search",
     },
-    ("generate", "fano"): {"spbibd.correspondence", "spbibd.generators"},
+    ("generate", "fano"): {"spbibd.correspondence", "spbibd.generators", "spbibd.usage"},
 }
+# the help and usage text, --human and generate's families: no report and
+# no search loads them
+RARE = "spbibd.usage"
 # what no command loads: the command line is parsed from the table in cli
 NEVER = {"argparse", "gettext", "locale"}
 # what the commands that only decide integer equalities never load, and
@@ -51,6 +58,9 @@ NEVER = {"argparse", "gettext", "locale"}
 # check-homogeneous prints its rationals from integer numerators
 NO_RATIONALS = {"fractions", "decimal", "spbibd.homogeneity", "spbibd.graph"}
 NEVER_IN = {
+    "analyze-graph": {"spbibd.equalities"},
+    "to-graph": {"spbibd.equalities"},
+    "from-graph": {"spbibd.equalities"},
     "analyze-design": NO_RATIONALS,
     "search": NO_RATIONALS | {"json"},
     "check-homogeneous": {"fractions", "decimal"},
@@ -76,7 +86,7 @@ def bare():
     return fresh_interpreter(PRINT_LOADED)
 
 
-@pytest.mark.parametrize("argv", list(LOADS), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(LOADS), ids=lambda argv: argv[0] + "-human" * ("--human" in argv))
 def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
     for family, name in (("gq22", "gq22.json"), ("tutte-coxeter", "tc.json")):
         assert main(["generate", family, "--out", str(tmp_path / name)]) == 0
@@ -86,12 +96,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
     ours = {m for m in loaded if m.partition(".")[0] in ("spbibd", "fractions")}
     assert ours == (ALWAYS | LOADS[argv]) - bare
     assert not (NEVER | NEVER_IN.get(argv[0], set())) & loaded
+    assert (RARE in loaded) == (argv[0] == "generate" or "--human" in argv)
 
 
 def test_cli_import_loads_no_exact_arithmetic(bare):
     loaded = fresh_interpreter("import spbibd.cli" + PRINT_LOADED) - bare
     assert "spbibd.cli" in loaded
-    assert not {"fractions", "decimal", "spbibd.graph", "json"} & loaded
+    assert not {"fractions", "decimal", "spbibd.graph", "json", RARE} & loaded
     assert not NEVER & loaded
 
 
@@ -108,7 +119,7 @@ def test_help_and_usage_errors_load_no_json(bare, argv, code):
         "code = main(sys.argv[1:]); sys.stdout = sys.__stdout__; print('exit', code)"
     )
     loaded = fresh_interpreter(quiet + PRINT_LOADED, *argv) - bare
-    assert {"exit", str(code)} <= loaded
+    assert {"exit", str(code), RARE} <= loaded
     assert not ({"json"} | NEVER) & loaded
 
 
@@ -118,6 +129,27 @@ def test_cli_import_registers_every_traced_module():
     registered = fresh_interpreter("import sys, spbibd.cli; print(' '.join(sys.modules))")
     names = {"cli", "core", "graph", "design", "correspondence", "equalities", "homogeneity", "search"}
     assert {f"spbibd.{n}" for n in names} <= registered
+
+
+def test_every_traced_function_resolves_in_its_module():
+    # perfbench/spans.TRACED names (module, function, how) triples that the
+    # benchmark's traced run wraps; read as data, without importing perfbench
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    assert traced
+    missing = [(m, f) for m, f, _ in traced if not callable(getattr(importlib.import_module(f"spbibd.{m}"), f, None))]
+    assert not missing
+
+
+def test_generate_choices_are_the_families_usage_builds():
+    from spbibd.cli import _COMMANDS
+    from spbibd.usage import FAMILIES
+
+    assert _COMMANDS["generate"][2][0][2] == tuple(FAMILIES)
 
 
 def test_public_names_are_their_defining_modules_objects():

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 import spbibd
 from spbibd import search
 from spbibd.cli import main as cli_main
-from spbibd.core import ConsistencyError, SpbibdParams
+from spbibd.core import ConsistencyError
 from spbibd.correspondence import derived_sizes, expected_incidence_arrays
 from spbibd.design import check_parameter_constraints
-from spbibd.equalities import parameter_homogeneity, r_coefficients
+from spbibd.equalities import SpbibdParams, parameter_homogeneity, r_coefficients
 from spbibd.search import (
     CSV_HEADER,
     TARGETS,

@@ -18,7 +18,6 @@ from spbibd.core import (
     BipartiteGraph,
     IncidenceStructure,
     IntersectionArray,
-    SpbibdParams,
     build_bipartite,
     validate_structure,
 )
@@ -30,7 +29,7 @@ from spbibd.design import (
     replication_and_block_size,
     spbibd_type,
 )
-from spbibd.equalities import TARGET_NEEDS
+from spbibd.equalities import TARGET_NEEDS, SpbibdParams
 from spbibd.graph import (
     KIND_DISTANCE_BIREGULAR,
     KIND_DISTANCE_REGULAR,
