@@ -102,9 +102,9 @@ def parse_graph_file(path: str) -> BipartiteGraph:
             if tuple(1 - p for p in part) != g.side:
                 raise ParseError(f"{path}: 'partition' does not match the BFS 2-coloring")
             # the complement of a proper colouring is proper: nothing to
-            # recheck, and the edges, so their cached bitsets, stay
+            # recheck, and the edges, so their cached views, stay
             flipped = g._replace(side=part)
-            flipped.__dict__["adjacency_masks"] = g.adjacency_masks
+            flipped.__dict__.update(g.__dict__)
             g = flipped
     return g
 

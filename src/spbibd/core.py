@@ -15,9 +15,9 @@ constructor functions (``validate_structure``, ``build_bipartite``)
 canonicalize raw input first; nothing is validated lazily.  The
 subclasses keep an instance ``__dict__``, so their derived views (block
 sets, the blocks through each point, the meets of the blocks, the graph's
-adjacency bitsets, its distance layers and its distances mod 4) are
-cached properties, computed at most once per object; every scan reads
-them and builds no copy of its own.
+adjacency bitsets, its diameter bound, its distance layers and its
+distances mod 4) are cached properties, computed at most once per object;
+every scan reads them and builds no copy of its own.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ class OddCycleError(ToolkitError):
 
 class NoEdgesError(ToolkitError):
     """Classification needs at least one edge."""
+
+
+class LayersTooLargeError(ToolkitError):
+    """A graph's distance layers would exceed MAX_LAYER_BYTES."""
 
 
 class ConsistencyError(ToolkitError):
@@ -168,6 +172,14 @@ def validate_structure(
     return IncidenceStructure(num_points, tuple(canon))
 
 
+# The most bytes that one graph's distance layers (BipartiteGraph.layers)
+# may take, estimated as n^2 * (2 e0 + 1) / 8: n-bit ints for the levels 0
+# to 2 e0, which bounds the diameter, e0 being vertex 0's eccentricity.  It
+# is checked before the layers are built.  The 1000-cycle estimates 1.3e8
+# bytes and the 2000-vertex path from its end 2.0e9; the 25,000-cycle that
+# generate allows would need 2e12.
+MAX_LAYER_BYTES = 2**31
+
 Y_SIDE = "Y"
 YPRIME_SIDE = "Yprime"
 SIDES = (Y_SIDE, YPRIME_SIDE)
@@ -210,8 +222,21 @@ class BipartiteGraph(_GraphFields):
         sources at once by :func:`all_layers`; every graph check reads it.
         Each layer is an n-bit int, so the view takes about
         n^2 * (D + 1) / 8 bytes for diameter D: less than a distance matrix
-        for the small diameters in scope, more on long paths and cycles."""
+        for the small diameters in scope, more on long paths and cycles.  A
+        graph whose bound on that exceeds MAX_LAYER_BYTES is refused first."""
+        n, d = self.num_vertices, self.diameter_bound
+        if n * n * (d + 1) > 8 * MAX_LAYER_BYTES:
+            raise LayersTooLargeError(
+                f"the distance layers of {n} vertices, with a diameter of up to {d}, "
+                f"would take about {n * n * (d + 1) // 8} bytes, over the limit of {MAX_LAYER_BYTES}"
+            )
         return all_layers(self.adjacency_masks)
+
+    @cached_property
+    def diameter_bound(self) -> int:
+        """Twice vertex 0's eccentricity, which no distance exceeds; filled
+        in by :func:`build_bipartite` from its BFS."""
+        return 2 * (len(layer_bfs(self.adjacency_masks, 0)) - 1)
 
     @cached_property
     def residues(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -393,7 +418,8 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     # cycle; BipartiteGraph refuses any edge inside one class
     side = tuple(d % 2 for d in distance_row(layers, num_vertices))
     g = BipartiteGraph(num_vertices, tuple(norm), side)
-    g.__dict__["adjacency_masks"] = masks  # the cached property, filled from the BFS's bitsets
+    # the cached properties, filled from the BFS
+    g.__dict__.update(adjacency_masks=masks, diameter_bound=2 * (len(layers) - 1))
     return g
 
 

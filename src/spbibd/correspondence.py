@@ -2,8 +2,10 @@
 construction and design extraction from distance-semiregular graphs with
 eccentricity 4, with vertex provenance for the extracted points and blocks.
 
-All derived parameters are exact integers; a size that the formulas do
-not give as an integer is a DerivationError, never rounded.
+All derived parameters are exact integers, never rounded.  A derived c_3
+that is not an integer is a DerivationError; the sizes and the block
+valency that design_from_graph derives from a certified array are
+cross-checks, so a disagreement there is a ConsistencyError.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import NamedTuple
 from . import graph
 from .core import (
     BipartiteGraph,
+    ConsistencyError,
     IncidenceStructure,
     IntersectionArray,
     NotConnectedError,
@@ -149,15 +152,18 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
         raise WrongEccentricityError(
             f"chosen class has eccentricity {arr.eccentricity}, need 4"
         )
+    # one array of eccentricity 4 for the class makes v and b the sizes
+    # |Gamma_0| + |Gamma_2| + |Gamma_4| and |Gamma_1| + |Gamma_3| of any point's
+    # layers and b_1 + 1 every block's degree: the checks below fail only on a defect
     r, k, lambda1, t = arr.b[0], arr.b[1] + 1, arr.c[2], arr.c[3]
     v_num, b_num, den = derived_sizes(r, k, lambda1, t)
     if v_num % den or b_num % den:
-        raise DerivationError(
+        raise ConsistencyError(
             f"non-integral derived sizes v = {v_num}/{den}, b = {b_num}/{den}"
         )
     v, b = v_num // den, b_num // den
     if v != len(point_vertices) or b != len(block_vertices_raw):
-        raise DerivationError(
+        raise ConsistencyError(
             f"derived sizes ({v}, {b}) disagree with class sizes "
             f"({len(point_vertices)}, {len(block_vertices_raw)})"
         )
@@ -167,7 +173,7 @@ def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:
     other_arr = cls.array_for(other)
     y = None if other_arr is None else other_arr.c[2]
     if other_arr is not None and other_arr.b[0] != k:
-        raise DerivationError(f"block valency {other_arr.b[0]} differs from b_1 + 1 = {k}")
+        raise ConsistencyError(f"block valency {other_arr.b[0]} differs from b_1 + 1 = {k}")
 
     params = DerivedDesignParams(v=v, b=b, r=r, k=k, lambda1=lambda1, s=k - 1, t=t, y=y)
 

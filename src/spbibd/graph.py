@@ -3,11 +3,10 @@
 Every check reads the graph's cached views (``BipartiteGraph.layers``:
 per vertex, the int bitset of the vertices at each distance, built for
 all sources in one level-by-level sweep, at most once per graph; and
-``residues``, the same distances mod 4).  Intersection numbers are
-popcounts: c_i of y is the number of y's neighbours in the layer i-1, and
-b_i = degree - c_i.  :func:`classify` decides both classes in one sweep of
-bit-sliced counts (:func:`core.nearer_counts`), one per vertex and about one
-bitset operation per edge, whatever the diameter; every test stays exhaustive.
+``residues``, the same distances mod 4).  :func:`classify` decides both
+classes in one exhaustive sweep, one :func:`core.nearer_counts` per vertex:
+a uniform class's array is its one (b_i, c_i) per level, checked against its
+first vertex's layer sizes; :func:`local_intersection_numbers` only names witnesses.
 """
 
 from __future__ import annotations
@@ -162,9 +161,11 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
     when the array depends only on the color class (and the graph is not
     regular); semiregular-one-side when only one class is uniform.
     The one-vertex graph raises NoEdgesError.  Both classes are decided in
-    one sweep (:func:`_class_levels`); then only a uniform class's first
-    vertex, and an irregular class's vertices up to its first witness, are
-    called through local_intersection_numbers.
+    one sweep (:func:`_class_levels`): a uniform class's array is its one key
+    per level, checked on its first vertex x0 by counting the edges between
+    layers from both sides, |Gamma_i(x0)| b_i = |Gamma_{i+1}(x0)| c_{i+1} for
+    0 <= i <= D; only an irregular class calls local_intersection_numbers,
+    up to its first witness.
     """
     classes = (g.class_vertices(Y_SIDE), g.class_vertices(YPRIME_SIDE))
     eccs = tuple(max(len(g.layers[v]) - 1 for v in vertices) for vertices in classes)
@@ -182,18 +183,17 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
         # every vertex has a key at level 0, and b_i > 0 exactly below its
         # eccentricity, so one key per level is one array for the whole class
         elif all(len(keys) == 1 for keys in levels):
-            arr = local_intersection_numbers(g, vertices[0])
-            if isinstance(arr, NotRegularizedAt):
-                raise ConsistencyError(f"class scan missed the witness at vertex {arr.vertex}")
+            b, c = zip(*(next(iter(keys)) for keys in levels))
+            sizes = [layer.bit_count() for layer in g.layers[vertices[0]]]
+            edges = zip(sizes, b, sizes[1:] + [0], c[1:] + (0,))  # no layer D + 1
+            if len(sizes) != len(b) or any(m * bi != n * ci for m, bi, n, ci in edges):
+                raise ConsistencyError(f"class scan array {b}, {c} miscounts the layers {sizes} of vertex {vertices[0]}")
+            arr = IntersectionArray(b, c)
         verdicts.append((arr, witness))
     (array_y, wit_y), (array_yp, wit_yp) = verdicts
 
     if array_y is not None and array_yp is not None:
-        kind = (
-            KIND_DISTANCE_REGULAR
-            if array_y == array_yp
-            else KIND_DISTANCE_BIREGULAR
-        )
+        kind = KIND_DISTANCE_REGULAR if array_y == array_yp else KIND_DISTANCE_BIREGULAR
     elif array_y is not None:
         kind = KIND_SEMIREGULAR_Y_ONLY
     elif array_yp is not None:

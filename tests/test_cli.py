@@ -13,9 +13,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbibd import generators
+from spbibd import generators, graph
 from spbibd.cli import _COMMANDS, graph_file_doc, main, parse_graph_file
-from spbibd.core import edge_masks
+from spbibd.core import IntersectionArray, edge_masks, nearer_counts
 from spbibd.correspondence import incidence_graph
 from util import hexagonal_prism, hypercube_design, hyperoval_design, hyperoval_dual_design
 
@@ -174,7 +174,7 @@ def test_a_flipped_partition_keeps_the_cached_bitsets(tmp_path):
     write_json(path, {"n": 5, "edges": [[0, 1], [0, 2], [3, 1], [3, 2], [4, 1]], "partition": [1, 0, 0, 1, 1]})
     g = parse_graph_file(str(path))
     assert g.side == (1, 0, 0, 1, 1)
-    assert "adjacency_masks" in g.__dict__
+    assert "adjacency_masks" in g.__dict__ and "diameter_bound" in g.__dict__
     assert g.adjacency_masks == edge_masks(5, g.edges)
 
 
@@ -256,6 +256,36 @@ def test_generate_refuses_an_oversize_family_before_allocating(args):
         assert proc.stderr == (
             "error: cycle: 100000000 vertices and 100000000 edges exceed the limit of 50000 in all\n"
         )
+
+
+@pytest.fixture(scope="module")
+def cycle_25000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cycle") / "c25000.json"
+    assert main(["generate", "cycle", "--n", "25000", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("analyze-graph",), ("from-graph", "--points", "Yprime"), ("check-homogeneous",)],
+    ids=" ".join,
+)
+def test_graph_commands_refuse_layers_that_cannot_fit(cycle_25000, command):
+    # generate allows the 25,000-cycle; its distance layers would take about
+    # 2e12 bytes.  In a child limited to 600 MB of address space, building
+    # them first dies with a MemoryError traceback.
+    proc = subprocess.run(
+        [sys.executable, "-m", "spbibd.cli", command[0], str(cycle_25000), *command[1:]],
+        capture_output=True,
+        text=True,
+        preexec_fn=_address_space_600mb,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: LayersTooLargeError: the distance layers of 25000 vertices, with a diameter of up to 25000, "
+        "would take about 1953203125000 bytes, over the limit of 2147483648\n"
+    )
 
 
 def test_duplicate_blocks_need_flag(tmp_path, capsys):
@@ -488,16 +518,43 @@ def test_from_graph_names_the_witness_of_its_own_class(tmp_path, capsys):
     )
 
 
+_CLASS_SCAN_MUTANTS = [
+    # every vertex in count 0 reads the hexagonal prism C6 x K2, cubic but
+    # not distance-regularized, as uniform
+    (
+        lambda g, x, ws, mask: [(0, mask)],
+        hexagonal_prism(),
+        "class scan array (3, 3, 3, 3, 3), (0, 0, 0, 0, 0) miscounts the layers [1, 3, 4, 3, 1] of vertex 0",
+    ),
+    # every count one too high keeps the 8-cycle uniform, with b_0 = 1 and c_1 = 2
+    (
+        lambda g, x, ws, mask: [(c + 1, members) for c, members in nearer_counts(g, x, ws, mask)],
+        generators.even_cycle(8),
+        "class scan array (1, 0, 0, 0, -1), (1, 2, 2, 2, 3) miscounts the layers [1, 2, 2, 2, 1] of vertex 0",
+    ),
+]
+
+
 def test_analyze_graph_reports_a_failed_class_scan_cross_check(tmp_path, capsys, monkeypatch):
-    # a class scan that puts every vertex in count 0 reads the hexagonal
-    # prism C6 x K2, cubic but not distance-regularized, as uniform
-    monkeypatch.setattr("spbibd.graph.nearer_counts", lambda g, x, ws, mask: [(0, mask)])
-    gpath = tmp_path / "prism.json"
-    write_json(gpath, graph_file_doc(hexagonal_prism()))
-    assert run_cli(capsys, "analyze-graph", str(gpath)) == (
+    gpath = tmp_path / "g.json"
+    for mutant, g, message in _CLASS_SCAN_MUTANTS:
+        monkeypatch.setattr("spbibd.graph.nearer_counts", mutant)
+        write_json(gpath, graph_file_doc(g))
+        assert run_cli(capsys, "analyze-graph", str(gpath)) == (3, "", f"error: ConsistencyError: {message}\n")
+
+
+def test_from_graph_reports_a_failed_size_cross_check(tmp_path, capsys, monkeypatch):
+    # W(3)'s array given to the Tutte-Coxeter graph's points derives 40
+    # points and 40 blocks from 15 + 15 vertices: a defect, exit 3
+    real = graph.classify
+    w3 = IntersectionArray((4, 3, 3, 3, 0), (0, 1, 1, 1, 4))
+    monkeypatch.setattr(graph, "classify", lambda g: real(g)._replace(array_y=w3))
+    gpath = tmp_path / "tc.json"
+    write_json(gpath, graph_file_doc(generators.tutte_coxeter()))
+    assert run_cli(capsys, "from-graph", str(gpath)) == (
         3,
         "",
-        "error: ConsistencyError: class scan missed the witness at vertex 0\n",
+        "error: ConsistencyError: derived sizes (40, 40) disagree with class sizes (15, 15)\n",
     )
 
 

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import spbibd
 from spbibd.core import (
+    MAX_LAYER_BYTES,
     DuplicateBlockError,
     EmptyBlockError,
     IntersectionArray,
+    LayersTooLargeError,
     NoPointsError,
     NotConnectedError,
     OddCycleError,
@@ -26,7 +28,7 @@ from spbibd.core import (
     validate_structure,
 )
 from spbibd.equalities import SpbibdParams, fraction_text
-from spbibd.generators import even_cycle
+from spbibd.generators import even_cycle, path_graph, tutte_coxeter
 from spbibd.graph import all_distances
 from util import hypercube_graph, nx_graph, oracle_distances, random_connected_bipartite
 
@@ -157,6 +159,30 @@ def test_build_bipartite_matches_networkx(graph):
         assert g.side[0] == 0 and all(g.side[u] != g.side[v] for u, v in edges)
         # the bitsets the build's BFS ran on are the graph's adjacency view
         assert g.adjacency_masks == edge_masks(n, g.edges) == edge_masks(n, edges)
+        assert g.diameter_bound == 2 * max(lengths[0].values()) >= max(max(row.values()) for row in lengths.values())
+
+
+def test_the_layer_limit_admits_the_long_graphs_it_names():
+    # estimates n^2 * (2 e0 + 1) / 8: the 1000-cycle 1.3e8 bytes, the
+    # 2000-vertex path from its end vertex 2.0e9, the 8-cube 1.4e5
+    estimates = {}
+    for name, g in [("cycle", even_cycle(1000)), ("path", path_graph(2000)), ("cube", hypercube_graph(8))]:
+        e0 = max(oracle_distances(g, 0).values())
+        copy = g._replace()  # a copy without the cached views: the bound comes from its own BFS
+        assert "diameter_bound" not in copy.__dict__
+        assert g.diameter_bound == copy.diameter_bound == 2 * e0
+        estimates[name] = g.num_vertices**2 * (2 * e0 + 1) // 8
+    assert estimates == {"cycle": 125_125_000, "path": 1_999_500_000, "cube": 139_264}
+    assert max(estimates.values()) <= MAX_LAYER_BYTES
+
+
+def test_layers_over_the_limit_are_refused_before_they_are_built():
+    g = even_cycle(6000)
+    # 6000^2 * 6001 / 8 = 2.7e10 bytes of layers, never built
+    with pytest.raises(LayersTooLargeError, match="6000 vertices, with a diameter of up to 6000"):
+        g.layers
+    assert "layers" not in g.__dict__
+    assert tutte_coxeter().layers  # a small graph is not refused
 
 
 # built once: the 8-cube (256 vertices, diameter 8) and a long even cycle

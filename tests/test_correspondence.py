@@ -5,7 +5,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbibd.core import build_bipartite, validate_structure
+from spbibd import graph
+from spbibd.core import ConsistencyError, IntersectionArray, build_bipartite, validate_structure
 from spbibd.correspondence import (
     DerivationError,
     GraphDesignExtraction,
@@ -76,6 +77,31 @@ def test_incidence_graph_disconnected_rejected():
 def test_expected_arrays_rejects_nonintegral():
     with pytest.raises(DerivationError):
         expected_incidence_arrays(5, 4, 1, 3, 2)  # t*lambda1/y = 3/2
+
+
+# arrays of eccentricity 4 that classify never gives the Tutte-Coxeter
+# graph (15 + 15 vertices, array {3, 2, 2, 1; 1, 1, 1, 3} on both sides)
+_NON_INTEGRAL = IntersectionArray((3, 2, 1, 1, 0), (0, 1, 2, 2, 3))  # v = 18/4
+_W3 = IntersectionArray((4, 3, 3, 3, 0), (0, 1, 1, 1, 4))  # v = b = 40
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        ({"array_y": _NON_INTEGRAL}, r"non-integral derived sizes v = 18/4, b = 18/4"),
+        ({"array_y": _W3}, r"derived sizes \(40, 40\) disagree with class sizes \(15, 15\)"),
+        ({"array_yprime": _W3}, r"block valency 4 differs from b_1 \+ 1 = 3"),
+    ],
+    ids=["non-integral", "class-sizes", "block-valency"],
+)
+def test_design_from_graph_cross_checks_the_classified_array(monkeypatch, tamper, message):
+    # once classify certifies one array of eccentricity 4, v and b are layer
+    # sizes of a point and k the block degree: these checks can fail only on
+    # a defect, so they are ConsistencyErrors (exit 3), not DerivationErrors
+    real = graph.classify
+    monkeypatch.setattr(graph, "classify", lambda g: real(g)._replace(**tamper))
+    with pytest.raises(ConsistencyError, match=message):
+        design_from_graph(tutte_coxeter(), "Y")
 
 
 def test_extracted_arrays_equal_prediction_for_in_scope_designs():

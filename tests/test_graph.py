@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from spbibd import graph
-from spbibd.core import ConsistencyError, build_bipartite, layer_bfs
+from spbibd.core import ConsistencyError, build_bipartite, layer_bfs, nearer_counts
 from spbibd.correspondence import design_from_graph, expected_incidence_arrays, incidence_graph
 from spbibd.generators import (
     even_cycle,
@@ -273,9 +273,8 @@ def test_classify_stops_at_each_class_first_witness(monkeypatch):
             assert ecc == max(eccentricity(g, v) for v in vertices)
             if not witnesses:
                 # the verdict needs no per-vertex scan: a uniform class's
-                # array is read from its first vertex
+                # array is read from the class scan's keys
                 assert witness is None
-                expected_calls += [vertices[0]] if arr is not None else []
                 continue
             assert arr is None and witness == witnesses[0]
             expected_calls += vertices[: vertices.index(witness.vertex) + 1]
@@ -333,13 +332,25 @@ def test_one_sweep_sums_once_per_vertex(monkeypatch):
     "mutant, g, message",
     [
         # every vertex in count 0: one key per level, a uniform verdict
-        # that the per-vertex call on the first vertex contradicts
-        (lambda g, x, ws, mask: [(0, mask)], hexagonal_prism(), "class scan missed the witness at vertex 0"),
+        # whose array b = (3, 3, 3, 3, 3), c = (0, 0, 0, 0, 0) counts no
+        # edge from vertex 0's first layer down to vertex 0
+        (
+            lambda g, x, ws, mask: [(0, mask)],
+            hexagonal_prism(),
+            r"class scan array \(3, 3, 3, 3, 3\), \(0, 0, 0, 0, 0\) miscounts the layers \[1, 3, 4, 3, 1\] of vertex 0",
+        ),
+        # every count one too high: one key per level on the 8-cycle, but
+        # b_0 = 1 edge leaves vertex 0 while its 2 neighbours count c_1 = 2
+        (
+            lambda g, x, ws, mask: [(c + 1, members) for c, members in nearer_counts(g, x, ws, mask)],
+            even_cycle(8),
+            "miscounts the layers",
+        ),
         # vertex 0 alone counts 1: a conflict on the distance-regular
         # 8-cycle, whose per-vertex scan finds no witness
         (lambda g, x, ws, mask: [(int(x == 0), mask)], even_cycle(8), "has no witness"),
     ],
-    ids=["missed-witness", "no-witness"],
+    ids=["missed-witness", "off-by-one", "no-witness"],
 )
 def test_class_scan_cross_checks_are_live(monkeypatch, mutant, g, message):
     monkeypatch.setattr(graph, "nearer_counts", mutant)

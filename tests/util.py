@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 import networkx as nx
@@ -299,6 +299,20 @@ def hypercube_graph(dim: int) -> BipartiteGraph:
         (u, u ^ (1 << bit)) for u in range(1 << dim) for bit in range(dim) if u < (u ^ (1 << bit))
     ]
     return build_bipartite(1 << dim, edges)
+
+
+def sylvester_hadamard_graph(n: int) -> BipartiteGraph:
+    """The Hadamard graph of the Sylvester matrix of order n (a power of 2),
+    H_ij = (-1)^popcount(i & j): the 4n vertices r_i^a (number 2i, plus 1
+    for a = -) and c_j^b (number 2n + 2j, plus 1 for b = -), with
+    r_i^a ~ c_j^b when H_ij = ab.  Distance-regular with the array
+    {n, n-1, n/2, 1; 1, n/2, n-1, n}; the rows are the class Y."""
+    edges = []
+    for i, j in product(range(n), repeat=2):
+        h = bin(i & j).count("1") % 2  # 1 when H_ij = -1
+        # a and b number the signs, 0 for + and 1 for -: ab = H_ij when a xor b = h
+        edges += [(2 * i + a, 2 * n + 2 * j + (a ^ h)) for a in (0, 1)]
+    return build_bipartite(4 * n, edges)
 
 
 def hexagonal_prism() -> BipartiteGraph:
