@@ -16,7 +16,8 @@ from .correspondence import incidence_graph
 # joined by incidences) for a design family.  Each family checks its
 # closed-form size against it before allocating anything, so an oversize
 # request is a ValueError, not a MemoryError or a loop of q^4 steps.  At
-# the limit, the 25,000-cycle takes about 100 MB to build.
+# the limit, the 25,000-cycle takes about 100 MB to build; the graph
+# commands refuse it, as its distance layers exceed core.MAX_LAYER_BYTES.
 MAX_SIZE = 50_000
 
 
