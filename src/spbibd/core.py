@@ -15,8 +15,8 @@ constructor functions (``validate_structure``, ``build_bipartite``)
 canonicalize raw input first; nothing is validated lazily.  The
 subclasses keep an instance ``__dict__``, so their derived views (block
 sets, the blocks through each point, the meets of the blocks, the graph's
-adjacency bitsets, its diameter bound, its distance layers and its
-distances mod 4) are cached properties, computed at most once per object;
+adjacency bitsets and lists, its diameter bound, its distance layers and
+its distances mod 4) are cached properties, computed at most once per object;
 every scan reads them and builds no copy of its own.
 """
 
@@ -61,7 +61,8 @@ class NoEdgesError(ToolkitError):
 
 
 class LayersTooLargeError(ToolkitError):
-    """A graph's distance layers would exceed MAX_LAYER_BYTES."""
+    """A graph's distance layers, or its class scan, would exceed
+    MAX_LAYER_BYTES."""
 
 
 class ConsistencyError(ToolkitError):
@@ -177,8 +178,17 @@ def validate_structure(
 # to 2 e0, which bounds the diameter, e0 being vertex 0's eccentricity.  It
 # is checked before the layers are built.  The 1000-cycle estimates 1.3e8
 # bytes and the 2000-vertex path from its end 2.0e9; the 25,000-cycle that
-# generate allows would need 2e12.
+# generate allows would need 2e12.  The class scan's n x n bit matrices
+# (graph.classify) are held to the same limit, checked after the layers'.
 MAX_LAYER_BYTES = 2**31
+
+
+def refuse_over_limit(what: str, bits: int) -> None:
+    """Raise LayersTooLargeError, before anything is allocated, when
+    ``what`` would take more than MAX_LAYER_BYTES: ``bits`` of storage."""
+    if bits > 8 * MAX_LAYER_BYTES:
+        raise LayersTooLargeError(f"{what} would take about {bits // 8} bytes, over the limit of {MAX_LAYER_BYTES}")
+
 
 Y_SIDE = "Y"
 YPRIME_SIDE = "Yprime"
@@ -216,6 +226,12 @@ class BipartiteGraph(_GraphFields):
         return edge_masks(self.num_vertices, self.edges)
 
     @cached_property
+    def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of each vertex, ascending: the lists that the
+        layer sweep and the class scan walk."""
+        return tuple(tuple(bits(m)) for m in self.adjacency_masks)
+
+    @cached_property
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """Distance layers: ``layers[v][i]`` is the bitset of the vertices at
         distance i from v, for i = 0..eccentricity(v).  Built for all
@@ -225,12 +241,8 @@ class BipartiteGraph(_GraphFields):
         for the small diameters in scope, more on long paths and cycles.  A
         graph whose bound on that exceeds MAX_LAYER_BYTES is refused first."""
         n, d = self.num_vertices, self.diameter_bound
-        if n * n * (d + 1) > 8 * MAX_LAYER_BYTES:
-            raise LayersTooLargeError(
-                f"the distance layers of {n} vertices, with a diameter of up to {d}, "
-                f"would take about {n * n * (d + 1) // 8} bytes, over the limit of {MAX_LAYER_BYTES}"
-            )
-        return all_layers(self.adjacency_masks)
+        refuse_over_limit(f"the distance layers of {n} vertices, with a diameter of up to {d},", n * n * (d + 1))
+        return all_layers(self.adjacency_lists)
 
     @cached_property
     def diameter_bound(self) -> int:
@@ -242,12 +254,13 @@ class BipartiteGraph(_GraphFields):
     def residues(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(R, S): ``R[v]`` is the bitset of the vertices at distance 0 or 1
         mod 4 from v, ``S[v]`` at 1 or 2 mod 4 (the sum of disjoint layers
-        is their union); read by :func:`nearer_counts`."""
+        is their union); read by :func:`nearer_counts` and by the class
+        scan's count planes (``graph.nearer_planes``)."""
         r = tuple(sum(lv[0::4]) + sum(lv[1::4]) for lv in self.layers)
         return r, tuple(sum(lv[1::4]) + sum(lv[2::4]) for lv in self.layers)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adjacency_masks[v]))
+        return self.adjacency_lists[v]
 
     def class_vertices(self, side: str) -> tuple[int, ...]:
         """Vertices of one color class, by side name ("Y" or "Yprime").
@@ -299,18 +312,18 @@ def layer_bfs(masks: Sequence[int], source: int) -> tuple[int, ...]:
         layers.append(frontier)
 
 
-def all_layers(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """``layer_bfs`` from every source, level by level: layer i + 1 of v is
-    the union of its neighbours' layers i minus v's ball of radius i.  That
-    costs sum(deg(v) * ecc(v)) bitset unions, where one BFS per source
-    would visit every vertex n times."""
-    nbrs = [bits(m) for m in masks]
-    front = [1 << v for v in range(len(masks))]
+def all_layers(nbrs: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """``layer_bfs`` from every source over the neighbour lists ``nbrs``,
+    level by level: layer i + 1 of v is the union of its neighbours'
+    layers i minus v's ball of radius i.  That costs sum(deg(v) * ecc(v))
+    bitset unions, where one BFS per source would visit every vertex n
+    times."""
+    front = [1 << v for v in range(len(nbrs))]
     ball = front[:]
     layers = [[f] for f in front]
-    live = range(len(masks))
+    live = range(len(nbrs))
     while live:
-        step = [0] * len(masks)
+        step = [0] * len(nbrs)
         for v in live:
             reach = 0
             for u in nbrs[v]:

@@ -4,14 +4,18 @@ Every check reads the graph's cached views (``BipartiteGraph.layers``:
 per vertex, the int bitset of the vertices at each distance, built for
 all sources in one level-by-level sweep, at most once per graph; and
 ``residues``, the same distances mod 4).  :func:`classify` decides both
-classes in one exhaustive sweep, one :func:`core.nearer_counts` per vertex:
-a uniform class's array is its one (b_i, c_i) per level, checked against its
-first vertex's layer sizes; :func:`local_intersection_numbers` only names witnesses.
+classes in one exhaustive scan over n x n bit matrices, a few big-int
+operations per level: the pairs (y, x) are their bits, and
+:func:`nearer_planes` counts, bit-sliced, the neighbours of each y one
+step closer to each x.  A uniform class's array is its one (b_i, c_i) per
+level, checked against its first vertex's layer sizes;
+:func:`local_intersection_numbers` only names witnesses.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from bisect import bisect_right
+from typing import NamedTuple, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -20,8 +24,9 @@ from .core import (
     YPRIME_SIDE,
     Y_SIDE,
     distance_row,
-    nearer_counts,
     plain,
+    plane_sum,
+    refuse_over_limit,
 )
 
 KIND_DISTANCE_REGULAR = "distance-regular"
@@ -116,42 +121,122 @@ class ClassificationResult(NamedTuple):
         return self.witness_y if side == Y_SIDE else self.witness_yprime
 
 
-def _class_levels(g: BipartiteGraph, classes: tuple[int, ...], eccs: tuple[int, ...]) -> list[list[dict] | None]:
-    """Per class (bitsets of Y and Yprime), for each level i = 0..ecc, the
-    keys (b, c) its vertices x see at distance i, each mapped to the bitset
-    of those x; None, and no further scan, once one x sees two at a level.
+def _stack(rows: list[bytes]) -> int:
+    """One bit matrix from its rows, each an n-bit slice of ceil(n/8) bytes:
+    row k takes the bits from 8 * ceil(n/8) * k up."""
+    return int.from_bytes(b"".join(rows), "little")
 
-    The counts of every x come at once, per y: c_x(y) is the number of
-    neighbours of y one step closer to x than y is, which
-    :func:`nearer_counts` gives for both classes in one bit-sliced sum
-    over N(y); each group is split by class, then by the level of x from y.
+
+def nearer_planes(g: BipartiteGraph, order: Sequence[int]) -> list[int]:
+    """For every pair (y, x), the number c of neighbours of y one step
+    closer to x than y is, bit-sliced over n x n bit matrices: bit j of c
+    is bit x of row k of ``planes[j]``, where y = order[k].
+
+    It is the mod-4 test of :func:`core.nearer_counts` for all y at once:
+    w is closer to x exactly when x is in both or neither of S[y] and R[w]
+    (``BipartiteGraph.residues``), so the k-th neighbours of all y add the
+    matrix FULL ^ S ^ R_k, row y of R_k being R[w] for y's k-th neighbour w.
+    ``order`` lists the vertices by degree, highest first, so the rows that
+    have a k-th neighbour are a prefix and R_k holds only those: the sum
+    takes 2|E| rows in all, and a row past its vertex's degree counts
+    nothing.
     """
-    levels = [[{} for _ in range(ecc + 1)] for ecc in eccs]
-    seen = [[0] * (ecc + 1) for ecc in eccs]
-    live = classes[0] | classes[1]
-    for y, (ly, nbrs) in enumerate(zip(g.layers, g.adjacency_masks)):
-        deg = nbrs.bit_count()
-        for c, group in nearer_counts(g, y, nbrs, live):
-            key = (deg - c, c)
-            for side, cls in enumerate(classes):
-                members = group & cls & live
-                # only the levels of y's parity as seen from the class meet it
-                i = g.side[y] ^ side
-                while members:
-                    hit = members & ly[i]
-                    if hit:
-                        keys = levels[side][i]
-                        had = keys.get(key, 0)
-                        if hit & seen[side][i] & ~had:
-                            live &= ~cls
-                            break
-                        keys[key] = had | hit
-                        seen[side][i] |= hit
-                        members ^= hit
-                    i += 2
-        if not live:
+    n = g.num_vertices
+    size = (n + 7) // 8
+    r, s = g.residues
+    nbrs = g.adjacency_lists
+    full = (1 << n) - 1
+    rows = [v.to_bytes(size, "little") for v in r]
+    # FULL ^ S row by row: ~ on a whole matrix is several times slower than ^
+    fs = b"".join([(full ^ s[y]).to_bytes(size, "little") for y in order])
+    degrees = sorted(map(len, nbrs))
+    heights = [n - bisect_right(degrees, k) for k in range(degrees[-1])]  # the rows with a k-th neighbour
+    return plane_sum(
+        int.from_bytes(fs[: height * size], "little") ^ _stack([rows[nbrs[y][k]] for y in order[:height]])
+        for k, height in enumerate(heights)
+    )
+
+
+def _fold(m: int, steps: list[tuple[int, int]]) -> int:
+    """The OR of the rows of the matrix ``m``: the columns with a bit in some
+    row.  Each step ORs the upper rows onto the lower half."""
+    for shift, low in steps:
+        m = (m >> shift) | (m & low)
+    return m
+
+
+def _level_key(planes: list[int], mask: int, steps: list[tuple[int, int]]) -> int | None:
+    """The one key of the pairs (y, x) in the matrix ``mask``, as the number
+    whose bit j is set when ``planes[j]`` holds all of them: -1 when they
+    take two keys but no column x sees both, None when one does.
+
+    A plane that holds only some of the pairs splits a column when the
+    OR-folds of its part of ``mask`` and of the rest meet.  Every plane is
+    checked: a column may see two keys that differ only in a later plane
+    than the first one that splits the level.
+    """
+    key, split = 0, False
+    for j, plane in enumerate(planes):
+        hit = plane & mask
+        if hit == mask:
+            key |= 1 << j
+        elif hit:
+            if _fold(hit, steps) & _fold(mask ^ hit, steps):
+                return None
+            split = True
+    return -1 if split else key
+
+
+def _class_levels(
+    g: BipartiteGraph, classes: tuple[int, int], eccs: tuple[int, int]
+) -> list[list[tuple[int, int] | None] | None]:
+    """Per class (bitsets of Y and Yprime), for each level i = 0..ecc, the
+    one key (b, c) that its vertices x see at distance i, or None when they
+    see two but none sees both; None for the class, and no further level,
+    once some x sees two keys at a level.
+
+    The pairs (y, x) are the bits of n x n bit matrices, each row an n-bit
+    slice of one int, the rows in :func:`nearer_planes`'s order.  c comes
+    from its planes and b = deg(y) - c, so a pair's key is read off the
+    planes of c and of deg(y).  Level i's mask holds every y's layer i cut
+    to the class's columns, and :func:`_level_key` reads its key.
+    """
+    layers = g.layers
+    n = g.num_vertices
+    size = (n + 7) // 8
+    nbrs = g.adjacency_lists
+    order = sorted(range(n), key=lambda y: len(nbrs[y]), reverse=True)
+    top = len(nbrs[order[0]])
+    # each matrix takes n * size bytes; the count planes, the degree planes
+    # and about 8 more are live at once
+    refuse_over_limit(
+        f"the class scan of {n} vertices, with degrees up to {top},", (2 * top.bit_length() + 8) * n * 8 * size
+    )
+    planes = nearer_planes(g, order)
+    nc = len(planes)  # the c planes, then the degree planes
+    ones, zeros = ((1 << n) - 1).to_bytes(size, "little"), bytes(size)
+    planes += [_stack([ones if len(nbrs[y]) >> j & 1 else zeros for y in order]) for j in range(top.bit_length())]
+    steps = []
+    height = n
+    while height > 1:
+        height = (height + 1) // 2
+        steps.append((8 * size * height, (1 << 8 * size * height) - 1))
+    columns = [int.from_bytes(cls.to_bytes(size, "little") * n, "little") for cls in classes]
+    rows = [layers[y] for y in order]
+    levels: list[list | None] = [[], []]
+    for i in range(max(eccs) + 1):
+        sides = [side for side in (0, 1) if levels[side] is not None and i <= eccs[side]]
+        if not sides:
             break
-    return [keys if cls & live else None for keys, cls in zip(levels, classes)]
+        level = _stack([lv[i].to_bytes(size, "little") if i < len(lv) else zeros for lv in rows])
+        for side in sides:
+            key = _level_key(planes, level & columns[side], steps)
+            if key is None:
+                levels[side] = None
+            else:
+                c = key & ((1 << nc) - 1)
+                levels[side].append(None if key < 0 else ((key >> nc) - c, c))
+    return levels
 
 
 def classify(g: BipartiteGraph) -> ClassificationResult:
@@ -182,8 +267,8 @@ def classify(g: BipartiteGraph) -> ClassificationResult:
                 raise ConsistencyError("class scan found an irregular vertex that has no witness")
         # every vertex has a key at level 0, and b_i > 0 exactly below its
         # eccentricity, so one key per level is one array for the whole class
-        elif all(len(keys) == 1 for keys in levels):
-            b, c = zip(*(next(iter(keys)) for keys in levels))
+        elif None not in levels:
+            b, c = zip(*levels)
             sizes = [layer.bit_count() for layer in g.layers[vertices[0]]]
             edges = zip(sizes, b, sizes[1:] + [0], c[1:] + (0,))  # no layer D + 1
             if len(sizes) != len(b) or any(m * bi != n * ci for m, bi, n, ci in edges):

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from spbibd import generators, graph
 from spbibd.cli import _COMMANDS, graph_file_doc, main, parse_graph_file
-from spbibd.core import IntersectionArray, edge_masks, nearer_counts
+from spbibd.core import IntersectionArray, edge_masks
 from spbibd.correspondence import incidence_graph
-from util import hexagonal_prism, hypercube_design, hyperoval_design, hyperoval_dual_design
+from util import hexagonal_prism, hypercube_design, hyperoval_design, hyperoval_dual_design, nearer_planes_plus_one
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +288,30 @@ def test_graph_commands_refuse_layers_that_cannot_fit(cycle_25000, command):
     )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("analyze-graph",), ("from-graph", "--points", "Yprime"), ("check-homogeneous",)],
+    ids=" ".join,
+)
+def test_graph_commands_refuse_a_class_scan_that_cannot_fit(tmp_path, capsys, monkeypatch, command):
+    # W(3)'s incidence graph: 80 vertices of degree 4, so the scan's
+    # 2 * 3 + 8 matrices of 80 x 80 bits take 11,200 bytes, while its
+    # layers (diameter up to 8) take 7,200.  Under a limit of 10,000 the
+    # layers are built and the scan is refused; at 11,200 it runs.
+    dpath, gpath = tmp_path / "w3.json", tmp_path / "w3g.json"
+    run_cli(capsys, "generate", "wq", "--n", "3", "--out", str(dpath))
+    run_cli(capsys, "to-graph", str(dpath), "--out", str(gpath))
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 10_000)
+    assert run_cli(capsys, command[0], str(gpath), *command[1:]) == (
+        1,
+        "",
+        "error: LayersTooLargeError: the class scan of 80 vertices, with degrees up to 4, "
+        "would take about 11200 bytes, over the limit of 10000\n",
+    )
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 11_200)
+    assert run_cli(capsys, command[0], str(gpath), *command[1:])[0] == 0
+
+
 def test_duplicate_blocks_need_flag(tmp_path, capsys):
     path = tmp_path / "dup.json"
     write_json(path, {"v": 2, "blocks": [[0, 1], [0, 1]]})
@@ -519,16 +543,16 @@ def test_from_graph_names_the_witness_of_its_own_class(tmp_path, capsys):
 
 
 _CLASS_SCAN_MUTANTS = [
-    # every vertex in count 0 reads the hexagonal prism C6 x K2, cubic but
+    # every pair in count 0 reads the hexagonal prism C6 x K2, cubic but
     # not distance-regularized, as uniform
     (
-        lambda g, x, ws, mask: [(0, mask)],
+        lambda g, order: [],
         hexagonal_prism(),
         "class scan array (3, 3, 3, 3, 3), (0, 0, 0, 0, 0) miscounts the layers [1, 3, 4, 3, 1] of vertex 0",
     ),
     # every count one too high keeps the 8-cycle uniform, with b_0 = 1 and c_1 = 2
     (
-        lambda g, x, ws, mask: [(c + 1, members) for c, members in nearer_counts(g, x, ws, mask)],
+        nearer_planes_plus_one,
         generators.even_cycle(8),
         "class scan array (1, 0, 0, 0, -1), (1, 2, 2, 2, 3) miscounts the layers [1, 2, 2, 2, 1] of vertex 0",
     ),
@@ -538,7 +562,7 @@ _CLASS_SCAN_MUTANTS = [
 def test_analyze_graph_reports_a_failed_class_scan_cross_check(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "g.json"
     for mutant, g, message in _CLASS_SCAN_MUTANTS:
-        monkeypatch.setattr("spbibd.graph.nearer_counts", mutant)
+        monkeypatch.setattr("spbibd.graph.nearer_planes", mutant)
         write_json(gpath, graph_file_doc(g))
         assert run_cli(capsys, "analyze-graph", str(gpath)) == (3, "", f"error: ConsistencyError: {message}\n")
 

@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from spbibd import graph
-from spbibd.core import ConsistencyError, build_bipartite, layer_bfs, nearer_counts
+from spbibd.core import MAX_LAYER_BYTES, ConsistencyError, build_bipartite, layer_bfs, validate_structure
 from spbibd.correspondence import design_from_graph, expected_incidence_arrays, incidence_graph
+from spbibd.design import dual
 from spbibd.generators import (
     even_cycle,
     fano,
@@ -33,10 +35,12 @@ from util import (
     hexagonal_prism,
     hypercube_graph,
     is_distance_semiregular,
+    nearer_planes_plus_one,
     nx_graph,
     oracle_distances,
     random_connected_bipartite,
     relabeled_graph,
+    sylvester_hadamard_graph,
     uniform_array_oracle,
 )
 
@@ -284,9 +288,26 @@ def test_classify_stops_at_each_class_first_witness(monkeypatch):
     assert skipped > 0  # later witnesses exist and were never computed
 
 
+def spider(legs, length):
+    """``legs`` paths of ``length`` edges from centre 0: the vertex at
+    distance t on leg j is (t - 1) * legs + j + 1."""
+    rim = [(0, j) for j in range(1, legs + 1)]
+    return build_bipartite(legs * length + 1, rim + [(v, v + legs) for v in range(1, legs * (length - 1) + 1)])
+
+
 def subdivided_star(m):
     """S(K_{1,m}): centre 0, middles 1..m, leaf m + i hanging from middle i."""
-    return build_bipartite(2 * m + 1, [(0, i) for i in range(1, m + 1)] + [(i, m + i) for i in range(1, m + 1)])
+    return spider(m, 2)
+
+
+def subdivided(g, length):
+    """``g`` with each edge replaced by a path of ``length`` edges."""
+    edges, n = [], g.num_vertices
+    for u, v in g.edges:
+        path = [u, *range(n, n + length - 1), v]
+        n += length - 1
+        edges += zip(path, path[1:])
+    return build_bipartite(n, edges)
 
 
 def test_classify_names_one_class_witness_while_the_other_stays_mixed(monkeypatch):
@@ -310,66 +331,112 @@ def test_classify_names_one_class_witness_while_the_other_stays_mixed(monkeypatc
     assert cls.witness == cls.witness_yprime == real(g, 1)
 
 
-def test_one_sweep_sums_once_per_vertex(monkeypatch):
+def test_count_planes_are_built_once_per_classify(monkeypatch):
     g = incidence_graph(symplectic_gq(5))
     assert g.num_vertices == 312
     calls = []
-    real = graph.nearer_counts
+    real = graph.nearer_planes
 
-    def counting(g, x, ws, mask):
-        calls.append(x)
-        return real(g, x, ws, mask)
+    def counting(g, order):
+        calls.append(g)
+        return real(g, order)
 
-    monkeypatch.setattr(graph, "nearer_counts", counting)
+    monkeypatch.setattr(graph, "nearer_planes", counting)
     assert classify(g).kind == KIND_DISTANCE_REGULAR
-    assert sorted(calls) == list(range(312))
+    assert calls == [g]
     calls.clear()
     design_from_graph(g, "Y")
-    assert sorted(calls) == list(range(312))
+    assert calls == [g]
 
 
 @pytest.mark.parametrize(
     "mutant, g, message",
     [
-        # every vertex in count 0: one key per level, a uniform verdict
+        # every pair in count 0: one key per level, a uniform verdict
         # whose array b = (3, 3, 3, 3, 3), c = (0, 0, 0, 0, 0) counts no
         # edge from vertex 0's first layer down to vertex 0
         (
-            lambda g, x, ws, mask: [(0, mask)],
+            lambda g, order: [],
             hexagonal_prism(),
             r"class scan array \(3, 3, 3, 3, 3\), \(0, 0, 0, 0, 0\) miscounts the layers \[1, 3, 4, 3, 1\] of vertex 0",
         ),
         # every count one too high: one key per level on the 8-cycle, but
         # b_0 = 1 edge leaves vertex 0 while its 2 neighbours count c_1 = 2
-        (
-            lambda g, x, ws, mask: [(c + 1, members) for c, members in nearer_counts(g, x, ws, mask)],
-            even_cycle(8),
-            "miscounts the layers",
-        ),
-        # vertex 0 alone counts 1: a conflict on the distance-regular
-        # 8-cycle, whose per-vertex scan finds no witness
-        (lambda g, x, ws, mask: [(int(x == 0), mask)], even_cycle(8), "has no witness"),
+        (nearer_planes_plus_one, even_cycle(8), "miscounts the layers"),
+        # row 0 alone counts 1, which on the regular 8-cycle is vertex 0: a
+        # conflict on a distance-regular graph, whose per-vertex scan finds
+        # no witness
+        (lambda g, order: [(1 << g.num_vertices) - 1], even_cycle(8), "has no witness"),
     ],
     ids=["missed-witness", "off-by-one", "no-witness"],
 )
 def test_class_scan_cross_checks_are_live(monkeypatch, mutant, g, message):
-    monkeypatch.setattr(graph, "nearer_counts", mutant)
+    monkeypatch.setattr(graph, "nearer_planes", mutant)
     with pytest.raises(ConsistencyError, match=message):
         classify(g)
 
 
+def test_every_plane_is_checked_for_a_column_that_sees_two_keys(monkeypatch):
+    # the spider with three legs of 4 edges: at distance 2 vertex 4 sees the
+    # centre (degree 3, key (2, 1)) and a leaf (degree 1, key (0, 1)), which
+    # differ only in bit 1 of the degree.  Bit 0 of the degree splits that
+    # level first, between columns only: the vertices at distance 2 from
+    # the centre see degrees 1 and 3 there, the centre and the leaves see
+    # degree 2.
+    g = spider(3, 4)
+    expected = uniform_array_oracle(g, g.class_vertices("Y"))
+    assert expected[2] == NotRegularizedAt(4, 2, "b", (0, 10), (2, 0))
+    assert class_verdict(classify(g), "Y") == expected
+    real = graph._level_key
+
+    def first_split_only(planes, mask, steps):
+        for j, plane in enumerate(planes):
+            hit = plane & mask
+            if hit and hit != mask:
+                return real(planes[: j + 1], mask, steps)
+        return real(planes, mask, steps)
+
+    monkeypatch.setattr(graph, "_level_key", first_split_only)
+    # the scan that stops at the first splitting plane reads class Y as
+    # mixed, with no witness
+    assert class_verdict(classify(g), "Y") == (None, 8, None) != expected
+
+
 def kernel_fixtures():
     """Named families plus 1,000 seeded random graphs of up to 12 + 12
-    vertices."""
+    vertices.  The 40-path, the 60-cycle and the hexagonal prism with its
+    edges made paths of 4 reach deep levels (the prism's classes stop at
+    levels 5 and 6); the spiders, stars, subdivisions and designs have
+    unequal degrees, so rows past their vertex's degree.  The design of
+    all triples of 5 points is uniform on its points only, and so is its
+    dual on its blocks: one semiregular graph of each kind."""
     graphs = [incidence_graph(symplectic_gq(3)), incidence_graph(gq22()), tutte_coxeter()]
     graphs += [incidence_graph(grid_design(n)) for n in range(2, 6)]
     graphs += [hypercube_graph(dim) for dim in range(1, 9)]
-    graphs += [even_cycle(n) for n in range(4, 21, 2)]
-    graphs += [path_graph(n) for n in range(2, 14)]
+    graphs += [sylvester_hadamard_graph(n) for n in (16, 32)]
+    graphs += [even_cycle(n) for n in (*range(4, 21, 2), 60)]
+    graphs += [path_graph(n) for n in (*range(2, 14), 40)]
     graphs += [subdivision_complete_bipartite(n) for n in range(2, 6)]
+    graphs += [spider(3, 4), spider(4, 3), subdivided_star(5), complete_bipartite_graph(1, 6)]
+    graphs += [complete_bipartite_graph(2, 5), subdivided(hexagonal_prism(), 2), subdivided(hexagonal_prism(), 4)]
+    triples = validate_structure(5, combinations(range(5), 3))
+    graphs += [incidence_graph(triples), incidence_graph(dual(triples))]
     rng = random.Random(41)
     graphs += [random_connected_bipartite(rng, max_side=2 + i % 11) for i in range(1000)]
     return graphs
+
+
+def test_the_scan_limit_admits_the_large_graphs():
+    # (2 * bit_length(max degree) + 8) matrices of n rows of ceil(n / 8)
+    # bytes, far below the layers' own estimates for the cycle and the path
+    w7, hadamard = incidence_graph(symplectic_gq(7)), sylvester_hadamard_graph(64)
+    estimates = {}
+    for name, g in [("W(7)", w7), ("Hadamard 64", hadamard), ("cycle", even_cycle(1000)), ("path", path_graph(2000))]:
+        n, top = g.num_vertices, max(map(len, g.adjacency_lists))
+        estimates[name] = (2 * top.bit_length() + 8) * n * ((n + 7) // 8)
+    assert estimates == {"W(7)": 1_280_000, "Hadamard 64": 180_224, "cycle": 1_500_000, "path": 6_000_000}
+    assert max(estimates.values()) <= MAX_LAYER_BYTES
+    assert classify(w7).kind == classify(hadamard).kind == KIND_DISTANCE_REGULAR
 
 
 def test_all_source_layers_match_per_source_bfs():

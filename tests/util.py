@@ -40,6 +40,7 @@ from spbibd.graph import (
     all_distances,
     bfs_distances,
     local_intersection_numbers,
+    nearer_planes,
 )
 from spbibd.homogeneity import (
     VERDICT_ALMOST_ONLY,
@@ -90,6 +91,17 @@ def uniform_array_oracle(
             return None, ecc, arr
         arrays.add(arr)
     return arrays.pop() if len(arrays) == 1 else None, ecc, None
+
+
+def nearer_planes_plus_one(g: BipartiteGraph, order: list[int]) -> list[int]:
+    """graph.nearer_planes with every pair's count one too high: a ripple
+    carry of 1 through the planes, starting from -1, which holds every
+    pair; a mutant for the class scan's cross-checks."""
+    planes, carry = [], -1
+    for plane in nearer_planes(g, order):
+        planes.append(plane ^ carry)
+        carry &= plane
+    return planes + [carry] if carry else planes
 
 
 def is_distance_semiregular(cls: ClassificationResult, side: str) -> bool:
