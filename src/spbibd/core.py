@@ -2,7 +2,8 @@
 graphs and intersection arrays (the design parameter records live in
 ``equalities``), plus the bitset kernels of the package: the BFS over
 adjacency bitsets (one source, and all sources level by level), yielding
-distance layers, and bit-sliced counters.
+distance layers, and bit-sliced counters, among them :func:`nearer_rows`,
+the one count of both exhaustive graph checks.
 
 Every record of the package is a ``typing.NamedTuple``: its fields are
 immutable and it is safe to share between threads.  A record compares
@@ -22,6 +23,7 @@ every scan reads them and builds no copy of its own.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
@@ -61,8 +63,8 @@ class NoEdgesError(ToolkitError):
 
 
 class LayersTooLargeError(ToolkitError):
-    """A graph's distance layers, or its class scan, would exceed
-    MAX_LAYER_BYTES."""
+    """A graph's distance layers, its class scan or its brute force would
+    exceed MAX_LAYER_BYTES."""
 
 
 class ConsistencyError(ToolkitError):
@@ -178,8 +180,9 @@ def validate_structure(
 # to 2 e0, which bounds the diameter, e0 being vertex 0's eccentricity.  It
 # is checked before the layers are built.  The 1000-cycle estimates 1.3e8
 # bytes and the 2000-vertex path from its end 2.0e9; the 25,000-cycle that
-# generate allows would need 2e12.  The class scan's n x n bit matrices
-# (graph.classify) are held to the same limit, checked after the layers'.
+# generate allows would need 2e12.  The bit matrices of the class scan
+# (graph.classify) and of the brute force (homogeneity) are held to the
+# same limit, checked after the layers'.
 MAX_LAYER_BYTES = 2**31
 
 
@@ -254,8 +257,7 @@ class BipartiteGraph(_GraphFields):
     def residues(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(R, S): ``R[v]`` is the bitset of the vertices at distance 0 or 1
         mod 4 from v, ``S[v]`` at 1 or 2 mod 4 (the sum of disjoint layers
-        is their union); read by :func:`nearer_counts` and by the class
-        scan's count planes (``graph.nearer_planes``)."""
+        is their union); read by :func:`nearer_rows`."""
         r = tuple(sum(lv[0::4]) + sum(lv[1::4]) for lv in self.layers)
         return r, tuple(sum(lv[1::4]) + sum(lv[2::4]) for lv in self.layers)
 
@@ -372,20 +374,36 @@ def plane_counts(planes: Sequence[int], mask: int) -> list[tuple[int, int]]:
     return groups
 
 
-def nearer_counts(g: BipartiteGraph, x: int, ws: int, mask: int) -> list[tuple[int, int]]:
-    """Split the vertices z of the bitset ``mask`` by how many neighbours w
-    of x in the bitset ``ws`` are one step closer to z than x is: one
-    (count, members) pair per count taken.
+def stack_rows(rows: Iterable[bytes]) -> int:
+    """One bit matrix from its rows, each an n-bit slice of ceil(n/8) bytes:
+    row k takes the bits from 8 * ceil(n/8) * k up."""
+    return int.from_bytes(b"".join(rows), "little")
 
-    d(w, z) - d(x, z) is -1 or 1 in a bipartite graph, so w is closer
-    exactly when d(x, z) = 0, 1, 2, 3 mod 4 puts d(w, z) at 3, 0, 1, 2,
-    not 1, 2, 3, 0: when z is in both or neither of S[x] and R[w]
-    (``BipartiteGraph.residues``).  The counts are bit-sliced sums.
+
+def nearer_rows(g: BipartiteGraph, rows: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
+    """For each row (v, ws), ws some neighbours of v, longest ws first, and
+    each vertex x, how many w in ws are one step closer to x than v is,
+    bit-sliced: bit j of the count is bit x of row k of ``planes[j]``.
+
+    d(w, x) - d(v, x) is -1 or 1 in a bipartite graph, so w is closer
+    exactly when d(v, x) = 0, 1, 2, 3 mod 4 puts d(w, x) at 3, 0, 1, 2,
+    not 1, 2, 3, 0: when x is in both or neither of S[v] and R[w]
+    (``BipartiteGraph.residues``).  So the k-th members w of all rows add
+    the matrix FULL ^ S ^ R_k, row by row R[w]; the rows with a k-th
+    member are a prefix, and R_k holds only those.
     """
+    size = (g.num_vertices + 7) // 8
     r, s = g.residues
-    sx = s[x]
-    # ~ gives negative ints (infinitely many high bits), cut back by mask
-    return plane_counts(plane_sum([mask & ~(sx ^ r[w]) for w in bits(ws)]), mask)
+    full = (1 << g.num_vertices) - 1
+    # FULL ^ S row by row: ~ on a whole matrix is several times slower than ^
+    fs = b"".join([(full ^ s[v]).to_bytes(size, "little") for v, _ in rows])
+    rs = [m.to_bytes(size, "little") for m in r]
+    lengths = sorted(len(ws) for _, ws in rows)
+    heights = [len(rows) - bisect_right(lengths, k) for k in range(lengths[-1] if rows else 0)]
+    return plane_sum(
+        int.from_bytes(fs[: height * size], "little") ^ stack_rows([rs[ws[k]] for _, ws in rows[:height]])
+        for k, height in enumerate(heights)
+    )
 
 
 def distance_row(layers: Sequence[int], num_vertices: int) -> list[int]:

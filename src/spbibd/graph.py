@@ -7,14 +7,15 @@ all sources in one level-by-level sweep, at most once per graph; and
 classes in one exhaustive scan over n x n bit matrices, a few big-int
 operations per level: the pairs (y, x) are their bits, and
 :func:`nearer_planes` counts, bit-sliced, the neighbours of each y one
-step closer to each x.  A uniform class's array is its one (b_i, c_i) per
-level, checked against its first vertex's layer sizes;
-:func:`local_intersection_numbers` only names witnesses.
+step closer to each x, through ``core.nearer_rows``, the count that the
+brute-force homogeneity check runs on its own rows.  A uniform class's
+array is its one (b_i, c_i) per level, checked against its first
+vertex's layer sizes; :func:`local_intersection_numbers` only names
+witnesses.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -24,9 +25,10 @@ from .core import (
     YPRIME_SIDE,
     Y_SIDE,
     distance_row,
+    nearer_rows,
     plain,
-    plane_sum,
     refuse_over_limit,
+    stack_rows,
 )
 
 KIND_DISTANCE_REGULAR = "distance-regular"
@@ -121,40 +123,13 @@ class ClassificationResult(NamedTuple):
         return self.witness_y if side == Y_SIDE else self.witness_yprime
 
 
-def _stack(rows: list[bytes]) -> int:
-    """One bit matrix from its rows, each an n-bit slice of ceil(n/8) bytes:
-    row k takes the bits from 8 * ceil(n/8) * k up."""
-    return int.from_bytes(b"".join(rows), "little")
-
-
 def nearer_planes(g: BipartiteGraph, order: Sequence[int]) -> list[int]:
     """For every pair (y, x), the number c of neighbours of y one step
     closer to x than y is, bit-sliced over n x n bit matrices: bit j of c
-    is bit x of row k of ``planes[j]``, where y = order[k].
-
-    It is the mod-4 test of :func:`core.nearer_counts` for all y at once:
-    w is closer to x exactly when x is in both or neither of S[y] and R[w]
-    (``BipartiteGraph.residues``), so the k-th neighbours of all y add the
-    matrix FULL ^ S ^ R_k, row y of R_k being R[w] for y's k-th neighbour w.
-    ``order`` lists the vertices by degree, highest first, so the rows that
-    have a k-th neighbour are a prefix and R_k holds only those: the sum
-    takes 2|E| rows in all, and a row past its vertex's degree counts
-    nothing.
-    """
-    n = g.num_vertices
-    size = (n + 7) // 8
-    r, s = g.residues
+    is bit x of row k of ``planes[j]``, where y = order[k], by degree,
+    highest first: the rows (y, Gamma(y)) of :func:`core.nearer_rows`."""
     nbrs = g.adjacency_lists
-    full = (1 << n) - 1
-    rows = [v.to_bytes(size, "little") for v in r]
-    # FULL ^ S row by row: ~ on a whole matrix is several times slower than ^
-    fs = b"".join([(full ^ s[y]).to_bytes(size, "little") for y in order])
-    degrees = sorted(map(len, nbrs))
-    heights = [n - bisect_right(degrees, k) for k in range(degrees[-1])]  # the rows with a k-th neighbour
-    return plane_sum(
-        int.from_bytes(fs[: height * size], "little") ^ _stack([rows[nbrs[y][k]] for y in order[:height]])
-        for k, height in enumerate(heights)
-    )
+    return nearer_rows(g, [(y, nbrs[y]) for y in order])
 
 
 def _fold(m: int, steps: list[tuple[int, int]]) -> int:
@@ -199,9 +174,10 @@ def _class_levels(
     slice of one int, the rows in :func:`nearer_planes`'s order.  c comes
     from its planes and b = deg(y) - c, so a pair's key is read off the
     planes of c and of deg(y).  Level i's mask holds every y's layer i cut
-    to the class's columns, and :func:`_level_key` reads its key.
+    to the class's columns, and :func:`_level_key` reads its key.  At
+    levels 0 and 1, c is 0 and 1, so the degree planes alone decide them,
+    and the count planes are built only for a class that gets past them.
     """
-    layers = g.layers
     n = g.num_vertices
     size = (n + 7) // 8
     nbrs = g.adjacency_lists
@@ -212,29 +188,31 @@ def _class_levels(
     refuse_over_limit(
         f"the class scan of {n} vertices, with degrees up to {top},", (2 * top.bit_length() + 8) * n * 8 * size
     )
-    planes = nearer_planes(g, order)
-    nc = len(planes)  # the c planes, then the degree planes
     ones, zeros = ((1 << n) - 1).to_bytes(size, "little"), bytes(size)
-    planes += [_stack([ones if len(nbrs[y]) >> j & 1 else zeros for y in order]) for j in range(top.bit_length())]
+    planes = [stack_rows([ones if len(nbrs[y]) >> j & 1 else zeros for y in order]) for j in range(top.bit_length())]
+    nc = 0  # the c planes come first, once built
     steps = []
     height = n
     while height > 1:
         height = (height + 1) // 2
         steps.append((8 * size * height, (1 << 8 * size * height) - 1))
     columns = [int.from_bytes(cls.to_bytes(size, "little") * n, "little") for cls in classes]
-    rows = [layers[y] for y in order]
+    rows = [g.layers[y] for y in order]
     levels: list[list | None] = [[], []]
     for i in range(max(eccs) + 1):
         sides = [side for side in (0, 1) if levels[side] is not None and i <= eccs[side]]
         if not sides:
             break
-        level = _stack([lv[i].to_bytes(size, "little") if i < len(lv) else zeros for lv in rows])
+        if i == 2:
+            counts = nearer_planes(g, order)
+            planes, nc = counts + planes, len(counts)
+        level = stack_rows([lv[i].to_bytes(size, "little") if i < len(lv) else zeros for lv in rows])
         for side in sides:
             key = _level_key(planes, level & columns[side], steps)
             if key is None:
                 levels[side] = None
             else:
-                c = key & ((1 << nc) - 1)
+                c = key & ((1 << nc) - 1) if i > 1 else i
                 levels[side].append(None if key < 0 else ((key >> nc) - c, c))
     return levels
 

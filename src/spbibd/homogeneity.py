@@ -18,7 +18,10 @@ from .core import (
     SIDES,
     ToolkitError,
     bits,
-    nearer_counts,
+    nearer_rows,
+    plane_counts,
+    refuse_over_limit,
+    stack_rows,
 )
 # parameter_homogeneity is unused here: perfbench/spans.TRACED patches it in this module
 from .equalities import delta_numerator, fraction_text, p2ii_numerator, parameter_homogeneity
@@ -130,13 +133,15 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
 
     w is at distance i - 1 or i + 1 from z, so w counts z exactly when it
     is one step closer to z than x is, whatever y is: z's count depends
-    only on (W, z).  So the y of one x are grouped by W, their equidistant
-    sets (the union over i of Gamma_{i,i}(x, y)) are joined, and one call
-    of :func:`nearer_counts` counts every z of the join.  x's layers are
-    disjoint, so the join meets Gamma_i(x) in the union of the group's
-    Gamma_{i,i}(x, y): each level sees the z and counts that one pass per
-    (y, i) would.  d(y, z) - d(x, z) is -2, 0 or 2, so z is equidistant
-    iff it is in both or neither of R[x] and R[y]
+    only on (W, z).  So the y of one x are grouped by W, each group is one
+    row (x, W) of :func:`core.nearer_rows`, the count that the class scan
+    runs on its rows (y, Gamma(y)), and its columns are the join of the
+    group's equidistant sets (the union over i of Gamma_{i,i}(x, y)).
+    x's layers are disjoint, so the join meets Gamma_i(x) in the union of
+    the group's Gamma_{i,i}(x, y): one ``plane_counts`` over the whole
+    matrix, masked by each row's Gamma_i(x), sees the z and counts that
+    one pass per (y, i) would.  d(y, z) - d(x, z) is -2, 0 or 2, so z is
+    equidistant iff it is in both or neither of R[x] and R[y]
     (``BipartiteGraph.residues``).
 
     A level with no eligible z is vacuously constant.  2-homogeneous needs
@@ -153,26 +158,24 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     d = eccs.pop()
     masks = g.adjacency_masks
     r, _ = g.residues
-    observed: dict[int, set[int]] = {i: set() for i in range(1, d)}
+    rows = []  # (x, W, the join); ~ gives negative ints, cut back by each level
     # below eccentricity 2 there is no Gamma_2(x), so no triple to count
     for x in vertices if d >= 2 else ():
-        lx = layers[x]
-        inner = sum(lx[1:d])  # levels 1..D-1, disjoint, so their sum is their union
-        # ~ gives negative ints (infinitely many high bits), cut back by inner
         joined: dict[int, int] = {}
-        for y in bits(lx[2] >> (x + 1) << (x + 1)):
+        for y in bits(layers[x][2] >> (x + 1) << (x + 1)):
             common = masks[x] & masks[y]
             joined[common] = joined.get(common, 0) | ~(r[x] ^ r[y])
-        # buckets may overlap: a z in two groups' joins can take a count in each
-        by_count: dict[int, int] = {}
-        for common, same in joined.items():
-            for count, members in nearer_counts(g, x, common, same & inner):
-                by_count[count] = by_count.get(count, 0) | members
-        for i in range(1, d):
-            for count, members in by_count.items():
-                if members & lx[i]:
-                    observed[i].add(count)
-    counts = {i: tuple(sorted(observed[i])) for i in range(1, d)}
+        rows += [(x, bits(common), same) for common, same in joined.items()]
+    rows.sort(key=lambda row: len(row[1]), reverse=True)
+    size, top = (g.num_vertices + 7) // 8, len(rows[0][1]) if rows else 0
+    # each matrix takes len(rows) * size bytes; the count planes and about 7 more are live at once
+    what = f"{len(rows)} rows of {g.num_vertices} vertices with up to {top} common neighbours,"
+    refuse_over_limit(f"the brute force on class {side}, {what}", (top.bit_length() + 7) * len(rows) * 8 * size)
+    planes = nearer_rows(g, [(x, ws) for x, ws, _ in rows])
+    counts = {}
+    for i in range(1, d):
+        level = stack_rows([(same & layers[x][i]).to_bytes(size, "little") for x, _, same in rows])
+        counts[i] = tuple(sorted(count for count, _ in plane_counts(planes, level)))
     return BruteForceResult(side, d, counts, _verdict(lambda i: len(counts[i]) <= 1, d - 1, d - 2))
 
 

@@ -312,6 +312,28 @@ def test_graph_commands_refuse_a_class_scan_that_cannot_fit(tmp_path, capsys, mo
     assert run_cli(capsys, command[0], str(gpath), *command[1:])[0] == 0
 
 
+@pytest.mark.parametrize("side", ["Y", "Yprime"])
+def test_check_homogeneous_refuses_a_brute_force_that_cannot_fit(tmp_path, capsys, monkeypatch, side):
+    # W(5)'s incidence graph: 312 vertices, and on either side 780 rows
+    # (x, W) with |W| = 1, so the brute force's 1 + 7 matrices of 780 x 312
+    # bits take 243,360 bytes, more than its layers (109,512) and its class
+    # scan (170,352).  Under a limit of 200,000 those two fit and the brute
+    # force is refused; at 243,360 it runs.
+    dpath, gpath = tmp_path / "w5.json", tmp_path / "w5g.json"
+    run_cli(capsys, "generate", "wq", "--n", "5", "--out", str(dpath))
+    run_cli(capsys, "to-graph", str(dpath), "--out", str(gpath))
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 200_000)
+    assert run_cli(capsys, "analyze-graph", str(gpath))[0] == 0
+    assert run_cli(capsys, "check-homogeneous", str(gpath), "--side", side) == (
+        1,
+        "",
+        f"error: LayersTooLargeError: the brute force on class {side}, 780 rows of 312 vertices "
+        "with up to 1 common neighbours, would take about 243360 bytes, over the limit of 200000\n",
+    )
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 243_360)
+    assert run_cli(capsys, "check-homogeneous", str(gpath), "--side", side)[0] == 0
+
+
 def test_duplicate_blocks_need_flag(tmp_path, capsys):
     path = tmp_path / "dup.json"
     write_json(path, {"v": 2, "blocks": [[0, 1], [0, 1]]})
@@ -544,17 +566,18 @@ def test_from_graph_names_the_witness_of_its_own_class(tmp_path, capsys):
 
 _CLASS_SCAN_MUTANTS = [
     # every pair in count 0 reads the hexagonal prism C6 x K2, cubic but
-    # not distance-regularized, as uniform
+    # not distance-regularized, as uniform; levels 0 and 1 come from the
+    # degrees, so only c_2.. read the mutant
     (
         lambda g, order: [],
         hexagonal_prism(),
-        "class scan array (3, 3, 3, 3, 3), (0, 0, 0, 0, 0) miscounts the layers [1, 3, 4, 3, 1] of vertex 0",
+        "class scan array (3, 2, 3, 3, 3), (0, 1, 0, 0, 0) miscounts the layers [1, 3, 4, 3, 1] of vertex 0",
     ),
-    # every count one too high keeps the 8-cycle uniform, with b_0 = 1 and c_1 = 2
+    # every count one too high keeps the 8-cycle uniform, with b_2 = 0 and c_2 = 2
     (
         nearer_planes_plus_one,
         generators.even_cycle(8),
-        "class scan array (1, 0, 0, 0, -1), (1, 2, 2, 2, 3) miscounts the layers [1, 2, 2, 2, 1] of vertex 0",
+        "class scan array (2, 1, 0, 0, -1), (0, 1, 2, 2, 3) miscounts the layers [1, 2, 2, 2, 1] of vertex 0",
     ),
 ]
 

@@ -24,7 +24,9 @@ from spbibd.core import (
     bits,
     build_bipartite,
     edge_masks,
-    nearer_counts,
+    nearer_rows,
+    plane_counts,
+    stack_rows,
     validate_structure,
 )
 from spbibd.equalities import SpbibdParams, fraction_text
@@ -205,16 +207,22 @@ def nearer_count_cases(draw):
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(nearer_count_cases())
-def test_nearer_counts_match_networkx_distances(case):
+def test_nearer_rows_match_networkx_distances(case):
+    # one row (x, ws[:m]) per prefix of ws, longest first, as both
+    # exhaustive checks stack theirs; each row's columns are the mask
     g, x, ws, mask = case
     h = nx_graph(g)
     dist = {v: nx.single_source_shortest_path_length(h, v) for v in (x, *ws)}
-    expected: dict[int, set[int]] = {}
-    for z in bits(mask):
-        closer = sum(dist[w][z] == dist[x][z] - 1 for w in ws)
-        expected.setdefault(closer, set()).add(z)
-    groups = nearer_counts(g, x, sum(1 << w for w in ws), mask)
-    assert {count: set(bits(members)) for count, members in groups} == expected
+    rows = [(x, ws[:m]) for m in range(len(ws), -1, -1)]
+    expected: dict[int, set[tuple[int, int]]] = {}
+    for k, (_, prefix) in enumerate(rows):
+        for z in bits(mask):
+            closer = sum(dist[w][z] == dist[x][z] - 1 for w in prefix)
+            expected.setdefault(closer, set()).add((k, z))
+    width = 8 * ((g.num_vertices + 7) // 8)
+    masks = stack_rows([mask.to_bytes(width // 8, "little")] * len(rows))
+    groups = plane_counts(nearer_rows(g, rows), masks)
+    assert {count: {divmod(b, width) for b in bits(members)} for count, members in groups} == expected
     assert len(groups) == len(expected)
 
 

@@ -349,19 +349,36 @@ def test_count_planes_are_built_once_per_classify(monkeypatch):
     assert calls == [g]
 
 
+def test_classes_that_fail_by_level_1_build_no_count_planes(monkeypatch):
+    # on the 8-path each class has a vertex whose neighbours differ in
+    # degree, so both fail at level 1, which the degree planes decide
+    g = path_graph(8)
+    expected = classify(g)
+    assert expected.witness_y == NotRegularizedAt(2, 2, "b", (0, 4), (0, 1))
+    assert expected.witness_yprime == NotRegularizedAt(1, 1, "b", (0, 2), (0, 1))
+
+    def unreachable(g, order):
+        raise AssertionError("count planes built")
+
+    monkeypatch.setattr(graph, "nearer_planes", unreachable)
+    assert classify(g) == expected
+
+
 @pytest.mark.parametrize(
     "mutant, g, message",
     [
         # every pair in count 0: one key per level, a uniform verdict
-        # whose array b = (3, 3, 3, 3, 3), c = (0, 0, 0, 0, 0) counts no
-        # edge from vertex 0's first layer down to vertex 0
+        # whose array b = (3, 2, 3, 3, 3), c = (0, 1, 0, 0, 0) counts no
+        # edge from vertex 0's second layer down to its first (levels 0
+        # and 1 come from the degrees, not from the count planes)
         (
             lambda g, order: [],
             hexagonal_prism(),
-            r"class scan array \(3, 3, 3, 3, 3\), \(0, 0, 0, 0, 0\) miscounts the layers \[1, 3, 4, 3, 1\] of vertex 0",
+            r"class scan array \(3, 2, 3, 3, 3\), \(0, 1, 0, 0, 0\) miscounts the layers \[1, 3, 4, 3, 1\] of vertex 0",
         ),
         # every count one too high: one key per level on the 8-cycle, but
-        # b_0 = 1 edge leaves vertex 0 while its 2 neighbours count c_1 = 2
+        # b_1 = 1 edge leaves each of vertex 0's 2 neighbours, while its 2
+        # second neighbours count c_2 = 2
         (nearer_planes_plus_one, even_cycle(8), "miscounts the layers"),
         # row 0 alone counts 1, which on the regular 8-cycle is vertex 0: a
         # conflict on a distance-regular graph, whose per-vertex scan finds

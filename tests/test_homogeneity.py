@@ -44,7 +44,9 @@ from util import (
     delta_oracle,
     hypercube_design,
     hypercube_graph,
+    hyperoval_design,
     p2ii_direct_counts,
+    plus_one,
     random_connected_bipartite,
     y1_homogeneity_oracle,
 )
@@ -338,6 +340,37 @@ def _check_against_oracle(g):
         res = homogeneous_by_bruteforce(g, side)
         assert (res.level_counts, res.verdict) == (counts, verdict), side
     return mixed
+
+
+def _first_split_only(planes, mask):
+    """core.plane_counts that stops at the first plane that splits a group."""
+    for j in range(len(planes)):
+        groups = core.plane_counts(planes[: j + 1], mask)
+        if len(groups) > 1:
+            return groups
+    return core.plane_counts(planes, mask)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, g, side",
+    [
+        # every count 0, or every count one too high: at level 1 each
+        # common neighbour counts only itself, once
+        ("nearer_rows", lambda g, rows: [], tutte_coxeter(), "Y"),
+        ("nearer_rows", lambda g, rows: plus_one(core.nearer_rows(g, rows)), incidence_graph(symplectic_gq(3)), "Y"),
+        # the q = 4 hyperoval design's blocks see counts 1 and 2 at level 3,
+        # which plane 0 splits and plane 1 tells apart
+        ("plane_counts", _first_split_only, incidence_graph(hyperoval_design()), "Yprime"),
+    ],
+    ids=["zero", "off-by-one", "first-split-only"],
+)
+def test_bruteforce_mutants_disagree_with_the_oracle(monkeypatch, name, mutant, g, side):
+    expected = bruteforce_oracle(g, side)
+    res = homogeneous_by_bruteforce(g, side)
+    assert (res.level_counts, res.verdict) == expected
+    monkeypatch.setattr(homogeneity, name, mutant)
+    res = homogeneous_by_bruteforce(g, side)
+    assert (res.level_counts, res.verdict) != expected
 
 
 def _plant_shared_z(g, rng):

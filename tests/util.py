@@ -93,15 +93,20 @@ def uniform_array_oracle(
     return arrays.pop() if len(arrays) == 1 else None, ecc, None
 
 
-def nearer_planes_plus_one(g: BipartiteGraph, order: list[int]) -> list[int]:
-    """graph.nearer_planes with every pair's count one too high: a ripple
-    carry of 1 through the planes, starting from -1, which holds every
-    pair; a mutant for the class scan's cross-checks."""
-    planes, carry = [], -1
-    for plane in nearer_planes(g, order):
-        planes.append(plane ^ carry)
+def plus_one(planes: list[int]) -> list[int]:
+    """Bit-sliced counts each one too high: a ripple carry of 1 through the
+    planes, starting from -1, which holds every bit; a mutant for the
+    exhaustive checks' cross-checks and oracles."""
+    out, carry = [], -1
+    for plane in planes:
+        out.append(plane ^ carry)
         carry &= plane
-    return planes + [carry] if carry else planes
+    return out + [carry] if carry else out
+
+
+def nearer_planes_plus_one(g: BipartiteGraph, order: list[int]) -> list[int]:
+    """graph.nearer_planes with every pair's count one too high."""
+    return plus_one(nearer_planes(g, order))
 
 
 def is_distance_semiregular(cls: ClassificationResult, side: str) -> bool:
