@@ -52,7 +52,6 @@ _PUBLIC = {
         "homogeneity_report",
         "homogeneous_by_bruteforce",
         "homogeneous_by_formula",
-        "p2ii_formula",
     ),
     "search": ("CandidateTuple", "enumerate_candidates"),
 }

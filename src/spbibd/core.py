@@ -11,14 +11,15 @@ equal to a plain tuple of the same field values; that is a side effect
 of the representation, and no caller may rely on it.  Validation happens
 in the constructor: ``IncidenceStructure``, ``BipartiteGraph`` and
 ``IntersectionArray`` subclass a NamedTuple of their fields and check
-them in ``__init__`` (``_make`` and ``_replace`` skip the check), and the
-constructor functions (``validate_structure``, ``build_bipartite``)
-canonicalize raw input first; nothing is validated lazily.  The
-subclasses keep an instance ``__dict__``, so their derived views (block
-sets, the blocks through each point, the meets of the blocks, the graph's
-adjacency bitsets and lists, its diameter bound, its distance layers and
-its distances mod 4) are cached properties, computed at most once per object;
-every scan reads them and builds no copy of its own.
+them in ``__init__`` (``_make`` and ``_replace`` skip the check).  The
+constructor functions canonicalize raw input first: ``validate_structure``
+only adds the repeat check, ``build_bipartite`` the edge and connectivity
+checks; nothing is validated lazily.  The subclasses keep an instance
+``__dict__``, so their derived views (block sets, the blocks through each
+point, the meets of the blocks, the graph's adjacency bitsets and lists,
+its diameter bound, its distance layers and its distances mod 4) are
+cached properties, computed at most once per object; every scan reads
+them and builds no copy of its own.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class ToolkitError(Exception):
 
 
 class NoPointsError(ToolkitError):
+    pass
+
+
+class NoBlocksError(ToolkitError):
     pass
 
 
@@ -86,12 +91,15 @@ class IncidenceStructure(_IncidenceFields):
 
     Instances are canonical: each block is a strictly increasing tuple of
     point indices and the block list is sorted lexicographically.  Build
-    through :func:`validate_structure`.
+    through :func:`validate_structure`; this constructor alone judges
+    validity and names the first faulty block in canonical order.
     """
 
     def __init__(self, *args, **kwargs):
         if self.num_points < 1:
             raise NoPointsError("structure needs at least one point")
+        if not self.blocks:
+            raise NoBlocksError("structure needs at least one block")
         for blk in self.blocks:
             if not blk:
                 raise EmptyBlockError("empty block")
@@ -150,29 +158,19 @@ def validate_structure(
     *,
     allow_repeated: bool = False,
 ) -> IncidenceStructure:
-    """Canonicalize and validate raw (point count, block list) input.
+    """Canonicalize raw (point count, block list) input; the record
+    validates it, so an empty or out-of-range block is named before a repeat.
 
     Blocks are treated as sets: points inside a block are deduplicated and
     sorted, and the block list is sorted lexicographically.  Identical
     blocks are rejected unless ``allow_repeated`` is set; the design-theory
     operations only accept simple structures either way.
     """
-    if num_points < 1:
-        raise NoPointsError("structure needs at least one point")
-    canon = []
-    for raw in blocks:
-        blk = tuple(sorted(set(raw)))
-        if not blk:
-            raise EmptyBlockError("empty block")
-        if blk[0] < 0 or blk[-1] >= num_points:
-            raise PointIndexOutOfRangeError(f"block {blk} exceeds point range 0..{num_points - 1}")
-        canon.append(blk)
-    canon.sort()
-    if not allow_repeated:
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise DuplicateBlockError(f"block {a} repeated")
-    return IncidenceStructure(num_points, tuple(canon))
+    d = IncidenceStructure(num_points, tuple(sorted(tuple(sorted(set(raw))) for raw in blocks)))
+    if not allow_repeated and not d.simple:
+        a = next(a for a, b in zip(d.blocks, d.blocks[1:]) if a == b)
+        raise DuplicateBlockError(f"block {a} repeated")
+    return d
 
 
 # The most bytes that one graph's distance layers (BipartiteGraph.layers)

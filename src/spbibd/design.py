@@ -39,8 +39,6 @@ class NotUniform(NamedTuple):
 def replication_and_block_size(d: IncidenceStructure) -> tuple[int, int] | NotUniform:
     """(r, k) when every point lies in r blocks and every block has k
     points; otherwise a witness pair."""
-    if not d.blocks:
-        return NotUniform("block-size", (0, 0), (0, 0))
     k = len(d.blocks[0])
     for j, blk in enumerate(d.blocks):
         if len(blk) != k:

@@ -3,7 +3,7 @@ class: closed-formula evaluation through the scalars Delta_i, brute-force
 triple counting, and the report that sets them side by side.
 
 Each scalar is its ``equalities`` integer numerator over the side c_2,
-so zero tests are exact; only delta_value and p2ii_formula load fractions.
+so zero tests are exact; only delta_value loads fractions.
 """
 
 from __future__ import annotations
@@ -55,19 +55,6 @@ def _verdict(constant: Callable[[int], bool], full_top: int, almost_top: int) ->
     if all(constant(i) for i in range(2, almost_top + 1)):
         return VERDICT_ALMOST_ONLY
     return VERDICT_NEITHER
-
-
-def p2ii_formula(side_arr: IntersectionArray, other_arr: IntersectionArray, i: int) -> Fraction:
-    """|Gamma_2(x) n Gamma_i(z)| for x in the side class and z at distance
-    i, computed from the two intersection arrays: the one Fraction
-    equalities.p2ii_numerator / c_2, with the side c_2 for even and odd i.
-    Valid for 2 <= i <= D - 1.
-    """
-    from fractions import Fraction
-    d = side_arr.eccentricity
-    if i < 2 or i > d - 1:
-        raise IndexOutOfRangeError(f"i = {i} outside 2..{d - 1}")
-    return Fraction(p2ii_numerator(side_arr, other_arr, i), side_arr.c[2])
 
 
 def delta_value(side_arr: IntersectionArray, other_arr: IntersectionArray, i: int) -> Fraction:

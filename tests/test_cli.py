@@ -78,6 +78,18 @@ def test_analyze_design_fano_degeneracy(tmp_path, capsys):
     assert "not_in_scope" in rep["constraints"]
 
 
+def test_analyze_design_one_point_one_block_is_degenerate(tmp_path, capsys):
+    # one point has no pair, so lambda1 is 0 and t is reported as k = 1:
+    # the 2-design degeneracy
+    path = tmp_path / "one.json"
+    write_json(path, {"v": 1, "blocks": [[0]]})
+    code, out, _ = run_cli(capsys, "analyze-design", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["spbibd"]["lambda1"] == 0
+    assert rep["flags"]["two_design_degenerate"]
+
+
 def test_analyze_design_negative_verdict_still_exit_zero(tmp_path, capsys):
     path = tmp_path / "bad.json"
     write_json(path, {"v": 3, "blocks": [[0, 1], [0, 1, 2]]})
@@ -102,6 +114,24 @@ def test_malformed_files_exit_nonzero(tmp_path, capsys):
     assert code == 1 and "error" in err
 
     assert run_cli(capsys, "analyze-graph", str(tmp_path / "nope.json"))[0] == 1
+
+    # graph files refused before any edge is built: one error line each
+    refused = {
+        "no-vertex.json": ({"n": 0, "edges": []}, "graph needs at least one vertex"),
+        "no-edges-field.json": ({"n": 3}, "graph file needs fields 'n' and 'edges'"),
+        "no-n-field.json": ({"edges": []}, "graph file needs fields 'n' and 'edges'"),
+    }
+    for name, (doc, reason) in refused.items():
+        path = tmp_path / name
+        write_json(path, doc)
+        assert run_cli(capsys, "analyze-graph", str(path)) == (1, "", f"error: {path}: {reason}\n")
+
+    # a report that cannot be written is one error line, not a traceback
+    good = tmp_path / "one-point.json"
+    write_json(good, {"v": 1, "blocks": [[0]]})
+    code, out, err = run_cli(capsys, "analyze-design", str(good), "--out", str(tmp_path / "missing" / "x.json"))
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
     # bytes the JSON reader refuses before any field is read: each is one
     # error line, not a traceback
@@ -156,6 +186,25 @@ def test_first_bad_edge_of_a_graph_file_decides_the_error(tmp_path, capsys, edge
     assert run_cli(capsys, "analyze-graph", str(path)) == (1, "", f"error: {path}: {reason}\n")
 
 
+@pytest.mark.parametrize(
+    "v, blocks, reason",
+    [
+        # the first faulty block in canonical (sorted) order, not in file
+        # order: an empty block sorts first
+        (3, [[0, 5], []], "empty block"),
+        (3, [[2, 7], [1], [0, 4]], "block (0, 4) exceeds point range 0..2"),
+        # a point or range fault is named before a repeat
+        (3, [[0, 1], [0, 1], [5]], "block (5,) exceeds point range 0..2"),
+        (3, [], "structure needs at least one block"),
+        (0, [], "structure needs at least one point"),
+    ],
+)
+def test_first_bad_block_of_a_design_file_decides_the_error(tmp_path, capsys, v, blocks, reason):
+    path = tmp_path / "bad.json"
+    write_json(path, {"v": v, "blocks": blocks})
+    assert run_cli(capsys, "analyze-design", str(path)) == (1, "", f"error: {path}: {reason}\n")
+
+
 def test_adjacency_view_is_the_edges_bitsets_with_and_without_a_partition(tmp_path):
     edges = [[0, 1], [0, 2], [3, 1], [3, 2], [4, 1]]
     for partition in (None, [0, 1, 1, 0, 0], [1, 0, 0, 1, 1]):
@@ -195,6 +244,22 @@ def test_graph_without_edges_is_a_one_line_error(tmp_path, capsys, command):
     write_json(path, {"n": 1, "edges": []})
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert (code, out, err) == (1, "", "error: NoEdgesError: classification needs at least one edge\n")
+
+
+def test_three_leg_spider_is_not_semiregular_but_its_leaves_are_homogeneous(tmp_path, capsys):
+    # the centre and the leaves (class Y) have different arrays; the
+    # middle vertices (class Yprime) see a single triple shape
+    path = tmp_path / "spider.json"
+    write_json(path, {"n": 7, "edges": [[0, 1], [1, 2], [0, 3], [3, 4], [0, 5], [5, 6]]})
+    assert run_cli(capsys, "from-graph", str(path)) == (
+        1, "", "error: NotSemiregularError: class Y has no common intersection array\n"
+    )
+    code, out, _ = run_cli(capsys, "check-homogeneous", str(path), "--side", "Yprime")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "2-homogeneous"
+    assert rep["bruteforce_counts"] == {"1": [1], "2": [1]}
+    assert rep["formula_skipped"] == "graph is not distance-regularized on both sides"
 
 
 @pytest.mark.parametrize(

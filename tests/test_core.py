@@ -14,8 +14,10 @@ from spbibd.core import (
     MAX_LAYER_BYTES,
     DuplicateBlockError,
     EmptyBlockError,
+    IncidenceStructure,
     IntersectionArray,
     LayersTooLargeError,
+    NoBlocksError,
     NoPointsError,
     NotConnectedError,
     OddCycleError,
@@ -72,6 +74,10 @@ def test_empty_block_and_no_points():
         validate_structure(3, [[0], []])
     with pytest.raises(NoPointsError):
         validate_structure(0, [])
+    with pytest.raises(NoBlocksError, match="structure needs at least one block"):
+        validate_structure(3, [])
+    with pytest.raises(NoBlocksError):
+        IncidenceStructure(3, ())
 
 
 def test_blocks_are_sets():
@@ -95,8 +101,6 @@ def test_canonicalization_is_idempotent():
 
 
 def test_direct_construction_rejects_non_canonical():
-    from spbibd.core import IncidenceStructure
-
     with pytest.raises(ToolkitError):
         IncidenceStructure(3, ((1, 0),))
     with pytest.raises(ToolkitError):

@@ -543,6 +543,10 @@ def test_constraints_not_in_scope():
         check_parameter_constraints(
             SpbibdParams(v=7, b=7, r=3, k=3, lambda1=1, lambda2=0, s=2, t=3, x=1, y=None)
         )
+    # lambda2 = 0 with s != k - 1: spbibd_type never builds one (with
+    # lambda2 = 0 every pair inside a block is a lambda1 pair), so by hand
+    with pytest.raises(NotInScopeError, match=r"type is \(1, 1\), scope needs s = k-1 = 2"):
+        check_parameter_constraints(_params(3, 3, 1, 1, 1)._replace(s=1))
 
 
 def test_constraints_hold_for_every_in_scope_structure():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -36,7 +37,6 @@ from spbibd.homogeneity import (
     homogeneity_report,
     homogeneous_by_bruteforce,
     homogeneous_by_formula,
-    p2ii_formula,
 )
 from util import (
     bruteforce_oracle,
@@ -56,23 +56,21 @@ TUTTE_ARRAYS = expected_incidence_arrays(3, 3, 1, 1, 1)
 Q3_ARRAY = IntersectionArray(b=(3, 2, 1, 0), c=(0, 1, 2, 3))
 
 
+def p2ii_value(side_arr, other_arr, i):
+    """p^i_{2,i} as a Fraction: its equalities numerator over the side c_2."""
+    return Fraction(p2ii_numerator(side_arr, other_arr, i), side_arr.c[2])
+
+
 def test_p2ii_tutte_point_side_values():
     point, block = TUTTE_ARRAYS
-    assert p2ii_formula(point, block, 2) == 1
-    assert p2ii_formula(point, block, 3) == 5
+    formula = homogeneous_by_formula(point, block)
+    assert (formula.p2ii, formula.c2) == ({2: 1, 3: 5}, 1)
 
 
 def test_p2ii_vanishes_when_both_factors_do():
     # c_{i+1} = 1 and b_{i-1} = 1 at even i: both numerator terms die
     c8 = classify(even_cycle(8))
-    assert p2ii_formula(c8.array_y, c8.array_yprime, 2) == 0
-
-
-def test_p2ii_index_out_of_range():
-    point, block = TUTTE_ARRAYS
-    for i in (0, 1, 4, 7):
-        with pytest.raises(IndexOutOfRangeError):
-            p2ii_formula(point, block, i)
+    assert p2ii_numerator(c8.array_y, c8.array_yprime, 2) == 0
 
 
 def test_p2ii_formula_matches_direct_count_everywhere():
@@ -93,7 +91,7 @@ def test_p2ii_formula_matches_direct_count_everywhere():
         ):
             for i in range(2, arr.eccentricity):
                 observed = p2ii_direct_counts(g, side, i)
-                assert observed == {p2ii_formula(arr, other, i)}, (side, i)
+                assert observed == {p2ii_value(arr, other, i)}, (side, i)
 
 
 def test_delta_tutte_values():
@@ -146,7 +144,7 @@ def _check_one_fraction_per_scalar(side_arr, other_arr):
     for i in range(1, side_arr.eccentricity):
         p, delta = delta_oracle(side_arr, other_arr, i)
         if i >= 2:
-            value = p2ii_formula(side_arr, other_arr, i)
+            value = p2ii_value(side_arr, other_arr, i)
             num = p2ii_numerator(side_arr, other_arr, i)
             assert (value, str(value)) == (p, str(p)), (side_arr, other_arr, i)
             assert (num, fraction_text(num, c2)) == (value * c2, str(value)), (side_arr, other_arr, i)

@@ -153,7 +153,7 @@ def test_generate_choices_are_the_families_usage_builds():
 
 
 def test_public_names_are_their_defining_modules_objects():
-    assert len(spbibd.__all__) == len(set(spbibd.__all__)) == 30
+    assert len(spbibd.__all__) == len(set(spbibd.__all__)) == 29
     for name in spbibd.__all__:
         obj = getattr(spbibd, name)
         assert obj.__module__.startswith("spbibd.")

@@ -378,7 +378,8 @@ def girth(g: BipartiteGraph) -> int | None:
 
 def p2ii_direct_counts(g: BipartiteGraph, side: str, i: int) -> set[int]:
     """Exhaustive |Gamma_2(x) n Gamma_i(z)| over every x in the class and
-    every z in Gamma_i(x); the independent oracle for p2ii_formula."""
+    every z in Gamma_i(x); the independent oracle for the p^i_{2,i} formula
+    (equalities.p2ii_numerator over the side c_2)."""
     dist = all_distances(g)
     counts = set()
     for x in g.class_vertices(side):
