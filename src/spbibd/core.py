@@ -5,16 +5,21 @@ adjacency bitsets (one source, and all sources level by level), yielding
 distance layers, and bit-sliced counters, among them :func:`nearer_rows`,
 the one count of both exhaustive graph checks.
 
-Every record of the package is a ``typing.NamedTuple``: its fields are
-immutable and it is safe to share between threads.  A record compares
-equal to a plain tuple of the same field values; that is a side effect
-of the representation, and no caller may rely on it.  Validation happens
-in the constructor: ``IncidenceStructure``, ``BipartiteGraph`` and
-``IntersectionArray`` subclass a NamedTuple of their fields and check
-them in ``__init__`` (``_make`` and ``_replace`` skip the check).  The
-constructor functions canonicalize raw input first: ``validate_structure``
-only adds the repeat check, ``build_bipartite`` the edge and connectivity
-checks; nothing is validated lazily.  The subclasses keep an instance
+Every record of the package is built with ``collections.namedtuple``: its
+fields are immutable and it is safe to share between threads.  A record
+with a docstring, a default or a method subclasses its namedtuple with
+``__slots__ = ()``, and its docstring gives each field's type.  A
+``typing.NamedTuple`` class would do the same, but building one makes
+``typing`` compile an annotation for each field, which every CLI process
+would pay at import.  A record compares equal to a plain tuple of the
+same field values; that is a side effect of the representation, and no
+caller may rely on it.  Validation happens in the constructor:
+``IncidenceStructure``, ``BipartiteGraph`` and ``IntersectionArray``
+subclass a namedtuple of their fields and check them in ``__init__``
+(``_make`` and ``_replace`` skip the check).  The constructor functions
+canonicalize raw input first: ``validate_structure`` only adds the repeat
+check, ``build_bipartite`` the edge and connectivity checks; nothing is
+validated lazily.  These three subclasses keep an instance
 ``__dict__``, so their derived views (block sets, the blocks through each
 point, the meets of the blocks, the graph's adjacency bitsets and lists,
 its diameter bound, its distance layers and its distances mod 4) are
@@ -25,10 +30,11 @@ them and builds no copy of its own.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class ToolkitError(Exception):
@@ -81,9 +87,7 @@ class NotInScopeError(ToolkitError):
     """Raised when an operation's parameter preconditions fail."""
 
 
-class _IncidenceFields(NamedTuple):
-    num_points: int
-    blocks: tuple[tuple[int, ...], ...]
+_IncidenceFields = namedtuple("_IncidenceFields", "num_points blocks")
 
 
 class IncidenceStructure(_IncidenceFields):
@@ -93,6 +97,8 @@ class IncidenceStructure(_IncidenceFields):
     point indices and the block list is sorted lexicographically.  Build
     through :func:`validate_structure`; this constructor alone judges
     validity and names the first faulty block in canonical order.
+
+    Fields: ``num_points`` (int), ``blocks`` (tuple[tuple[int, ...], ...]).
     """
 
     def __init__(self, *args, **kwargs):
@@ -179,8 +185,9 @@ def validate_structure(
 # is checked before the layers are built.  The 1000-cycle estimates 1.3e8
 # bytes and the 2000-vertex path from its end 2.0e9; the 25,000-cycle that
 # generate allows would need 2e12.  The bit matrices of the class scan
-# (graph.classify) and of the brute force (homogeneity) are held to the
-# same limit, checked after the layers'.
+# (graph.classify) and of the brute force (homogeneity), with the Python
+# objects of their rows, are held to the same limit, checked after the
+# layers'.
 MAX_LAYER_BYTES = 2**31
 
 
@@ -200,10 +207,7 @@ SIDES = (Y_SIDE, YPRIME_SIDE)
 TARGETS = ("almost-p", "full-p", "almost-b", "full-b")
 
 
-class _GraphFields(NamedTuple):
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    side: tuple[int, ...]
+_GraphFields = namedtuple("_GraphFields", "num_vertices edges side")
 
 
 class BipartiteGraph(_GraphFields):
@@ -214,6 +218,9 @@ class BipartiteGraph(_GraphFields):
     Build through :func:`build_bipartite`, which puts vertex 0 in Y.  A
     graph file's ``partition``, when given, names the classes instead:
     its class 0 is Y.
+
+    Fields: ``num_vertices`` (int), ``edges`` (tuple[tuple[int, int], ...]),
+    ``side`` (tuple[int, ...]).
     """
 
     def __init__(self, *args, **kwargs):
@@ -452,9 +459,7 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     return g
 
 
-class _ArrayFields(NamedTuple):
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+_ArrayFields = namedtuple("_ArrayFields", "b c")
 
 
 class IntersectionArray(_ArrayFields):
@@ -462,6 +467,8 @@ class IntersectionArray(_ArrayFields):
 
     ``b`` and ``c`` run over i = 0..D where D is the eccentricity.  The
     a_i are identically zero (bipartite) and never stored.
+
+    Fields: ``b`` (tuple[int, ...]), ``c`` (tuple[int, ...]).
     """
 
     def __init__(self, *args, **kwargs):

@@ -10,7 +10,7 @@ cross-checks, so a disagreement there is a ConsistencyError.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import graph
 from .core import (
@@ -91,7 +91,7 @@ def derived_sizes(r: int, k: int, lambda1: int, t: int) -> tuple[int, int, int]:
     return v_num, b_num, den
 
 
-class DerivedDesignParams(NamedTuple):
+class DerivedDesignParams(namedtuple("DerivedDesignParams", "v b r k lambda1 s t y")):
     """Design parameters read off a graph whose chosen class is
     distance-regularized with eccentricity 4 and common array (b_i, c_i):
 
@@ -103,27 +103,25 @@ class DerivedDesignParams(NamedTuple):
     b2 = b0 - c2, b3 = b1 + 1 - c3 and c4 = b0.
 
     ``y`` is the other class's c_2 when that class is also regularized.
+
+    Fields: ``v``, ``b``, ``r``, ``k``, ``lambda1``, ``s``, ``t`` (int),
+    ``y`` (int | None).
     """
 
-    v: int
-    b: int
-    r: int
-    k: int
-    lambda1: int
-    s: int
-    t: int
-    y: int | None
+    __slots__ = ()
 
 
-class GraphDesignExtraction(NamedTuple):
+class GraphDesignExtraction(namedtuple("GraphDesignExtraction", "structure params point_vertices block_vertices")):
     """Design extracted from a graph, with vertex provenance: point i of
     ``structure`` is graph vertex ``point_vertices[i]``, block j is graph
-    vertex ``block_vertices[j]``."""
+    vertex ``block_vertices[j]``.
 
-    structure: IncidenceStructure
-    params: DerivedDesignParams
-    point_vertices: tuple[int, ...]
-    block_vertices: tuple[int, ...]
+    Fields: ``structure`` (IncidenceStructure), ``params``
+    (DerivedDesignParams), ``point_vertices`` and ``block_vertices``
+    (tuple[int, ...]).
+    """
+
+    __slots__ = ()
 
 
 def design_from_graph(g: BipartiteGraph, points: str) -> GraphDesignExtraction:

@@ -8,9 +8,9 @@ sampled.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, combinations
-from typing import Any, NamedTuple
+from typing import Any
 
 from .core import (
     ConsistencyError,
@@ -28,12 +28,15 @@ class FewerThanTwoBlocksError(ToolkitError):
     pass
 
 
-class NotUniform(NamedTuple):
-    """Witness that replication or block size is not constant."""
+class NotUniform(namedtuple("NotUniform", "what witnesses values")):
+    """Witness that replication or block size is not constant.
 
-    what: str  # "block-size" or "replication"
-    witnesses: tuple[int, int]  # two block indices / two point indices
-    values: tuple[int, int]
+    Fields: ``what`` (str, "block-size" or "replication"), ``witnesses``
+    (tuple[int, int], two block indices / two point indices), ``values``
+    (tuple[int, int]).
+    """
+
+    __slots__ = ()
 
 
 def replication_and_block_size(d: IncidenceStructure) -> tuple[int, int] | NotUniform:
@@ -58,14 +61,15 @@ def replication_and_block_size(d: IncidenceStructure) -> tuple[int, int] | NotUn
     return r, k
 
 
-class QuasiSymmetryInfo(NamedTuple):
+class QuasiSymmetryInfo(namedtuple("QuasiSymmetryInfo", "sizes x y proper")):
     """Distinct block intersection sizes and the (x, y) pair when at most
-    two sizes are realized.  ``proper`` means exactly two."""
+    two sizes are realized.  ``proper`` means exactly two.
 
-    sizes: tuple[int, ...]
-    x: int | None
-    y: int | None
-    proper: bool
+    Fields: ``sizes`` (tuple[int, ...]), ``x`` and ``y`` (int | None),
+    ``proper`` (bool).
+    """
+
+    __slots__ = ()
 
 
 def block_intersections(d: IncidenceStructure) -> QuasiSymmetryInfo:
@@ -86,11 +90,13 @@ def block_intersections(d: IncidenceStructure) -> QuasiSymmetryInfo:
     return QuasiSymmetryInfo(ordered, None, None, False)
 
 
-class NotSpbibd(NamedTuple):
-    """Structured rejection: which condition failed and a witness."""
+class NotSpbibd(namedtuple("NotSpbibd", "reason detail")):
+    """Structured rejection: which condition failed and a witness.
 
-    reason: str
-    detail: str
+    Fields: ``reason`` and ``detail`` (str).
+    """
+
+    __slots__ = ()
 
 
 def pair_concurrences(d: IncidenceStructure) -> dict[tuple[int, int], int]:
@@ -222,14 +228,14 @@ def dual_blocks_raw(d: IncidenceStructure) -> list[tuple[int, ...]]:
     return [d.point_blocks.get(p, ()) for p in range(d.num_points)]
 
 
-class ConstraintCheck(NamedTuple):
-    name: str
-    holds: bool
-    detail: str
+# name (str), holds (bool), detail (str)
+ConstraintCheck = namedtuple("ConstraintCheck", "name holds detail")
 
 
-class ConstraintReport(NamedTuple):
-    checks: tuple[ConstraintCheck, ...]
+class ConstraintReport(namedtuple("ConstraintReport", "checks")):
+    """Fields: ``checks`` (tuple[ConstraintCheck, ...])."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:

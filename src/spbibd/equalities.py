@@ -8,31 +8,27 @@ each rational with fraction_text.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import Callable, NamedTuple
 
 from .core import IntersectionArray, NotInScopeError, TARGETS
 
 
-class SpbibdParams(NamedTuple):
+class SpbibdParams(
+    namedtuple("SpbibdParams", "v b r k lambda1 lambda2 s t x y lambda2_realized", defaults=(None, None, True))
+):
     """Parameters (v, b, r, k, lambda1, lambda2) of type (s, t), plus the
     block intersection numbers (x, y) when the design is quasi-symmetric.
 
     ``lambda2_realized`` is False when every point pair has the same
     concurrence; lambda2 is then reported as 0 by convention.
+
+    Fields: ``v``, ``b``, ``r``, ``k``, ``lambda1``, ``lambda2``, ``s``,
+    ``t`` (int), ``x`` and ``y`` (int | None, default None),
+    ``lambda2_realized`` (bool, default True).
     """
 
-    v: int
-    b: int
-    r: int
-    k: int
-    lambda1: int
-    lambda2: int
-    s: int
-    t: int
-    x: int | None = None
-    y: int | None = None
-    lambda2_realized: bool = True
+    __slots__ = ()
 
     @property
     def two_design_degenerate(self) -> bool:
@@ -62,15 +58,17 @@ class SpbibdParams(NamedTuple):
         return self.is_partial_geometry and self.t == 1
 
 
-class ScopeInequality(NamedTuple):
+class ScopeInequality(namedtuple("ScopeInequality", "name test detail")):
     """One inequality that an in-scope design satisfies: its report name,
     an exact integer test over (r, k, lambda1, t, y) for y >= 1, and its
     report detail, a ``str.format`` template over r, k, lambda1, t, y and
-    c3 = t*lambda1/y."""
+    c3 = t*lambda1/y.
 
-    name: str
-    test: Callable[[int, int, int, int, int], bool]
-    detail: str
+    Fields: ``name`` (str), ``test`` (Callable[[int, int, int, int, int],
+    bool]), ``detail`` (str).
+    """
+
+    __slots__ = ()
 
 
 # The one home of the scope inequalities: design renders them as the
@@ -191,15 +189,15 @@ def satisfied_equalities(r: int, k: int, lambda1: int, t: int, y: int) -> frozen
     return frozenset(out)
 
 
-class ParameterHomogeneity(NamedTuple):
+class ParameterHomogeneity(namedtuple("ParameterHomogeneity", "almost_2p full_2p almost_2b full_2b notes")):
     """Parameter-level homogeneity of a design's incidence graph, with
-    respect to the point class (2p) and the block class (2b)."""
+    respect to the point class (2p) and the block class (2b).
 
-    almost_2p: bool
-    full_2p: bool
-    almost_2b: bool
-    full_2b: bool
-    notes: tuple[str, ...]
+    Fields: ``almost_2p``, ``full_2p``, ``almost_2b``, ``full_2b`` (bool),
+    ``notes`` (tuple[str, ...]).
+    """
+
+    __slots__ = ()
 
 
 def parameter_homogeneity(p: SpbibdParams) -> ParameterHomogeneity:

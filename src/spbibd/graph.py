@@ -16,7 +16,8 @@ witnesses.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .core import (
     BipartiteGraph,
@@ -50,15 +51,15 @@ def all_distances(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(distance_row(layers, g.num_vertices)) for layers in g.layers)
 
 
-class NotRegularizedAt(NamedTuple):
+class NotRegularizedAt(namedtuple("NotRegularizedAt", "vertex distance count_kind witnesses counts")):
     """Witness that a vertex is not distance-regularized: two vertices at
-    the same distance from ``vertex`` with different b- or c-counts."""
+    the same distance from ``vertex`` with different b- or c-counts.
 
-    vertex: int
-    distance: int
-    count_kind: str  # "b" or "c"
-    witnesses: tuple[int, int]
-    counts: tuple[int, int]
+    Fields: ``vertex`` and ``distance`` (int), ``count_kind`` (str, "b" or
+    "c"), ``witnesses`` and ``counts`` (tuple[int, int]).
+    """
+
+    __slots__ = ()
 
 
 def local_intersection_numbers(
@@ -95,22 +96,27 @@ def local_intersection_numbers(
     return IntersectionArray(tuple(b), tuple(c))
 
 
-class ClassificationResult(NamedTuple):
+class ClassificationResult(
+    namedtuple(
+        "ClassificationResult",
+        "kind array_y array_yprime ecc_y ecc_yprime witness_y witness_yprime",
+        defaults=(None, None),
+    )
+):
     """Outcome of testing distance-regularity at every vertex.
 
     ``ecc_y`` / ``ecc_yprime`` are the maximum eccentricities over each
     class (all equal within a class whenever that class is uniform).  Each
     class's first witness in vertex order is ``witness_y`` / ``witness_yprime``;
     ``witness``, the one analyze-graph reports, is Y's, else Yprime's.
+
+    Fields: ``kind`` (str), ``array_y`` and ``array_yprime``
+    (IntersectionArray | None), ``ecc_y`` and ``ecc_yprime`` (int),
+    ``witness_y`` and ``witness_yprime`` (NotRegularizedAt | None, default
+    None).
     """
 
-    kind: str
-    array_y: IntersectionArray | None
-    array_yprime: IntersectionArray | None
-    ecc_y: int
-    ecc_yprime: int
-    witness_y: NotRegularizedAt | None = None
-    witness_yprime: NotRegularizedAt | None = None
+    __slots__ = ()
 
     @property
     def witness(self) -> NotRegularizedAt | None:
@@ -184,9 +190,12 @@ def _class_levels(
     order = sorted(range(n), key=lambda y: len(nbrs[y]), reverse=True)
     top = len(nbrs[order[0]])
     # each matrix takes n * size bytes; the count planes, the degree planes
-    # and about 8 more are live at once
+    # and about 8 more are live at once.  Each row y also holds Python
+    # objects: two bytes slices of its row (size + 41 bytes each), its pair
+    # (y, Gamma(y)) and its entries in the order lists: 2 * size + 200 bytes
     refuse_over_limit(
-        f"the class scan of {n} vertices, with degrees up to {top},", (2 * top.bit_length() + 8) * n * 8 * size
+        f"the class scan of {n} vertices, with degrees up to {top},",
+        8 * n * ((2 * top.bit_length() + 10) * size + 200),
     )
     ones, zeros = ((1 << n) - 1).to_bytes(size, "little"), bytes(size)
     planes = [stack_rows([ones if len(nbrs[y]) >> j & 1 else zeros for y in order]) for j in range(top.bit_length())]

@@ -8,7 +8,8 @@ so zero tests are exact; only delta_value loads fractions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable
 
 from . import graph
 from .core import (
@@ -70,14 +71,15 @@ def delta_value(side_arr: IntersectionArray, other_arr: IntersectionArray, i: in
     return Fraction(delta_numerator(side_arr, other_arr, i), side_arr.c[2])
 
 
-class FormulaResult(NamedTuple):
+class FormulaResult(namedtuple("FormulaResult", "p2ii delta c2 verdict")):
     """The closed-formula view of one class: the integer numerators over c2
-    of p^i_{2,i} (levels 2..D-1) and Delta_i (1..min(D-1, D'-1)), and the verdict."""
+    of p^i_{2,i} (levels 2..D-1) and Delta_i (1..min(D-1, D'-1)), and the verdict.
 
-    p2ii: dict[int, int]
-    delta: dict[int, int]
-    c2: int
-    verdict: str
+    Fields: ``p2ii`` and ``delta`` (dict[int, int]), ``c2`` (int),
+    ``verdict`` (str).
+    """
+
+    __slots__ = ()
 
 
 def homogeneous_by_formula(side_arr: IntersectionArray, other_arr: IntersectionArray) -> FormulaResult:
@@ -102,14 +104,15 @@ def homogeneous_by_formula(side_arr: IntersectionArray, other_arr: IntersectionA
     )
 
 
-class BruteForceResult(NamedTuple):
+class BruteForceResult(namedtuple("BruteForceResult", "side eccentricity level_counts verdict")):
     """Observed values of |Gamma(x) n Gamma(y) n Gamma_{i-1}(z)| per level
-    i, over all x in the class, y in Gamma_2(x), z in Gamma_{i,i}(x, y)."""
+    i, over all x in the class, y in Gamma_2(x), z in Gamma_{i,i}(x, y).
 
-    side: str
-    eccentricity: int
-    level_counts: dict[int, tuple[int, ...]]
-    verdict: str
+    Fields: ``side`` (str), ``eccentricity`` (int), ``level_counts``
+    (dict[int, tuple[int, ...]]), ``verdict`` (str).
+    """
+
+    __slots__ = ()
 
 
 def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
@@ -155,9 +158,15 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
         rows += [(x, bits(common), same) for common, same in joined.items()]
     rows.sort(key=lambda row: len(row[1]), reverse=True)
     size, top = (g.num_vertices + 7) // 8, len(rows[0][1]) if rows else 0
-    # each matrix takes len(rows) * size bytes; the count planes and about 7 more are live at once
+    # each matrix takes len(rows) * size bytes; the count planes and about 7
+    # more are live at once.  Each row also holds Python objects: its n-bit
+    # join, a bytes slice (size + 41 bytes), the list W of up to top new ints
+    # (36 bytes each) and two tuples: 3 * size + 36 * top + 300 bytes.  And
+    # nearer_rows holds a bytes slice of each vertex's residue row.
     what = f"{len(rows)} rows of {g.num_vertices} vertices with up to {top} common neighbours,"
-    refuse_over_limit(f"the brute force on class {side}, {what}", (top.bit_length() + 7) * len(rows) * 8 * size)
+    per_row = (top.bit_length() + 10) * size + 36 * top + 300
+    total = len(rows) * per_row + g.num_vertices * (size + 41)
+    refuse_over_limit(f"the brute force on class {side}, {what}", 8 * total)
     planes = nearer_rows(g, [(x, ws) for x, ws, _ in rows])
     counts = {}
     for i in range(1, d):
@@ -166,19 +175,22 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     return BruteForceResult(side, d, counts, _verdict(lambda i: len(counts[i]) <= 1, d - 1, d - 2))
 
 
-class HomogeneityReport(NamedTuple):
+class HomogeneityReport(
+    namedtuple(
+        "HomogeneityReport", "side verdict bruteforce_counts p2ii delta c2 formula_verdict formula_skipped"
+    )
+):
     """Combined view: brute-force verdict (always computed, authoritative)
     plus the formula path when the graph is distance-regularized on both
-    sides and satisfies k' >= 3, D >= 3 (c2 is None when it is skipped)."""
+    sides and satisfies k' >= 3, D >= 3 (c2 is None when it is skipped).
 
-    side: str
-    verdict: str
-    bruteforce_counts: dict[int, tuple[int, ...]]
-    p2ii: dict[int, int]
-    delta: dict[int, int]
-    c2: int | None
-    formula_verdict: str | None
-    formula_skipped: str | None
+    Fields: ``side`` and ``verdict`` (str), ``bruteforce_counts``
+    (dict[int, tuple[int, ...]]), ``p2ii`` and ``delta`` (dict[int, int]),
+    ``c2`` (int | None), ``formula_verdict`` and ``formula_skipped``
+    (str | None).
+    """
+
+    __slots__ = ()
 
 
 def homogeneity_report(g: BipartiteGraph, side: str) -> HomogeneityReport:

@@ -23,8 +23,8 @@ exists; every row carries an explicit "unresolved" existence marker.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .core import TARGETS, ConsistencyError, ToolkitError
 from .correspondence import derived_sizes, expected_incidence_arrays
@@ -43,16 +43,14 @@ class BoundsTooSmallError(ToolkitError):
     pass
 
 
-class CandidateTuple(NamedTuple):
-    r: int
-    k: int
-    lambda1: int
-    t: int
-    y: int
-    v: int
-    b: int
-    satisfied: frozenset[str]
-    existence: str = "unresolved"
+class CandidateTuple(
+    namedtuple("CandidateTuple", "r k lambda1 t y v b satisfied existence", defaults=("unresolved",))
+):
+    """Fields: ``r``, ``k``, ``lambda1``, ``t``, ``y``, ``v``, ``b`` (int),
+    ``satisfied`` (frozenset[str]), ``existence`` (str, default
+    "unresolved")."""
+
+    __slots__ = ()
 
     def sort_key(self) -> tuple[int, int, int, int, int]:
         return (self.k, self.r, self.lambda1, self.y, self.t)

@@ -354,48 +354,62 @@ def test_graph_commands_refuse_layers_that_cannot_fit(cycle_25000, command):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [("analyze-graph",), ("from-graph", "--points", "Yprime"), ("check-homogeneous",)],
-    ids=" ".join,
+    "command, limit, scan",
+    [
+        (("analyze-graph",), 10_000, (80, 4, 28_800)),
+        (("from-graph", "--points", "Yprime"), 10_000, (80, 4, 28_800)),
+        (("check-homogeneous",), 4_700, (20, 2, 4_840)),
+    ],
+    ids=["analyze-graph", "from-graph --points Yprime", "check-homogeneous"],
 )
-def test_graph_commands_refuse_a_class_scan_that_cannot_fit(tmp_path, capsys, monkeypatch, command):
+def test_graph_commands_refuse_a_class_scan_that_cannot_fit(tmp_path, capsys, monkeypatch, command, limit, scan):
     # W(3)'s incidence graph: 80 vertices of degree 4, so the scan's
-    # 2 * 3 + 8 matrices of 80 x 80 bits take 11,200 bytes, while its
-    # layers (diameter up to 8) take 7,200.  Under a limit of 10,000 the
-    # layers are built and the scan is refused; at 11,200 it runs.
-    dpath, gpath = tmp_path / "w3.json", tmp_path / "w3g.json"
-    run_cli(capsys, "generate", "wq", "--n", "3", "--out", str(dpath))
-    run_cli(capsys, "to-graph", str(dpath), "--out", str(gpath))
-    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 10_000)
+    # 2 * 3 + 10 rows of 10 bytes and 200 bytes of Python objects per
+    # vertex take 80 * 360 = 28,800 bytes, while its layers (diameter up to
+    # 8) take 7,200.  Under a limit of 10,000 the layers are built and the
+    # scan is refused; at 28,800 it runs.  check-homogeneous runs its brute
+    # force first (57,600 bytes on W(3)), so it is shown on the 20-cycle:
+    # layers 1,050 bytes, brute force 4,570 and scan 20 * 242 = 4,840.
+    gpath = tmp_path / "g.json"
+    if command[0] == "check-homogeneous":
+        run_cli(capsys, "generate", "cycle", "--n", "20", "--out", str(gpath))
+    else:
+        dpath = tmp_path / "w3.json"
+        run_cli(capsys, "generate", "wq", "--n", "3", "--out", str(dpath))
+        run_cli(capsys, "to-graph", str(dpath), "--out", str(gpath))
+    n, top, estimate = scan
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", limit)
     assert run_cli(capsys, command[0], str(gpath), *command[1:]) == (
         1,
         "",
-        "error: LayersTooLargeError: the class scan of 80 vertices, with degrees up to 4, "
-        "would take about 11200 bytes, over the limit of 10000\n",
+        f"error: LayersTooLargeError: the class scan of {n} vertices, with degrees up to {top}, "
+        f"would take about {estimate} bytes, over the limit of {limit}\n",
     )
-    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 11_200)
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", estimate)
     assert run_cli(capsys, command[0], str(gpath), *command[1:])[0] == 0
 
 
 @pytest.mark.parametrize("side", ["Y", "Yprime"])
 def test_check_homogeneous_refuses_a_brute_force_that_cannot_fit(tmp_path, capsys, monkeypatch, side):
     # W(5)'s incidence graph: 312 vertices, and on either side 780 rows
-    # (x, W) with |W| = 1, so the brute force's 1 + 7 matrices of 780 x 312
-    # bits take 243,360 bytes, more than its layers (109,512) and its class
-    # scan (170,352).  Under a limit of 200,000 those two fit and the brute
-    # force is refused; at 243,360 it runs.
+    # (x, W) with |W| = 1, so the brute force's 1 + 10 row slices of 39
+    # bytes and 336 bytes of Python objects per row, and 80 bytes per
+    # vertex, take 780 * 765 + 312 * 80 = 621,660 bytes, more than its
+    # layers (109,512) and its class scan (257,088).  Under a limit of
+    # 300,000 those two fit and the brute force is refused; at 621,660 it
+    # runs.
     dpath, gpath = tmp_path / "w5.json", tmp_path / "w5g.json"
     run_cli(capsys, "generate", "wq", "--n", "5", "--out", str(dpath))
     run_cli(capsys, "to-graph", str(dpath), "--out", str(gpath))
-    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 200_000)
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 300_000)
     assert run_cli(capsys, "analyze-graph", str(gpath))[0] == 0
     assert run_cli(capsys, "check-homogeneous", str(gpath), "--side", side) == (
         1,
         "",
         f"error: LayersTooLargeError: the brute force on class {side}, 780 rows of 312 vertices "
-        "with up to 1 common neighbours, would take about 243360 bytes, over the limit of 200000\n",
+        "with up to 1 common neighbours, would take about 621660 bytes, over the limit of 300000\n",
     )
-    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 243_360)
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 621_660)
     assert run_cli(capsys, "check-homogeneous", str(gpath), "--side", side)[0] == 0
 
 

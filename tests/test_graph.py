@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from spbibd import graph
+from spbibd import graph, homogeneity
 from spbibd.core import MAX_LAYER_BYTES, ConsistencyError, build_bipartite, layer_bfs, validate_structure
 from spbibd.correspondence import design_from_graph, expected_incidence_arrays, incidence_graph
 from spbibd.design import dual
@@ -28,6 +29,7 @@ from spbibd.graph import (
     classify,
     local_intersection_numbers,
 )
+from spbibd.homogeneity import homogeneous_by_bruteforce
 from util import (
     degree,
     eccentricity,
@@ -445,15 +447,46 @@ def kernel_fixtures():
 
 def test_the_scan_limit_admits_the_large_graphs():
     # (2 * bit_length(max degree) + 8) matrices of n rows of ceil(n / 8)
-    # bytes, far below the layers' own estimates for the cycle and the path
+    # bytes, and per row two more row slices and 200 bytes of Python
+    # objects, far below the layers' own estimates for the cycle and the path
     w7, hadamard = incidence_graph(symplectic_gq(7)), sylvester_hadamard_graph(64)
     estimates = {}
     for name, g in [("W(7)", w7), ("Hadamard 64", hadamard), ("cycle", even_cycle(1000)), ("path", path_graph(2000))]:
         n, top = g.num_vertices, max(map(len, g.adjacency_lists))
-        estimates[name] = (2 * top.bit_length() + 8) * n * ((n + 7) // 8)
-    assert estimates == {"W(7)": 1_280_000, "Hadamard 64": 180_224, "cycle": 1_500_000, "path": 6_000_000}
+        estimates[name] = n * ((2 * top.bit_length() + 10) * ((n + 7) // 8) + 200)
+    assert estimates == {"W(7)": 1_600_000, "Hadamard 64": 247_808, "cycle": 1_950_000, "path": 7_400_000}
     assert max(estimates.values()) <= MAX_LAYER_BYTES
     assert classify(w7).kind == classify(hadamard).kind == KIND_DISTANCE_REGULAR
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: incidence_graph(symplectic_gq(7)),
+        lambda: sylvester_hadamard_graph(32),
+        lambda: sylvester_hadamard_graph(64),
+    ],
+    ids=["W(7)", "Hadamard 32", "Hadamard 64"],
+)
+def test_the_refusal_estimates_bound_the_peak_memory(monkeypatch, make):
+    # the byte estimates that refuse a class scan or a brute force count the
+    # Python objects of their rows too, so neither step allocates more than
+    # it announced; the layers and residues are the graph's cached views,
+    # bounded by the layers' own estimate, and are built first
+    g = make()
+    g.residues
+    estimates = []
+    for module in (graph, homogeneity):
+        monkeypatch.setattr(module, "refuse_over_limit", lambda what, bits: estimates.append(bits // 8))
+    for step, *args in [(classify, g), (homogeneous_by_bruteforce, g, "Y"), (homogeneous_by_bruteforce, g, "Yprime")]:
+        tracemalloc.start()
+        try:
+            step(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert estimates.pop() >= peak, step.__name__
+    assert not estimates
 
 
 def test_all_source_layers_match_per_source_bfs():

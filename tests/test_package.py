@@ -3,7 +3,10 @@ public names that resolve on first use."""
 
 import ast
 import importlib
+import json
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 
 import spbibd
 from spbibd.cli import main
+from spbibd.core import IntersectionArray, build_bipartite, validate_structure
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -176,3 +180,105 @@ def test_readme_imports_and_unknown_names():
         spbibd.no_such_name
     with pytest.raises(ImportError):
         from spbibd import no_such_name  # noqa: F401
+
+
+# the lazily registered submodules of spbibd/__init__.py
+LAZY = ("correspondence", "design", "equalities", "generators", "graph", "homogeneity", "search")
+# a fresh interpreter in which building a typing.NamedTuple class raises:
+# it imports the CLI, runs every lazily registered submodule and then each
+# command given as a JSON list of argument lists
+NO_TYPING_RECORDS = f"""
+import json, sys, types, typing
+
+def refuse(mcls, name, *args, **kwargs):
+    raise TypeError(f"{{name}} is built as a typing.NamedTuple")
+
+typing.NamedTupleMeta.__new__ = refuse
+import spbibd
+from spbibd.cli import main
+for name in {LAZY!r}:
+    getattr(spbibd, name).__doc__
+    assert type(sys.modules["spbibd." + name]) is types.ModuleType, name
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(" ".join(map(str, codes)))
+"""
+
+
+def test_no_command_builds_a_typing_named_tuple(tmp_path, capsys):
+    for family, name in (("gq22", "gq22.json"), ("tutte-coxeter", "tc.json")):
+        assert main(["generate", family, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    commands = [[*argv, "--out", f"report{k}"] for k, argv in enumerate(LOADS)]
+    assert fresh_interpreter(NO_TYPING_RECORDS, json.dumps(commands), cwd=tmp_path) == {"0"}
+    assert all((tmp_path / f"report{k}").stat().st_size > 0 for k in range(len(LOADS)))
+
+
+# every record class with its fields and defaults: a report or a caller
+# may read any of them by name
+RECORDS = {
+    "core.IncidenceStructure": (("num_points", "blocks"), {}),
+    "core.BipartiteGraph": (("num_vertices", "edges", "side"), {}),
+    "core.IntersectionArray": (("b", "c"), {}),
+    "graph.NotRegularizedAt": (("vertex", "distance", "count_kind", "witnesses", "counts"), {}),
+    "graph.ClassificationResult": (
+        ("kind", "array_y", "array_yprime", "ecc_y", "ecc_yprime", "witness_y", "witness_yprime"),
+        {"witness_y": None, "witness_yprime": None},
+    ),
+    "homogeneity.FormulaResult": (("p2ii", "delta", "c2", "verdict"), {}),
+    "homogeneity.BruteForceResult": (("side", "eccentricity", "level_counts", "verdict"), {}),
+    "homogeneity.HomogeneityReport": (
+        ("side", "verdict", "bruteforce_counts", "p2ii", "delta", "c2", "formula_verdict", "formula_skipped"),
+        {},
+    ),
+    "equalities.SpbibdParams": (
+        ("v", "b", "r", "k", "lambda1", "lambda2", "s", "t", "x", "y", "lambda2_realized"),
+        {"x": None, "y": None, "lambda2_realized": True},
+    ),
+    "equalities.ScopeInequality": (("name", "test", "detail"), {}),
+    "equalities.ParameterHomogeneity": (("almost_2p", "full_2p", "almost_2b", "full_2b", "notes"), {}),
+    "design.NotUniform": (("what", "witnesses", "values"), {}),
+    "design.QuasiSymmetryInfo": (("sizes", "x", "y", "proper"), {}),
+    "design.NotSpbibd": (("reason", "detail"), {}),
+    "design.ConstraintCheck": (("name", "holds", "detail"), {}),
+    "design.ConstraintReport": (("checks",), {}),
+    "correspondence.DerivedDesignParams": (("v", "b", "r", "k", "lambda1", "s", "t", "y"), {}),
+    "correspondence.GraphDesignExtraction": (("structure", "params", "point_vertices", "block_vertices"), {}),
+    "search.CandidateTuple": (
+        ("r", "k", "lambda1", "t", "y", "v", "b", "satisfied", "existence"),
+        {"existence": "unresolved"},
+    ),
+}
+# the records that validate their fields keep an instance __dict__ for
+# their cached views; the others have none
+VALIDATED = {
+    "core.IncidenceStructure": lambda: validate_structure(3, [[0, 1], [1, 2]]),
+    "core.BipartiteGraph": lambda: build_bipartite(4, [(0, 1), (1, 2), (2, 3)]),
+    "core.IntersectionArray": lambda: IntersectionArray((2, 1, 0), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_keep_their_fields_and_behaviour(name):
+    module, _, cls_name = name.partition(".")
+    cls = getattr(importlib.import_module(f"spbibd.{module}"), cls_name)
+    fields, defaults = RECORDS[name]
+    assert (cls._fields, cls._field_defaults) == (fields, defaults)
+    obj = VALIDATED[name]() if name in VALIDATED else cls(*(f"{f}-value" for f in fields))
+    assert hasattr(obj, "__dict__") == (name in VALIDATED)
+    for copy in (pickle.loads(pickle.dumps(obj)), obj._replace(**{fields[0]: obj[0]})):
+        assert type(copy) is cls
+        assert copy == obj
+    assert repr(obj).startswith(f"{cls_name}({fields[0]}=")
+    assert obj._asdict() == dict(zip(fields, obj))
+
+
+def test_every_record_class_is_pinned():
+    found = set()
+    for info in pkgutil.iter_modules(spbibd.__path__):
+        module = importlib.import_module(f"spbibd.{info.name}")
+        for cls_name, obj in vars(module).items():
+            if isinstance(obj, type) and hasattr(obj, "_fields") and obj.__module__ == module.__name__:
+                found.add(f"{info.name}.{cls_name}")
+    # the fields tuples of the three validated records are pinned through them
+    assert found - set(RECORDS) == {"core._IncidenceFields", "core._GraphFields", "core._ArrayFields"}
+    assert set(RECORDS) <= found
