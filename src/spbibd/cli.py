@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
-from typing import Any
 
 from . import correspondence, design, graph, homogeneity, search
 from .core import (
@@ -37,7 +36,7 @@ class ParseError(ToolkitError):
     pass
 
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str) -> object:
     import json
 
     try:
@@ -51,7 +50,7 @@ def _read_json(path: str) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _is_int(x: Any) -> bool:
+def _is_int(x: object) -> bool:
     """JSON integers only: the exact type refuses ``true`` (a bool, an int subclass) and ``1.0``."""
     return type(x) is int
 
@@ -117,7 +116,7 @@ def graph_file_doc(g: BipartiteGraph) -> dict:
     return {"n": g.num_vertices, "edges": [list(e) for e in g.edges], "partition": list(g.side)}
 
 
-def _emit(doc: Any, out: str | None, human: bool = False) -> None:
+def _emit(doc: object, out: str | None, human: bool = False) -> None:
     """Writes text as it is, a document as sorted-key JSON or indented text."""
     if not isinstance(doc, str):
         if human:

@@ -8,33 +8,34 @@ the one count of both exhaustive graph checks.
 Every record of the package is built with ``collections.namedtuple``: its
 fields are immutable and it is safe to share between threads.  A record
 with a docstring, a default or a method subclasses its namedtuple with
-``__slots__ = ()``, and its docstring gives each field's type.  A
-``typing.NamedTuple`` class would do the same, but building one makes
-``typing`` compile an annotation for each field, which every CLI process
-would pay at import.  A record compares equal to a plain tuple of the
-same field values; that is a side effect of the representation, and no
-caller may rely on it.  Validation happens in the constructor:
-``IncidenceStructure``, ``BipartiteGraph`` and ``IntersectionArray``
-subclass a namedtuple of their fields and check them in ``__init__``
-(``_make`` and ``_replace`` skip the check).  The constructor functions
-canonicalize raw input first: ``validate_structure`` only adds the repeat
-check, ``build_bipartite`` the edge and connectivity checks; nothing is
-validated lazily.  These three subclasses keep an instance
-``__dict__``, so their derived views (block sets, the blocks through each
-point, the meets of the blocks, the graph's adjacency bitsets and lists,
-its diameter bound, its distance layers and its distances mod 4) are
-cached properties, computed at most once per object; every scan reads
-them and builds no copy of its own.
+``__slots__ = ()``, and its docstring gives each field's type.  No
+module of the package imports ``typing``: annotation names come from
+builtins and ``collections.abc``, and ``from __future__ import
+annotations`` leaves every annotation unevaluated, so no command loads
+``typing`` or the ``re`` and ``enum`` it imports.  A record compares
+equal to a plain tuple of the same field values; that is a side effect
+of the representation, and no caller may rely on it.  Validation happens
+in the constructor: ``IncidenceStructure``, ``BipartiteGraph`` and
+``IntersectionArray`` check their fields in ``__init__`` (``_make`` and
+``_replace`` skip the check).  The constructor functions canonicalize
+raw input first: ``validate_structure`` only adds the repeat check,
+``build_bipartite`` the edge and connectivity checks; nothing is
+validated lazily.  These three records declare no ``__slots__``, so
+they keep an instance ``__dict__``, and their derived views (block sets,
+the blocks through each point, the meets of the blocks, the graph's
+adjacency bitsets and lists, its diameter bound, its distance layers and
+its distances mod 4) are cached properties, computed at most once per
+object; every scan reads them and builds no copy of its own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
 
 
 class ToolkitError(Exception):
@@ -87,10 +88,7 @@ class NotInScopeError(ToolkitError):
     """Raised when an operation's parameter preconditions fail."""
 
 
-_IncidenceFields = namedtuple("_IncidenceFields", "num_points blocks")
-
-
-class IncidenceStructure(_IncidenceFields):
+class IncidenceStructure(namedtuple("IncidenceStructure", "num_points blocks")):
     """A point set 0..num_points-1 together with an ordered list of blocks.
 
     Instances are canonical: each block is a strictly increasing tuple of
@@ -207,10 +205,7 @@ SIDES = (Y_SIDE, YPRIME_SIDE)
 TARGETS = ("almost-p", "full-p", "almost-b", "full-b")
 
 
-_GraphFields = namedtuple("_GraphFields", "num_vertices edges side")
-
-
-class BipartiteGraph(_GraphFields):
+class BipartiteGraph(namedtuple("BipartiteGraph", "num_vertices edges side")):
     """Connected bipartite graph with a certified 2-coloring.
 
     ``side[v]`` is 0 for the color class called Y and 1 for the other
@@ -459,10 +454,7 @@ def build_bipartite(num_vertices: int, edges: Iterable[Sequence[int]]) -> Bipart
     return g
 
 
-_ArrayFields = namedtuple("_ArrayFields", "b c")
-
-
-class IntersectionArray(_ArrayFields):
+class IntersectionArray(namedtuple("IntersectionArray", "b c")):
     """The b_i / c_i sequence of a distance-regularized vertex.
 
     ``b`` and ``c`` run over i = 0..D where D is the eccentricity.  The
@@ -504,7 +496,7 @@ class IntersectionArray(_ArrayFields):
         return self.c[i] if 0 <= i < len(self.c) else 0
 
 
-def plain(x: Any) -> Any:
+def plain(x: object) -> object:
     """A report section as JSON-shaped data: a record becomes a dict of its
     fields and a tuple a list, recursively."""
     if hasattr(x, "_asdict"):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import chain, combinations
-from typing import Any
 
 from .core import (
     ConsistencyError,
@@ -269,7 +268,7 @@ def check_parameter_constraints(p: SpbibdParams) -> ConstraintReport:
 
 
 def analyze_design_report(d: IncidenceStructure) -> dict:
-    report: dict[str, Any] = {
+    report: dict[str, object] = {
         "schema": "spbibd.analyze-design/1",
         "counts": {"points": d.num_points, "blocks": d.num_blocks, "simple": d.simple},
     }

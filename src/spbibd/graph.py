@@ -17,7 +17,7 @@ witnesses.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     BipartiteGraph,

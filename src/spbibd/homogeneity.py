@@ -9,7 +9,7 @@ so zero tests are exact; only delta_value loads fractions.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable
+from collections.abc import Callable
 
 from . import graph
 from .core import (
@@ -26,9 +26,6 @@ from .core import (
 )
 # parameter_homogeneity is unused here: perfbench/spans.TRACED patches it in this module
 from .equalities import delta_numerator, fraction_text, p2ii_numerator, parameter_homogeneity
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 VERDICT_TWO_HOMOGENEOUS = "2-homogeneous"
 VERDICT_ALMOST_ONLY = "almost-only"

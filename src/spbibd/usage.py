@@ -6,8 +6,6 @@ Under ``python -m spbibd.cli`` the running module is ``__main__``, not
 
 from __future__ import annotations
 
-from typing import Any
-
 from . import generators
 
 ABOUT = "Verify designs and bipartite distance-regularized graphs, check 2-homogeneity and search parameter tuples."
@@ -51,7 +49,7 @@ def usage_line(commands: dict, command: str | None) -> str:
     return " ".join(("usage: spbibd", command, "[-h]", *words))
 
 
-def render_human(doc: Any, indent: int = 0) -> str:
+def render_human(doc: object, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(doc, dict):
         lines = []
