@@ -6,7 +6,9 @@ All reports are deterministic byte streams (sorted-key JSON) so batch
 pipelines can diff them; verdict outcomes never set a nonzero exit code.
 Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
 2 a bad command line, 3 an internal cross-check disagreed
-(ConsistencyError, a defect here).
+(ConsistencyError, a defect here).  ``main()``, as the console script
+calls it, freezes the start-up heap; ``main(argv)`` never touches the
+collector.
 
 ``json`` is imported where a file is read or a report is written, not at
 import: ``search`` writes CSV and reads no file, so it never loads it.
@@ -16,6 +18,7 @@ the help text, ``--human`` and ``generate``'s families, loaded likewise.
 
 from __future__ import annotations
 
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -257,8 +260,17 @@ def _parse(argv: list[str]) -> tuple:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs one command line and returns its exit code.
+
+    Without ``argv`` it reads ``sys.argv`` and owns the process, which ends
+    when it returns, so it first freezes what start-up left alive (that
+    lives until exit anyway): no collection, those at exit included, walks
+    it again.  ``main(argv)`` leaves the caller's collector as it is."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        handler, args = _parse(list(argv))
         handler(args)
         return 0
     except UsageError as exc:

@@ -2,6 +2,7 @@
 public names that resolve on first use."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 
 import spbibd
 from spbibd.cli import main
-from spbibd.core import IntersectionArray, build_bipartite, validate_structure
+from spbibd.core import ConsistencyError, IntersectionArray, build_bipartite, validate_structure
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -27,7 +28,8 @@ PRINT_LOADED = """
 import sys, types
 print(' '.join(sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType)))
 """
-RUN_CLI = "import sys; from spbibd.cli import main; main(sys.argv[1:])"
+# as the console script does: main() reads the command line from sys.argv
+RUN_CLI = "from spbibd.cli import main; main()"
 
 ALWAYS = {"spbibd", "spbibd.cli", "spbibd.core"}
 # what a command loads beyond ALWAYS: only the commands that classify a
@@ -71,20 +73,24 @@ NEVER_IN = {
 }
 
 
-def fresh_interpreter(script: str, *args: str, cwd=None) -> set[str]:
-    """The words ``script`` prints, run by a fresh interpreter that imports
-    the package from src/.  It runs without site initialisation (``-S``),
-    so that no ``.pth`` file of the host preloads a module that a check
-    here says the package never loads."""
-    proc = subprocess.run(
+def fresh_process(script: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports the package from
+    src/, its output as bytes.  It runs without site initialisation
+    (``-S``), so that no ``.pth`` file of the host preloads a module that a
+    check here says the package never loads."""
+    return subprocess.run(
         [sys.executable, "-S", "-c", script, *args],
         capture_output=True,
-        text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+
+
+def fresh_interpreter(script: str, *args: str, cwd=None) -> set[str]:
+    """The words ``script`` prints in a ``fresh_process``."""
+    proc = fresh_process(script, *args, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return set(proc.stdout.decode().split())
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +111,53 @@ def test_each_command_loads_only_what_it_runs(tmp_path, capsys, bare, argv):
     assert (RARE in loaded) == (argv[0] == "generate" or "--human" in argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("search", "--target", "full-b", "--max-r", "12", "--max-k", "12"), ("check-homogeneous", "tc.json")],
+    ids=lambda argv: argv[0],
+)
+def test_main_without_argv_freezes_the_start_up_heap(tmp_path, capsys, monkeypatch, argv):
+    # main() owns the process: what start-up left alive is frozen, so the
+    # collections at exit skip it, and the report bytes are main(argv)'s
+    assert main(["generate", "tutte-coxeter", "--out", str(tmp_path / "tc.json")]) == 0
+    capsys.readouterr()
+    script = "import gc, sys; from spbibd.cli import main; code = main(); print(code, gc.get_freeze_count(), file=sys.stderr)"
+    proc = fresh_process(script, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, frozen = map(int, proc.stderr.split())
+    assert code == 0 and frozen > 0
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_with_argv_leaves_the_callers_collector(tmp_path, capsys, monkeypatch, enabled):
+    # a caller's own command line: main(argv) neither freezes its objects
+    # nor switches its collector, whatever the exit code
+    def planted_defect(g):
+        raise ConsistencyError("planted")
+
+    monkeypatch.setattr("spbibd.graph.analyze_graph_report", planted_defect)
+    assert main(["generate", "tutte-coxeter", "--out", str(tmp_path / "tc.json")]) == 0
+    runs = [
+        (["generate", "fano"], 0),
+        (["analyze-graph", str(tmp_path / "missing.json")], 1),
+        (["no-such-command"], 2),
+        (["analyze-graph", str(tmp_path / "tc.json")], 3),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        for argv, code in runs:
+            frozen = gc.get_freeze_count()
+            assert main(argv) == code
+            assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    capsys.readouterr()
+
+
 def test_cli_import_loads_no_exact_arithmetic(bare):
     loaded = fresh_interpreter("import spbibd.cli" + PRINT_LOADED) - bare
     assert "spbibd.cli" in loaded
@@ -122,7 +175,7 @@ def test_help_and_usage_errors_load_no_json(bare, argv, code):
     # loaded modules are printed
     quiet = (
         "import io, sys; from spbibd.cli import main; sys.stdout = sys.stderr = io.StringIO(); "
-        "code = main(sys.argv[1:]); sys.stdout = sys.__stdout__; print('exit', code)"
+        "code = main(); sys.stdout = sys.__stdout__; print('exit', code)"
     )
     loaded = fresh_interpreter(quiet + PRINT_LOADED, *argv) - bare
     assert {"exit", str(code), RARE} <= loaded
