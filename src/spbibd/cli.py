@@ -4,11 +4,11 @@ families.
 
 All reports are deterministic byte streams (sorted-key JSON) so batch
 pipelines can diff them; verdict outcomes never set a nonzero exit code.
-Exit codes: 0 success, 1 I/O, parse, input-range or transform failure,
-2 a bad command line, 3 an internal cross-check disagreed
-(ConsistencyError, a defect here).  ``main()``, as the console script
-calls it, freezes the start-up heap; ``main(argv)`` never touches the
-collector.
+Exit codes: 0 success, 1 I/O, parse, input-range or transform failure or
+running out of memory, 2 a bad command line, 3 an internal cross-check
+disagreed (ConsistencyError, a defect here).  ``main()``, as the console
+script calls it, freezes the start-up heap; ``main(argv)`` never touches
+the collector.
 
 ``json`` is imported where a file is read or a report is written, not at
 import: ``search`` writes CSV and reads no file, so it never loads it.
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3 if isinstance(exc, ConsistencyError) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: MemoryError: the command ran out of memory", file=sys.stderr)
         return 1
 
 

@@ -75,8 +75,7 @@ class NoEdgesError(ToolkitError):
 
 
 class LayersTooLargeError(ToolkitError):
-    """A graph's distance layers, its class scan or its brute force would
-    exceed MAX_LAYER_BYTES."""
+    """A graph's distance layers or its class scan would exceed MAX_LAYER_BYTES."""
 
 
 class ConsistencyError(ToolkitError):
@@ -182,10 +181,9 @@ def validate_structure(
 # to 2 e0, which bounds the diameter, e0 being vertex 0's eccentricity.  It
 # is checked before the layers are built.  The 1000-cycle estimates 1.3e8
 # bytes and the 2000-vertex path from its end 2.0e9; the 25,000-cycle that
-# generate allows would need 2e12.  The bit matrices of the class scan
-# (graph.classify) and of the brute force (homogeneity), with the Python
-# objects of their rows, are held to the same limit, checked after the
-# layers'.
+# generate allows would need 2e12.  The class scan's bit matrices
+# (graph.classify), with the Python objects of their rows, are held to the
+# same limit, checked after the layers'.
 MAX_LAYER_BYTES = 2**31
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 
-from . import graph
+from . import core, graph
 from .core import (
     BipartiteGraph,
     ConsistencyError,
@@ -21,7 +21,6 @@ from .core import (
     bits,
     nearer_rows,
     plane_counts,
-    refuse_over_limit,
     stack_rows,
 )
 # parameter_homogeneity is unused here: perfbench/spans.TRACED patches it in this module
@@ -131,6 +130,12 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     equidistant iff it is in both or neither of R[x] and R[y]
     (``BipartiteGraph.residues``).
 
+    The rows are built and counted one run of consecutive x at a time, a
+    run taking x until each of its matrices (about bit_length(max |W|) + 8
+    are live) reaches 1/1024 of ``core.MAX_LAYER_BYTES``.  A row's counts
+    depend only on its x, W and join, so each level's count set is the union
+    of the runs'.
+
     A level with no eligible z is vacuously constant.  2-homogeneous needs
     levels 2..D-1 constant, almost needs levels 2..D-2; level 1 always is,
     because its z are the common neighbours and each counts only itself.
@@ -139,36 +144,29 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     layers = g.layers
     eccs = {len(layers[v]) - 1 for v in vertices}
     if len(eccs) != 1:
-        raise EccentricityNotUniformError(
-            f"class {side} has mixed eccentricities {sorted(eccs)}"
-        )
+        raise EccentricityNotUniformError(f"class {side} has mixed eccentricities {sorted(eccs)}")
     d = eccs.pop()
     masks = g.adjacency_masks
     r, _ = g.residues
-    rows = []  # (x, W, the join); ~ gives negative ints, cut back by each level
+    size = (g.num_vertices + 7) // 8
+    seen: dict[int, set[int]] = {i: set() for i in range(1, d)}
+    run = []  # (x, W, the join); ~ gives negative ints, cut back by each level
     # below eccentricity 2 there is no Gamma_2(x), so no triple to count
     for x in vertices if d >= 2 else ():
         joined: dict[int, int] = {}
         for y in bits(layers[x][2] >> (x + 1) << (x + 1)):
             common = masks[x] & masks[y]
             joined[common] = joined.get(common, 0) | ~(r[x] ^ r[y])
-        rows += [(x, bits(common), same) for common, same in joined.items()]
-    rows.sort(key=lambda row: len(row[1]), reverse=True)
-    size, top = (g.num_vertices + 7) // 8, len(rows[0][1]) if rows else 0
-    # each matrix takes len(rows) * size bytes; the count planes and about 7
-    # more are live at once.  Each row also holds Python objects: its n-bit
-    # join, a bytes slice (size + 41 bytes), the list W of up to top new ints
-    # (36 bytes each) and two tuples: 3 * size + 36 * top + 300 bytes.  And
-    # nearer_rows holds a bytes slice of each vertex's residue row.
-    what = f"{len(rows)} rows of {g.num_vertices} vertices with up to {top} common neighbours,"
-    per_row = (top.bit_length() + 10) * size + 36 * top + 300
-    total = len(rows) * per_row + g.num_vertices * (size + 41)
-    refuse_over_limit(f"the brute force on class {side}, {what}", 8 * total)
-    planes = nearer_rows(g, [(x, ws) for x, ws, _ in rows])
-    counts = {}
-    for i in range(1, d):
-        level = stack_rows([(same & layers[x][i]).to_bytes(size, "little") for x, _, same in rows])
-        counts[i] = tuple(sorted(count for count, _ in plane_counts(planes, level)))
+        run += [(x, bits(common), same) for common, same in joined.items()]
+        if len(run) * size < core.MAX_LAYER_BYTES >> 10 and x != vertices[-1]:
+            continue
+        run.sort(key=lambda row: len(row[1]), reverse=True)
+        planes = nearer_rows(g, [(v, ws) for v, ws, _ in run])
+        for i in seen:
+            level = stack_rows([(same & layers[v][i]).to_bytes(size, "little") for v, _, same in run])
+            seen[i].update(count for count, _ in plane_counts(planes, level))
+        run = []
+    counts = {i: tuple(sorted(seen[i])) for i in seen}
     return BruteForceResult(side, d, counts, _verdict(lambda i: len(counts[i]) <= 1, d - 1, d - 2))
 
 

@@ -367,9 +367,9 @@ def test_graph_commands_refuse_a_class_scan_that_cannot_fit(tmp_path, capsys, mo
     # 2 * 3 + 10 rows of 10 bytes and 200 bytes of Python objects per
     # vertex take 80 * 360 = 28,800 bytes, while its layers (diameter up to
     # 8) take 7,200.  Under a limit of 10,000 the layers are built and the
-    # scan is refused; at 28,800 it runs.  check-homogeneous runs its brute
-    # force first (57,600 bytes on W(3)), so it is shown on the 20-cycle:
-    # layers 1,050 bytes, brute force 4,570 and scan 20 * 242 = 4,840.
+    # scan is refused; at 28,800 it runs.  check-homogeneous, which counts
+    # its brute force in runs first, is shown on the 20-cycle: layers 1,050
+    # bytes and scan 20 * 242 = 4,840.
     gpath = tmp_path / "g.json"
     if command[0] == "check-homogeneous":
         run_cli(capsys, "generate", "cycle", "--n", "20", "--out", str(gpath))
@@ -390,27 +390,35 @@ def test_graph_commands_refuse_a_class_scan_that_cannot_fit(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("side", ["Y", "Yprime"])
-def test_check_homogeneous_refuses_a_brute_force_that_cannot_fit(tmp_path, capsys, monkeypatch, side):
-    # W(5)'s incidence graph: 312 vertices, and on either side 780 rows
-    # (x, W) with |W| = 1, so the brute force's 1 + 10 row slices of 39
-    # bytes and 336 bytes of Python objects per row, and 80 bytes per
-    # vertex, take 780 * 765 + 312 * 80 = 621,660 bytes, more than its
-    # layers (109,512) and its class scan (257,088).  Under a limit of
-    # 300,000 those two fit and the brute force is refused; at 621,660 it
-    # runs.
+def test_check_homogeneous_is_not_refused_where_layers_and_scan_fit(tmp_path, capsys, monkeypatch, side):
+    # W(5)'s incidence graph: 312 vertices, whose layers (109,512 bytes)
+    # and class scan (257,088) fit a limit of 300,000.  Its brute force, 780
+    # rows (x, W) of 39 bytes on either side, is counted in runs that end
+    # at the x that takes them to 300,000 / 1024 bytes, and gives the
+    # report of one run
     dpath, gpath = tmp_path / "w5.json", tmp_path / "w5g.json"
     run_cli(capsys, "generate", "wq", "--n", "5", "--out", str(dpath))
     run_cli(capsys, "to-graph", str(dpath), "--out", str(gpath))
+    whole = run_cli(capsys, "check-homogeneous", str(gpath), "--side", side)
+    assert whole[0] == 0
     monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 300_000)
     assert run_cli(capsys, "analyze-graph", str(gpath))[0] == 0
-    assert run_cli(capsys, "check-homogeneous", str(gpath), "--side", side) == (
+    assert run_cli(capsys, "check-homogeneous", str(gpath), "--side", side) == whole
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "c8.json"
+    run_cli(capsys, "generate", "cycle", "--n", "8", "--out", str(gpath))
+
+    def exhausted(g, side):
+        raise MemoryError
+
+    monkeypatch.setattr("spbibd.homogeneity.homogeneity_report_doc", exhausted)
+    assert run_cli(capsys, "check-homogeneous", str(gpath)) == (
         1,
         "",
-        f"error: LayersTooLargeError: the brute force on class {side}, 780 rows of 312 vertices "
-        "with up to 1 common neighbours, would take about 621660 bytes, over the limit of 300000\n",
+        "error: MemoryError: the command ran out of memory\n",
     )
-    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 621_660)
-    assert run_cli(capsys, "check-homogeneous", str(gpath), "--side", side)[0] == 0
 
 
 def test_duplicate_blocks_need_flag(tmp_path, capsys):

@@ -5,8 +5,8 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from spbibd import graph, homogeneity
-from spbibd.core import MAX_LAYER_BYTES, ConsistencyError, build_bipartite, layer_bfs, validate_structure
+from spbibd import core, graph, homogeneity
+from spbibd.core import MAX_LAYER_BYTES, ConsistencyError, build_bipartite, layer_bfs, nearer_rows, validate_structure
 from spbibd.correspondence import design_from_graph, expected_incidence_arrays, incidence_graph
 from spbibd.design import dual
 from spbibd.generators import (
@@ -469,24 +469,38 @@ def test_the_scan_limit_admits_the_large_graphs():
     ids=["W(7)", "Hadamard 32", "Hadamard 64"],
 )
 def test_the_refusal_estimates_bound_the_peak_memory(monkeypatch, make):
-    # the byte estimates that refuse a class scan or a brute force count the
-    # Python objects of their rows too, so neither step allocates more than
-    # it announced; the layers and residues are the graph's cached views,
-    # bounded by the layers' own estimate, and are built first
+    # the byte estimate that refuses a class scan counts the Python objects
+    # of its rows too, so the scan never allocates more than it announced;
+    # the brute force is never refused but counts its rows in runs, so
+    # under a limit that cuts a class into 8 or more runs its peak is that
+    # of one run, at most a quarter of the peak of counting the class in
+    # one.  The layers and residues are the graph's cached views, bounded
+    # by the layers' own estimate, and are built first
     g = make()
     g.residues
-    estimates = []
-    for module in (graph, homogeneity):
-        monkeypatch.setattr(module, "refuse_over_limit", lambda what, bits: estimates.append(bits // 8))
-    for step, *args in [(classify, g), (homogeneous_by_bruteforce, g, "Y"), (homogeneous_by_bruteforce, g, "Yprime")]:
+    estimates, runs = [], []
+    monkeypatch.setattr(graph, "refuse_over_limit", lambda what, bits: estimates.append(bits // 8))
+    monkeypatch.setattr(homogeneity, "nearer_rows", lambda g, rows: runs.append(len(rows)) or nearer_rows(g, rows))
+
+    def peak_of(step, *args):
         tracemalloc.start()
         try:
-            step(*args)
-            _, peak = tracemalloc.get_traced_memory()
+            result = step(*args)
+            return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert estimates.pop() >= peak, step.__name__
-    assert not estimates
+
+    _, peak = peak_of(classify, g)
+    assert estimates.pop() >= peak and not estimates
+    for side in ("Y", "Yprime"):
+        monkeypatch.setattr(core, "MAX_LAYER_BYTES", MAX_LAYER_BYTES)
+        whole, one_run = peak_of(homogeneous_by_bruteforce, g, side)
+        assert len(runs) == 1
+        monkeypatch.setattr(core, "MAX_LAYER_BYTES", runs.pop() // 16 * 1024 * ((g.num_vertices + 7) // 8))
+        cut, peak = peak_of(homogeneous_by_bruteforce, g, side)
+        assert cut == whole and len(runs) >= 8, side
+        assert 4 * peak <= one_run, side
+        runs.clear()
 
 
 def test_all_source_layers_match_per_source_bfs():

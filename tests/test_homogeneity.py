@@ -48,6 +48,7 @@ from util import (
     p2ii_direct_counts,
     plus_one,
     random_connected_bipartite,
+    sylvester_hadamard_graph,
     y1_homogeneity_oracle,
 )
 
@@ -293,6 +294,8 @@ def test_bruteforce_matches_per_z_oracle():
         build_bipartite(20, nx.desargues_graph().edges()),  # verdict "neither"
         build_bipartite(8, _SHARED_Z_GADGET),
         build_bipartite(9, _SHARED_Z_FLIP),
+        incidence_graph(hyperoval_design()),
+        sylvester_hadamard_graph(16),
     ]
     graphs += [random_connected_bipartite(rng) for _ in range(40)]
     assert sum(_check_against_oracle(g) for g in graphs) > 0
@@ -324,8 +327,9 @@ def test_bruteforce_keeps_a_z_counted_by_two_common_neighbour_sets():
 
 def _check_against_oracle(g):
     """Both sides of g: the kernel's level counts and verdict equal the
-    per-z oracle's, or both refuse a class of mixed eccentricities; returns
-    how many sides were refused."""
+    per-z oracle's, whether it counts a class in one run, in runs of one x
+    (any limit below 1024) or in runs that end at 3 rows, or both refuse a
+    class of mixed eccentricities; returns how many sides were refused."""
     mixed = 0
     for side in ("Y", "Yprime"):
         try:
@@ -335,8 +339,11 @@ def _check_against_oracle(g):
             with pytest.raises(EccentricityNotUniformError):
                 homogeneous_by_bruteforce(g, side)
             continue
-        res = homogeneous_by_bruteforce(g, side)
-        assert (res.level_counts, res.verdict) == (counts, verdict), side
+        for limit in (core.MAX_LAYER_BYTES, 1, 3 * 1024 * ((g.num_vertices + 7) // 8)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "MAX_LAYER_BYTES", limit)
+                res = homogeneous_by_bruteforce(g, side)
+            assert (res.level_counts, res.verdict) == (counts, verdict), (side, limit)
     return mixed
 
 

@@ -332,6 +332,21 @@ def sylvester_hadamard_graph(n: int) -> BipartiteGraph:
     return build_bipartite(4 * n, edges)
 
 
+def golay_coset_graph() -> BipartiteGraph:
+    """The coset graph of the extended binary Golay code C: the 4,096
+    cosets of C in F_2^24, each joined to its sums with the 24 unit
+    vectors.  C is spanned by the 12 shifts x^i g(x), 0 <= i < 12, of
+    g = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11, each given a parity bit,
+    and is self-dual, so a coset is named by its 12-bit syndrome (its
+    inner products with those rows) and vertex s is the coset of syndrome s.
+    Distance-regular with the array {24, 23, 22, 21; 1, 2, 3, 24}: the
+    incidence graph of a square design with v = b = 2048, r = k = 24 and
+    lambda1 = 2."""
+    rows = [0b110001110101 << i | 1 << 23 for i in range(12)]
+    units = [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(24)]
+    return build_bipartite(4096, [(s, s ^ u) for s in range(4096) for u in units if s < s ^ u])
+
+
 def hexagonal_prism() -> BipartiteGraph:
     """C6 x K2: cubic and bipartite, but not distance-regularized."""
     outer = [(i, (i + 1) % 6) for i in range(6)]
