@@ -75,7 +75,7 @@ class NoEdgesError(ToolkitError):
 
 
 class LayersTooLargeError(ToolkitError):
-    """A graph's distance layers or its class scan would exceed MAX_LAYER_BYTES."""
+    """A graph's distance layers would exceed MAX_LAYER_BYTES."""
 
 
 class ConsistencyError(ToolkitError):
@@ -181,17 +181,10 @@ def validate_structure(
 # to 2 e0, which bounds the diameter, e0 being vertex 0's eccentricity.  It
 # is checked before the layers are built.  The 1000-cycle estimates 1.3e8
 # bytes and the 2000-vertex path from its end 2.0e9; the 25,000-cycle that
-# generate allows would need 2e12.  The class scan's bit matrices
-# (graph.classify), with the Python objects of their rows, are held to the
-# same limit, checked after the layers'.
+# generate allows would need 2e12.  Both exhaustive checks (graph.classify
+# and homogeneity.homogeneous_by_bruteforce) count in runs of rows whose
+# bit matrices each take about 1/1024 of it, so they refuse nothing.
 MAX_LAYER_BYTES = 2**31
-
-
-def refuse_over_limit(what: str, bits: int) -> None:
-    """Raise LayersTooLargeError, before anything is allocated, when
-    ``what`` would take more than MAX_LAYER_BYTES: ``bits`` of storage."""
-    if bits > 8 * MAX_LAYER_BYTES:
-        raise LayersTooLargeError(f"{what} would take about {bits // 8} bytes, over the limit of {MAX_LAYER_BYTES}")
 
 
 Y_SIDE = "Y"
@@ -242,7 +235,11 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "num_vertices edges side")):
         for the small diameters in scope, more on long paths and cycles.  A
         graph whose bound on that exceeds MAX_LAYER_BYTES is refused first."""
         n, d = self.num_vertices, self.diameter_bound
-        refuse_over_limit(f"the distance layers of {n} vertices, with a diameter of up to {d},", n * n * (d + 1))
+        if n * n * (d + 1) > 8 * MAX_LAYER_BYTES:
+            raise LayersTooLargeError(
+                f"the distance layers of {n} vertices, with a diameter of up to {d}, "
+                f"would take about {n * n * (d + 1) // 8} bytes, over the limit of {MAX_LAYER_BYTES}"
+            )
         return all_layers(self.adjacency_lists)
 
     @cached_property
@@ -364,10 +361,12 @@ def plane_counts(planes: Sequence[int], mask: int) -> list[tuple[int, int]]:
         split = []
         for count, members in groups:
             high = members & plane
-            if high:
-                split.append((count | 1 << j, high))
-            if members ^ high:
-                split.append((count, members ^ high))
+            if high == members:
+                split.append((count | 1 << j, members))
+            elif high:
+                split += (count | 1 << j, high), (count, members ^ high)
+            else:
+                split.append((count, members))
         groups = split
     return groups
 

@@ -4,14 +4,16 @@ Every check reads the graph's cached views (``BipartiteGraph.layers``:
 per vertex, the int bitset of the vertices at each distance, built for
 all sources in one level-by-level sweep, at most once per graph; and
 ``residues``, the same distances mod 4).  :func:`classify` decides both
-classes in one exhaustive scan over n x n bit matrices, a few big-int
+classes in one exhaustive scan over bit matrices, a few big-int
 operations per level: the pairs (y, x) are their bits, and
 :func:`nearer_planes` counts, bit-sliced, the neighbours of each y one
 step closer to each x, through ``core.nearer_rows``, the count that the
-brute-force homogeneity check runs on its own rows.  A uniform class's
-array is its one (b_i, c_i) per level, checked against its first
-vertex's layer sizes; :func:`local_intersection_numbers` only names
-witnesses.
+brute-force homogeneity check runs on its own rows.  Like the brute
+force, the scan takes the rows y in bounded runs and unions what the
+runs see, which is exact because the keys a column x sees are the union
+of those its rows give.  A uniform class's array is its one (b_i, c_i)
+per level, checked against its first vertex's layer sizes;
+:func:`local_intersection_numbers` only names witnesses.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
+from . import core
 from .core import (
     BipartiteGraph,
     ConsistencyError,
@@ -28,7 +31,7 @@ from .core import (
     distance_row,
     nearer_rows,
     plain,
-    refuse_over_limit,
+    plane_counts,
     stack_rows,
 )
 
@@ -146,28 +149,6 @@ def _fold(m: int, steps: list[tuple[int, int]]) -> int:
     return m
 
 
-def _level_key(planes: list[int], mask: int, steps: list[tuple[int, int]]) -> int | None:
-    """The one key of the pairs (y, x) in the matrix ``mask``, as the number
-    whose bit j is set when ``planes[j]`` holds all of them: -1 when they
-    take two keys but no column x sees both, None when one does.
-
-    A plane that holds only some of the pairs splits a column when the
-    OR-folds of its part of ``mask`` and of the rest meet.  Every plane is
-    checked: a column may see two keys that differ only in a later plane
-    than the first one that splits the level.
-    """
-    key, split = 0, False
-    for j, plane in enumerate(planes):
-        hit = plane & mask
-        if hit == mask:
-            key |= 1 << j
-        elif hit:
-            if _fold(hit, steps) & _fold(mask ^ hit, steps):
-                return None
-            split = True
-    return -1 if split else key
-
-
 def _class_levels(
     g: BipartiteGraph, classes: tuple[int, int], eccs: tuple[int, int]
 ) -> list[list[tuple[int, int] | None] | None]:
@@ -176,54 +157,60 @@ def _class_levels(
     see two but none sees both; None for the class, and no further level,
     once some x sees two keys at a level.
 
-    The pairs (y, x) are the bits of n x n bit matrices, each row an n-bit
-    slice of one int, the rows in :func:`nearer_planes`'s order.  c comes
-    from its planes and b = deg(y) - c, so a pair's key is read off the
-    planes of c and of deg(y).  Level i's mask holds every y's layer i cut
-    to the class's columns, and :func:`_level_key` reads its key.  At
-    levels 0 and 1, c is 0 and 1, so the degree planes alone decide them,
-    and the count planes are built only for a class that gets past them.
+    The pairs (y, x) are the bits of bit matrices, each row an n-bit slice
+    of one int, the rows y in :func:`nearer_planes`'s order, taken in runs
+    of consecutive rows: a run takes as many as keep each matrix within
+    1/1024 of ``core.MAX_LAYER_BYTES``, at least one.  c comes from the
+    planes of c and b = deg(y) - c, so ``plane_counts`` over the planes of
+    c and of deg(y) splits the pairs of a level (each y's layer i cut to
+    the class's columns) by key.  At levels 0 and 1, c is 0 and 1, so the
+    degree planes alone decide them, and a run builds its count planes only
+    for a class that gets past them.  A key's columns are the fold of its
+    pairs, OR-ed over the runs; x sees two keys exactly when two keys'
+    columns meet.  That is exact in runs: the keys x sees are the union of
+    the keys its rows y give, and a row's key depends on y and x alone.
     """
     n = g.num_vertices
     size = (n + 7) // 8
     nbrs = g.adjacency_lists
     order = sorted(range(n), key=lambda y: len(nbrs[y]), reverse=True)
-    top = len(nbrs[order[0]])
-    # each matrix takes n * size bytes; the count planes, the degree planes
-    # and about 8 more are live at once.  Each row y also holds Python
-    # objects: two bytes slices of its row (size + 41 bytes each), its pair
-    # (y, Gamma(y)) and its entries in the order lists: 2 * size + 200 bytes
-    refuse_over_limit(
-        f"the class scan of {n} vertices, with degrees up to {top},",
-        8 * n * ((2 * top.bit_length() + 10) * size + 200),
-    )
+    step = max(1, (core.MAX_LAYER_BYTES >> 10) // size)
     ones, zeros = ((1 << n) - 1).to_bytes(size, "little"), bytes(size)
-    planes = [stack_rows([ones if len(nbrs[y]) >> j & 1 else zeros for y in order]) for j in range(top.bit_length())]
-    nc = 0  # the c planes come first, once built
-    steps = []
-    height = n
-    while height > 1:
-        height = (height + 1) // 2
-        steps.append((8 * size * height, (1 << 8 * size * height) - 1))
-    columns = [int.from_bytes(cls.to_bytes(size, "little") * n, "little") for cls in classes]
-    rows = [g.layers[y] for y in order]
-    levels: list[list | None] = [[], []]
-    for i in range(max(eccs) + 1):
-        sides = [side for side in (0, 1) if levels[side] is not None and i <= eccs[side]]
-        if not sides:
-            break
-        if i == 2:
-            counts = nearer_planes(g, order)
-            planes, nc = counts + planes, len(counts)
-        level = stack_rows([lv[i].to_bytes(size, "little") if i < len(lv) else zeros for lv in rows])
-        for side in sides:
-            key = _level_key(planes, level & columns[side], steps)
-            if key is None:
-                levels[side] = None
-            else:
-                c = key & ((1 << nc) - 1) if i > 1 else i
-                levels[side].append(None if key < 0 else ((key >> nc) - c, c))
-    return levels
+    # per class and level, the columns of each key; in one run, a level
+    # with one key needs none
+    keys: list[dict[int, dict] | None] = [{}, {}]
+    for start in range(0, n, step):
+        run = order[start : start + step]
+        top = len(nbrs[run[0]])
+        planes = [stack_rows([ones if len(nbrs[y]) >> j & 1 else zeros for y in run]) for j in range(top.bit_length())]
+        nc = 0  # the c planes come first, once built
+        steps = []
+        height = len(run)
+        while height > 1:
+            height = (height + 1) // 2
+            steps.append((8 * size * height, (1 << 8 * size * height) - 1))
+        columns = [int.from_bytes(cls.to_bytes(size, "little") * len(run), "little") for cls in classes]
+        rows = [g.layers[y] for y in run]
+        for i in range(max(eccs) + 1):
+            sides = [side for side in (0, 1) if keys[side] is not None and i <= eccs[side]]
+            if not sides:
+                break
+            if i == 2:
+                counts = nearer_planes(g, run)
+                planes, nc = counts + planes, len(counts)
+            level = stack_rows([lv[i].to_bytes(size, "little") if i < len(lv) else zeros for lv in rows])
+            for side in sides:
+                groups = plane_counts(planes, level & columns[side])
+                seen = keys[side].setdefault(i, {})
+                for count, members in groups:
+                    c = count & ((1 << nc) - 1) if i > 1 else i
+                    key = ((count >> nc) - c, c)
+                    cols = _fold(members, steps) if len(groups) > 1 or step < n else 0
+                    if any(cols & other for k, other in seen.items() if k != key):
+                        keys[side] = None
+                        break
+                    seen[key] = seen.get(key, 0) | cols
+    return [None if lv is None else [next(iter(seen)) if len(seen) == 1 else None for seen in lv.values()] for lv in keys]
 
 
 def classify(g: BipartiteGraph) -> ClassificationResult:

@@ -33,6 +33,7 @@ from spbibd.homogeneity import homogeneous_by_bruteforce
 from util import (
     degree,
     eccentricity,
+    first_split_only,
     girth,
     hexagonal_prism,
     hypercube_graph,
@@ -406,18 +407,9 @@ def test_every_plane_is_checked_for_a_column_that_sees_two_keys(monkeypatch):
     expected = uniform_array_oracle(g, g.class_vertices("Y"))
     assert expected[2] == NotRegularizedAt(4, 2, "b", (0, 10), (2, 0))
     assert class_verdict(classify(g), "Y") == expected
-    real = graph._level_key
-
-    def first_split_only(planes, mask, steps):
-        for j, plane in enumerate(planes):
-            hit = plane & mask
-            if hit and hit != mask:
-                return real(planes[: j + 1], mask, steps)
-        return real(planes, mask, steps)
-
-    monkeypatch.setattr(graph, "_level_key", first_split_only)
-    # the scan that stops at the first splitting plane reads class Y as
-    # mixed, with no witness
+    monkeypatch.setattr(graph, "plane_counts", first_split_only)
+    # the scan that splits a level's pairs by their keys only up to the
+    # first plane that splits them reads class Y as mixed, with no witness
     assert class_verdict(classify(g), "Y") == (None, 8, None) != expected
 
 
@@ -445,20 +437,6 @@ def kernel_fixtures():
     return graphs
 
 
-def test_the_scan_limit_admits_the_large_graphs():
-    # (2 * bit_length(max degree) + 8) matrices of n rows of ceil(n / 8)
-    # bytes, and per row two more row slices and 200 bytes of Python
-    # objects, far below the layers' own estimates for the cycle and the path
-    w7, hadamard = incidence_graph(symplectic_gq(7)), sylvester_hadamard_graph(64)
-    estimates = {}
-    for name, g in [("W(7)", w7), ("Hadamard 64", hadamard), ("cycle", even_cycle(1000)), ("path", path_graph(2000))]:
-        n, top = g.num_vertices, max(map(len, g.adjacency_lists))
-        estimates[name] = n * ((2 * top.bit_length() + 10) * ((n + 7) // 8) + 200)
-    assert estimates == {"W(7)": 1_600_000, "Hadamard 64": 247_808, "cycle": 1_950_000, "path": 7_400_000}
-    assert max(estimates.values()) <= MAX_LAYER_BYTES
-    assert classify(w7).kind == classify(hadamard).kind == KIND_DISTANCE_REGULAR
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -469,17 +447,20 @@ def test_the_scan_limit_admits_the_large_graphs():
     ids=["W(7)", "Hadamard 32", "Hadamard 64"],
 )
 def test_the_refusal_estimates_bound_the_peak_memory(monkeypatch, make):
-    # the byte estimate that refuses a class scan counts the Python objects
-    # of its rows too, so the scan never allocates more than it announced;
-    # the brute force is never refused but counts its rows in runs, so
-    # under a limit that cuts a class into 8 or more runs its peak is that
-    # of one run, at most a quarter of the peak of counting the class in
-    # one.  The layers and residues are the graph's cached views, bounded
-    # by the layers' own estimate, and are built first
+    # neither exhaustive check is refused: the class scan counts its rows y
+    # in runs, and so does the brute force its rows (x, W) on either side.
+    # Under a limit that cuts the rows into 8 or more runs, each peak is
+    # that of one run, at most a quarter of the peak of counting in one.
+    # The layers and residues are the graph's cached views, bounded by the
+    # layers' own estimate, and are built first.  Each call of nearer_rows
+    # also builds the residue byte rows of all n vertices, whatever its
+    # run: on Hadamard 32 that is 7 kB of the class scan's 18 kB peak in
+    # runs, so the scan's bound is on its peaks above them
     g = make()
     g.residues
-    estimates, runs = [], []
-    monkeypatch.setattr(graph, "refuse_over_limit", lambda what, bits: estimates.append(bits // 8))
+    runs = []
+    real = graph.nearer_planes
+    monkeypatch.setattr(graph, "nearer_planes", lambda g, order: runs.append(len(order)) or real(g, order))
     monkeypatch.setattr(homogeneity, "nearer_rows", lambda g, rows: runs.append(len(rows)) or nearer_rows(g, rows))
 
     def peak_of(step, *args):
@@ -490,16 +471,18 @@ def test_the_refusal_estimates_bound_the_peak_memory(monkeypatch, make):
         finally:
             tracemalloc.stop()
 
-    _, peak = peak_of(classify, g)
-    assert estimates.pop() >= peak and not estimates
-    for side in ("Y", "Yprime"):
+    size = (g.num_vertices + 7) // 8
+    _, residue_rows = peak_of(lambda: [m.to_bytes(size, "little") for m in g.residues[0]])
+    checks = {"classify": (residue_rows, classify, g), "Y": (0, homogeneous_by_bruteforce, g, "Y")}
+    checks["Yprime"] = (0, homogeneous_by_bruteforce, g, "Yprime")
+    for name, (shared, step, *args) in checks.items():
         monkeypatch.setattr(core, "MAX_LAYER_BYTES", MAX_LAYER_BYTES)
-        whole, one_run = peak_of(homogeneous_by_bruteforce, g, side)
+        whole, one_run = peak_of(step, *args)
         assert len(runs) == 1
-        monkeypatch.setattr(core, "MAX_LAYER_BYTES", runs.pop() // 16 * 1024 * ((g.num_vertices + 7) // 8))
-        cut, peak = peak_of(homogeneous_by_bruteforce, g, side)
-        assert cut == whole and len(runs) >= 8, side
-        assert 4 * peak <= one_run, side
+        monkeypatch.setattr(core, "MAX_LAYER_BYTES", runs.pop() // 16 * 1024 * size)
+        cut, peak = peak_of(step, *args)
+        assert cut == whole and len(runs) >= 8, name
+        assert 4 * (peak - shared) <= one_run - shared, name
         runs.clear()
 
 
@@ -509,10 +492,16 @@ def test_all_source_layers_match_per_source_bfs():
         assert g.layers == tuple(layer_bfs(masks, v) for v in range(g.num_vertices))
 
 
-def test_classify_matches_vertex_order_oracle():
+def test_classify_matches_vertex_order_oracle(monkeypatch):
+    # and gives the same result in runs of one row y (any limit below 1024
+    # bytes) and of 3 rows; the layers are built first, under the default
     outcomes = {"array": 0, "mixed": 0, "witness": 0}
     for g in kernel_fixtures():
         cls = classify(g)
+        for limit in (1, 3 * 1024 * ((g.num_vertices + 7) // 8)):
+            monkeypatch.setattr(core, "MAX_LAYER_BYTES", limit)
+            assert classify(g) == cls, limit
+        monkeypatch.setattr(core, "MAX_LAYER_BYTES", MAX_LAYER_BYTES)
         for side in ("Y", "Yprime"):
             expected = uniform_array_oracle(g, g.class_vertices(side))
             assert class_verdict(cls, side) == expected

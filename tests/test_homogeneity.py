@@ -42,6 +42,7 @@ from util import (
     bruteforce_oracle,
     constant_at,
     delta_oracle,
+    first_split_only,
     hypercube_design,
     hypercube_graph,
     hyperoval_design,
@@ -347,15 +348,6 @@ def _check_against_oracle(g):
     return mixed
 
 
-def _first_split_only(planes, mask):
-    """core.plane_counts that stops at the first plane that splits a group."""
-    for j in range(len(planes)):
-        groups = core.plane_counts(planes[: j + 1], mask)
-        if len(groups) > 1:
-            return groups
-    return core.plane_counts(planes, mask)
-
-
 @pytest.mark.parametrize(
     "name, mutant, g, side",
     [
@@ -365,7 +357,7 @@ def _first_split_only(planes, mask):
         ("nearer_rows", lambda g, rows: plus_one(core.nearer_rows(g, rows)), incidence_graph(symplectic_gq(3)), "Y"),
         # the q = 4 hyperoval design's blocks see counts 1 and 2 at level 3,
         # which plane 0 splits and plane 1 tells apart
-        ("plane_counts", _first_split_only, incidence_graph(hyperoval_design()), "Yprime"),
+        ("plane_counts", first_split_only, incidence_graph(hyperoval_design()), "Yprime"),
     ],
     ids=["zero", "off-by-one", "first-split-only"],
 )

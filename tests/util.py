@@ -19,6 +19,7 @@ from spbibd.core import (
     IncidenceStructure,
     IntersectionArray,
     build_bipartite,
+    plane_counts,
     validate_structure,
 )
 from spbibd.correspondence import GraphDesignExtraction, derived_sizes, design_from_graph, incidence_graph
@@ -107,6 +108,16 @@ def plus_one(planes: list[int]) -> list[int]:
 def nearer_planes_plus_one(g: BipartiteGraph, order: list[int]) -> list[int]:
     """graph.nearer_planes with every pair's count one too high."""
     return plus_one(nearer_planes(g, order))
+
+
+def first_split_only(planes: list[int], mask: int) -> list[tuple[int, int]]:
+    """core.plane_counts that stops at the first plane that splits a group:
+    a mutant for both exhaustive checks."""
+    for j in range(len(planes)):
+        groups = plane_counts(planes[: j + 1], mask)
+        if len(groups) > 1:
+            return groups
+    return plane_counts(planes, mask)
 
 
 def is_distance_semiregular(cls: ClassificationResult, side: str) -> bool:
