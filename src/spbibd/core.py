@@ -17,24 +17,25 @@ equal to a plain tuple of the same field values; that is a side effect
 of the representation, and no caller may rely on it.  Validation happens
 in the constructor: ``IncidenceStructure``, ``BipartiteGraph`` and
 ``IntersectionArray`` check their fields in ``__init__`` (``_make`` and
-``_replace`` skip the check).  The constructor functions canonicalize
-raw input first: ``validate_structure`` only adds the repeat check,
+``_replace`` skip the check).  The constructor functions canonicalize raw
+input first: ``validate_structure`` only adds the repeat check,
 ``build_bipartite`` the edge and connectivity checks; nothing is
-validated lazily.  These three records declare no ``__slots__``, so
-they keep an instance ``__dict__``, and their derived views (block sets,
-the blocks through each point, the meets of the blocks, the graph's
-adjacency bitsets and lists, its diameter bound, its distance layers and
-its distances mod 4) are cached properties, computed at most once per
-object; every scan reads them and builds no copy of its own.
+validated lazily.  These three records declare no ``__slots__``, so they
+keep an instance ``__dict__``, and their derived views (block sets, the
+blocks through each point, the meets of the blocks, the graph's
+adjacency bitsets and lists, its diameter bound, its distance layers,
+and its distances mod 4 as bitsets and as the byte rows that
+:func:`nearer_rows` stacks) are cached properties, computed at most once
+per object; every scan reads them and builds no copy of its own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from types import MappingProxyType
 
 
@@ -182,8 +183,8 @@ def validate_structure(
 # is checked before the layers are built.  The 1000-cycle estimates 1.3e8
 # bytes and the 2000-vertex path from its end 2.0e9; the 25,000-cycle that
 # generate allows would need 2e12.  Both exhaustive checks (graph.classify
-# and homogeneity.homogeneous_by_bruteforce) count in runs of rows whose
-# bit matrices each take about 1/1024 of it, so they refuse nothing.
+# and homogeneity.homogeneous_by_bruteforce) count in runs of rows that
+# runs() alone sizes, each bit matrix about 1/1024 of it: they refuse nothing.
 MAX_LAYER_BYTES = 2**31
 
 
@@ -249,12 +250,15 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "num_vertices edges side")):
         return 2 * (len(layer_bfs(self.adjacency_masks, 0)) - 1)
 
     @cached_property
-    def residues(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(R, S): ``R[v]`` is the bitset of the vertices at distance 0 or 1
-        mod 4 from v, ``S[v]`` at 1 or 2 mod 4 (the sum of disjoint layers
-        is their union); read by :func:`nearer_rows`."""
+    def residues(self) -> tuple[tuple[int, ...], tuple[bytes, ...], tuple[bytes, ...]]:
+        """(R, R rows, FULL ^ S rows): ``R[v]`` is the bitset of the vertices
+        at distance 0 or 1 mod 4 from v, S[v] at 1 or 2 mod 4 (the sum of
+        disjoint layers is their union), FULL that of all vertices; the rows
+        are the n-bit byte rows that :func:`nearer_rows` stacks, built once."""
+        size, full = (self.num_vertices + 7) // 8, (1 << self.num_vertices) - 1
         r = tuple(sum(lv[0::4]) + sum(lv[1::4]) for lv in self.layers)
-        return r, tuple(sum(lv[1::4]) + sum(lv[2::4]) for lv in self.layers)
+        fs = (full ^ (sum(lv[1::4]) + sum(lv[2::4])) for lv in self.layers)
+        return r, tuple(m.to_bytes(size, "little") for m in r), tuple(m.to_bytes(size, "little") for m in fs)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency_lists[v]
@@ -371,6 +375,14 @@ def plane_counts(planes: Sequence[int], mask: int) -> list[tuple[int, int]]:
     return groups
 
 
+def runs(rows: Iterable, size: int) -> Iterator[list]:
+    """Consecutive runs of ``rows``, each as many as keep a matrix of
+    ``size``-byte rows within 1/1024 of MAX_LAYER_BYTES, and at least one."""
+    rows, step = iter(rows), max(1, (MAX_LAYER_BYTES >> 10) // size)
+    while run := list(islice(rows, step)):
+        yield run
+
+
 def stack_rows(rows: Iterable[bytes]) -> int:
     """One bit matrix from its rows, each an n-bit slice of ceil(n/8) bytes:
     row k takes the bits from 8 * ceil(n/8) * k up."""
@@ -390,11 +402,9 @@ def nearer_rows(g: BipartiteGraph, rows: Sequence[tuple[int, Sequence[int]]]) ->
     member are a prefix, and R_k holds only those.
     """
     size = (g.num_vertices + 7) // 8
-    r, s = g.residues
-    full = (1 << g.num_vertices) - 1
+    _, rs, fs_rows = g.residues
     # FULL ^ S row by row: ~ on a whole matrix is several times slower than ^
-    fs = b"".join([(full ^ s[v]).to_bytes(size, "little") for v, _ in rows])
-    rs = [m.to_bytes(size, "little") for m in r]
+    fs = b"".join([fs_rows[v] for v, _ in rows])
     lengths = sorted(len(ws) for _, ws in rows)
     heights = [len(rows) - bisect_right(lengths, k) for k in range(lengths[-1] if rows else 0)]
     return plane_sum(

@@ -3,15 +3,15 @@
 Every check reads the graph's cached views (``BipartiteGraph.layers``:
 per vertex, the int bitset of the vertices at each distance, built for
 all sources in one level-by-level sweep, at most once per graph; and
-``residues``, the same distances mod 4).  :func:`classify` decides both
-classes in one exhaustive scan over bit matrices, a few big-int
-operations per level: the pairs (y, x) are their bits, and
-:func:`nearer_planes` counts, bit-sliced, the neighbours of each y one
-step closer to each x, through ``core.nearer_rows``, the count that the
-brute-force homogeneity check runs on its own rows.  Like the brute
-force, the scan takes the rows y in bounded runs and unions what the
-runs see, which is exact because the keys a column x sees are the union
-of those its rows give.  A uniform class's array is its one (b_i, c_i)
+``residues``, the same distances mod 4, as bitsets and byte rows).
+:func:`classify` decides both classes in one exhaustive scan over bit
+matrices, a few big-int operations per level: the pairs (y, x) are their
+bits, and ``core.nearer_rows`` counts, bit-sliced, the neighbours of each
+y one step closer to each x, the count that the brute-force homogeneity
+check runs on its own rows.  Like the brute force, the scan takes the
+rows y in the bounded runs of ``core.runs`` and unions what the runs see,
+which is exact because the keys a column x sees are the union of those
+its rows give.  A uniform class's array is its one (b_i, c_i)
 per level, checked against its first vertex's layer sizes;
 :func:`local_intersection_numbers` only names witnesses.
 """
@@ -19,9 +19,7 @@ per level, checked against its first vertex's layer sizes;
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 
-from . import core
 from .core import (
     BipartiteGraph,
     ConsistencyError,
@@ -32,6 +30,7 @@ from .core import (
     nearer_rows,
     plain,
     plane_counts,
+    runs,
     stack_rows,
 )
 
@@ -132,15 +131,6 @@ class ClassificationResult(
         return self.witness_y if side == Y_SIDE else self.witness_yprime
 
 
-def nearer_planes(g: BipartiteGraph, order: Sequence[int]) -> list[int]:
-    """For every pair (y, x), the number c of neighbours of y one step
-    closer to x than y is, bit-sliced over n x n bit matrices: bit j of c
-    is bit x of row k of ``planes[j]``, where y = order[k], by degree,
-    highest first: the rows (y, Gamma(y)) of :func:`core.nearer_rows`."""
-    nbrs = g.adjacency_lists
-    return nearer_rows(g, [(y, nbrs[y]) for y in order])
-
-
 def _fold(m: int, steps: list[tuple[int, int]]) -> int:
     """The OR of the rows of the matrix ``m``: the columns with a bit in some
     row.  Each step ORs the upper rows onto the lower half."""
@@ -158,12 +148,12 @@ def _class_levels(
     once some x sees two keys at a level.
 
     The pairs (y, x) are the bits of bit matrices, each row an n-bit slice
-    of one int, the rows y in :func:`nearer_planes`'s order, taken in runs
-    of consecutive rows: a run takes as many as keep each matrix within
-    1/1024 of ``core.MAX_LAYER_BYTES``, at least one.  c comes from the
-    planes of c and b = deg(y) - c, so ``plane_counts`` over the planes of
-    c and of deg(y) splits the pairs of a level (each y's layer i cut to
-    the class's columns) by key.  At levels 0 and 1, c is 0 and 1, so the
+    of one int, the rows y by degree, highest first, in the runs that
+    ``core.runs`` cuts.  ``core.nearer_rows`` counts on a run's rows (y,
+    Gamma(y)) the planes of c, the neighbours of y one step closer to x,
+    and b = deg(y) - c, so ``plane_counts`` over the planes of c and of
+    deg(y) splits the pairs of a level (each y's layer i cut to the class's
+    columns) by key.  At levels 0 and 1, c is 0 and 1, so the
     degree planes alone decide them, and a run builds its count planes only
     for a class that gets past them.  A key's columns are the fold of its
     pairs, OR-ed over the runs; x sees two keys exactly when two keys'
@@ -174,13 +164,11 @@ def _class_levels(
     size = (n + 7) // 8
     nbrs = g.adjacency_lists
     order = sorted(range(n), key=lambda y: len(nbrs[y]), reverse=True)
-    step = max(1, (core.MAX_LAYER_BYTES >> 10) // size)
     ones, zeros = ((1 << n) - 1).to_bytes(size, "little"), bytes(size)
     # per class and level, the columns of each key; in one run, a level
     # with one key needs none
     keys: list[dict[int, dict] | None] = [{}, {}]
-    for start in range(0, n, step):
-        run = order[start : start + step]
+    for run in runs(order, size):
         top = len(nbrs[run[0]])
         planes = [stack_rows([ones if len(nbrs[y]) >> j & 1 else zeros for y in run]) for j in range(top.bit_length())]
         nc = 0  # the c planes come first, once built
@@ -196,7 +184,7 @@ def _class_levels(
             if not sides:
                 break
             if i == 2:
-                counts = nearer_planes(g, run)
+                counts = nearer_rows(g, [(y, nbrs[y]) for y in run])
                 planes, nc = counts + planes, len(counts)
             level = stack_rows([lv[i].to_bytes(size, "little") if i < len(lv) else zeros for lv in rows])
             for side in sides:
@@ -205,7 +193,7 @@ def _class_levels(
                 for count, members in groups:
                     c = count & ((1 << nc) - 1) if i > 1 else i
                     key = ((count >> nc) - c, c)
-                    cols = _fold(members, steps) if len(groups) > 1 or step < n else 0
+                    cols = _fold(members, steps) if len(groups) > 1 or len(run) < n else 0
                     if any(cols & other for k, other in seen.items() if k != key):
                         keys[side] = None
                         break

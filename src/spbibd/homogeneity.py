@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 
-from . import core, graph
+from . import graph
 from .core import (
     BipartiteGraph,
     ConsistencyError,
@@ -21,6 +21,7 @@ from .core import (
     bits,
     nearer_rows,
     plane_counts,
+    runs,
     stack_rows,
 )
 # parameter_homogeneity is unused here: perfbench/spans.TRACED patches it in this module
@@ -130,11 +131,11 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
     equidistant iff it is in both or neither of R[x] and R[y]
     (``BipartiteGraph.residues``).
 
-    The rows are built and counted one run of consecutive x at a time, a
-    run taking x until each of its matrices (about bit_length(max |W|) + 8
-    are live) reaches 1/1024 of ``core.MAX_LAYER_BYTES``.  A row's counts
-    depend only on its x, W and join, so each level's count set is the union
-    of the runs'.
+    The rows are built and counted one run at a time, in the runs of
+    consecutive rows that ``core.runs`` cuts (about bit_length(max |W|) + 8
+    matrices of a run are live), each sorted longest W first.  A run may
+    end inside one x's rows: a row's counts depend only on its own x, W and
+    join, so each level's count set is the union of the runs'.
 
     A level with no eligible z is vacuously constant.  2-homogeneous needs
     levels 2..D-1 constant, almost needs levels 2..D-2; level 1 always is,
@@ -147,25 +148,25 @@ def homogeneous_by_bruteforce(g: BipartiteGraph, side: str) -> BruteForceResult:
         raise EccentricityNotUniformError(f"class {side} has mixed eccentricities {sorted(eccs)}")
     d = eccs.pop()
     masks = g.adjacency_masks
-    r, _ = g.residues
+    r = g.residues[0]
     size = (g.num_vertices + 7) // 8
     seen: dict[int, set[int]] = {i: set() for i in range(1, d)}
-    run = []  # (x, W, the join); ~ gives negative ints, cut back by each level
-    # below eccentricity 2 there is no Gamma_2(x), so no triple to count
-    for x in vertices if d >= 2 else ():
-        joined: dict[int, int] = {}
-        for y in bits(layers[x][2] >> (x + 1) << (x + 1)):
-            common = masks[x] & masks[y]
-            joined[common] = joined.get(common, 0) | ~(r[x] ^ r[y])
-        run += [(x, bits(common), same) for common, same in joined.items()]
-        if len(run) * size < core.MAX_LAYER_BYTES >> 10 and x != vertices[-1]:
-            continue
+
+    def rows():  # (x, W, the join); ~ gives negative ints, cut back by each level
+        # below eccentricity 2 there is no Gamma_2(x), so no triple to count
+        for x in vertices if d >= 2 else ():
+            joined: dict[int, int] = {}
+            for y in bits(layers[x][2] >> (x + 1) << (x + 1)):
+                common = masks[x] & masks[y]
+                joined[common] = joined.get(common, 0) | ~(r[x] ^ r[y])
+            yield from ((x, bits(common), same) for common, same in joined.items())
+
+    for run in runs(rows(), size):
         run.sort(key=lambda row: len(row[1]), reverse=True)
         planes = nearer_rows(g, [(v, ws) for v, ws, _ in run])
         for i in seen:
             level = stack_rows([(same & layers[v][i]).to_bytes(size, "little") for v, _, same in run])
             seen[i].update(count for count, _ in plane_counts(planes, level))
-        run = []
     counts = {i: tuple(sorted(seen[i])) for i in seen}
     return BruteForceResult(side, d, counts, _verdict(lambda i: len(counts[i]) <= 1, d - 1, d - 2))
 

@@ -17,7 +17,7 @@ from spbibd import generators, graph
 from spbibd.cli import _COMMANDS, graph_file_doc, main, parse_graph_file
 from spbibd.core import IntersectionArray, edge_masks
 from spbibd.correspondence import incidence_graph
-from util import hexagonal_prism, hypercube_design, hyperoval_design, hyperoval_dual_design, nearer_planes_plus_one
+from util import hexagonal_prism, hypercube_design, hyperoval_design, hyperoval_dual_design, nearer_rows_plus_one
 
 
 def run_cli(capsys, *argv):
@@ -645,13 +645,13 @@ _CLASS_SCAN_MUTANTS = [
     # not distance-regularized, as uniform; levels 0 and 1 come from the
     # degrees, so only c_2.. read the mutant
     (
-        lambda g, order: [],
+        lambda g, rows: [],
         hexagonal_prism(),
         "class scan array (3, 2, 3, 3, 3), (0, 1, 0, 0, 0) miscounts the layers [1, 3, 4, 3, 1] of vertex 0",
     ),
     # every count one too high keeps the 8-cycle uniform, with b_2 = 0 and c_2 = 2
     (
-        nearer_planes_plus_one,
+        nearer_rows_plus_one,
         generators.even_cycle(8),
         "class scan array (2, 1, 0, 0, -1), (0, 1, 2, 2, 3) miscounts the layers [1, 2, 2, 2, 1] of vertex 0",
     ),
@@ -661,7 +661,7 @@ _CLASS_SCAN_MUTANTS = [
 def test_analyze_graph_reports_a_failed_class_scan_cross_check(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "g.json"
     for mutant, g, message in _CLASS_SCAN_MUTANTS:
-        monkeypatch.setattr("spbibd.graph.nearer_planes", mutant)
+        monkeypatch.setattr("spbibd.graph.nearer_rows", mutant)
         write_json(gpath, graph_file_doc(g))
         assert run_cli(capsys, "analyze-graph", str(gpath)) == (3, "", f"error: ConsistencyError: {message}\n")
 

@@ -28,6 +28,7 @@ from spbibd.core import (
     edge_masks,
     nearer_rows,
     plane_counts,
+    runs,
     stack_rows,
     validate_structure,
 )
@@ -230,6 +231,18 @@ def test_nearer_rows_match_networkx_distances(case):
     assert len(groups) == len(expected)
 
 
+def test_runs_cut_rows_into_bounded_consecutive_runs(monkeypatch):
+    # rows of 3 bytes under a limit of 5 * 1024 * 3 bytes: 5 to a run
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 5 * 1024 * 3)
+    assert list(runs(iter([]), 3)) == []
+    cut = list(runs(iter(range(23)), 3))
+    assert [row for run in cut for row in run] == list(range(23))
+    assert all(1 <= len(run) <= 5 for run in cut) and len(cut) == 5
+    # a limit below one row still takes one row per run
+    monkeypatch.setattr("spbibd.core.MAX_LAYER_BYTES", 2)
+    assert list(runs(range(4), 3)) == [[0], [1], [2], [3]]
+
+
 def test_too_few_edges_rejected_before_allocating():
     tracemalloc.start()
     try:
@@ -367,6 +380,7 @@ def test_records_validate_in_the_constructor_and_cache_their_views():
     assert d.block_sets is d.block_sets and d.point_blocks is d.point_blocks
     assert g.layers is g.layers and g.adjacency_masks is g.adjacency_masks and g.residues is g.residues
     assert g.layers[0] == (0b0001, 0b1010, 0b0100)
-    # distance 0 or 1 mod 4, and 1 or 2 mod 4, from vertex 0
-    assert (g.residues[0][0], g.residues[1][0]) == (0b1011, 0b1110)
+    # distance 0 or 1 mod 4 from vertex 0, as a bitset and as a byte row,
+    # and the byte row of the vertices not at 1 or 2 mod 4 from it
+    assert (g.residues[0][0], g.residues[1][0], g.residues[2][0]) == (0b1011, b"\x0b", b"\x01")
     assert d.point_blocks[0] == (0, 1, 2)

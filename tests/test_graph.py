@@ -38,7 +38,7 @@ from util import (
     hexagonal_prism,
     hypercube_graph,
     is_distance_semiregular,
-    nearer_planes_plus_one,
+    nearer_rows_plus_one,
     nx_graph,
     oracle_distances,
     random_connected_bipartite,
@@ -338,13 +338,11 @@ def test_count_planes_are_built_once_per_classify(monkeypatch):
     g = incidence_graph(symplectic_gq(5))
     assert g.num_vertices == 312
     calls = []
-    real = graph.nearer_planes
-
-    def counting(g, order):
+    def counting(g, rows):
         calls.append(g)
-        return real(g, order)
+        return nearer_rows(g, rows)
 
-    monkeypatch.setattr(graph, "nearer_planes", counting)
+    monkeypatch.setattr(graph, "nearer_rows", counting)
     assert classify(g).kind == KIND_DISTANCE_REGULAR
     assert calls == [g]
     calls.clear()
@@ -360,10 +358,10 @@ def test_classes_that_fail_by_level_1_build_no_count_planes(monkeypatch):
     assert expected.witness_y == NotRegularizedAt(2, 2, "b", (0, 4), (0, 1))
     assert expected.witness_yprime == NotRegularizedAt(1, 1, "b", (0, 2), (0, 1))
 
-    def unreachable(g, order):
+    def unreachable(g, rows):
         raise AssertionError("count planes built")
 
-    monkeypatch.setattr(graph, "nearer_planes", unreachable)
+    monkeypatch.setattr(graph, "nearer_rows", unreachable)
     assert classify(g) == expected
 
 
@@ -375,23 +373,23 @@ def test_classes_that_fail_by_level_1_build_no_count_planes(monkeypatch):
         # edge from vertex 0's second layer down to its first (levels 0
         # and 1 come from the degrees, not from the count planes)
         (
-            lambda g, order: [],
+            lambda g, rows: [],
             hexagonal_prism(),
             r"class scan array \(3, 2, 3, 3, 3\), \(0, 1, 0, 0, 0\) miscounts the layers \[1, 3, 4, 3, 1\] of vertex 0",
         ),
         # every count one too high: one key per level on the 8-cycle, but
         # b_1 = 1 edge leaves each of vertex 0's 2 neighbours, while its 2
         # second neighbours count c_2 = 2
-        (nearer_planes_plus_one, even_cycle(8), "miscounts the layers"),
+        (nearer_rows_plus_one, even_cycle(8), "miscounts the layers"),
         # row 0 alone counts 1, which on the regular 8-cycle is vertex 0: a
         # conflict on a distance-regular graph, whose per-vertex scan finds
         # no witness
-        (lambda g, order: [(1 << g.num_vertices) - 1], even_cycle(8), "has no witness"),
+        (lambda g, rows: [(1 << g.num_vertices) - 1], even_cycle(8), "has no witness"),
     ],
     ids=["missed-witness", "off-by-one", "no-witness"],
 )
 def test_class_scan_cross_checks_are_live(monkeypatch, mutant, g, message):
-    monkeypatch.setattr(graph, "nearer_planes", mutant)
+    monkeypatch.setattr(graph, "nearer_rows", mutant)
     with pytest.raises(ConsistencyError, match=message):
         classify(g)
 
@@ -451,17 +449,14 @@ def test_the_refusal_estimates_bound_the_peak_memory(monkeypatch, make):
     # in runs, and so does the brute force its rows (x, W) on either side.
     # Under a limit that cuts the rows into 8 or more runs, each peak is
     # that of one run, at most a quarter of the peak of counting in one.
-    # The layers and residues are the graph's cached views, bounded by the
-    # layers' own estimate, and are built first.  Each call of nearer_rows
-    # also builds the residue byte rows of all n vertices, whatever its
-    # run: on Hadamard 32 that is 7 kB of the class scan's 18 kB peak in
-    # runs, so the scan's bound is on its peaks above them
+    # The layers and residues, the residue byte rows among them, are the
+    # graph's cached views, bounded by the layers' own estimate, and are
+    # built first
     g = make()
     g.residues
     runs = []
-    real = graph.nearer_planes
-    monkeypatch.setattr(graph, "nearer_planes", lambda g, order: runs.append(len(order)) or real(g, order))
-    monkeypatch.setattr(homogeneity, "nearer_rows", lambda g, rows: runs.append(len(rows)) or nearer_rows(g, rows))
+    for module in (graph, homogeneity):
+        monkeypatch.setattr(module, "nearer_rows", lambda g, rows: runs.append(len(rows)) or nearer_rows(g, rows))
 
     def peak_of(step, *args):
         tracemalloc.start()
@@ -472,17 +467,16 @@ def test_the_refusal_estimates_bound_the_peak_memory(monkeypatch, make):
             tracemalloc.stop()
 
     size = (g.num_vertices + 7) // 8
-    _, residue_rows = peak_of(lambda: [m.to_bytes(size, "little") for m in g.residues[0]])
-    checks = {"classify": (residue_rows, classify, g), "Y": (0, homogeneous_by_bruteforce, g, "Y")}
-    checks["Yprime"] = (0, homogeneous_by_bruteforce, g, "Yprime")
-    for name, (shared, step, *args) in checks.items():
+    checks = {"classify": (classify, g), "Y": (homogeneous_by_bruteforce, g, "Y")}
+    checks["Yprime"] = (homogeneous_by_bruteforce, g, "Yprime")
+    for name, (step, *args) in checks.items():
         monkeypatch.setattr(core, "MAX_LAYER_BYTES", MAX_LAYER_BYTES)
         whole, one_run = peak_of(step, *args)
         assert len(runs) == 1
         monkeypatch.setattr(core, "MAX_LAYER_BYTES", runs.pop() // 16 * 1024 * size)
         cut, peak = peak_of(step, *args)
         assert cut == whole and len(runs) >= 8, name
-        assert 4 * (peak - shared) <= one_run - shared, name
+        assert 4 * peak <= one_run, name
         runs.clear()
 
 

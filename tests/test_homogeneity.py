@@ -46,8 +46,8 @@ from util import (
     hypercube_design,
     hypercube_graph,
     hyperoval_design,
+    nearer_rows_plus_one,
     p2ii_direct_counts,
-    plus_one,
     random_connected_bipartite,
     sylvester_hadamard_graph,
     y1_homogeneity_oracle,
@@ -328,7 +328,7 @@ def test_bruteforce_keeps_a_z_counted_by_two_common_neighbour_sets():
 
 def _check_against_oracle(g):
     """Both sides of g: the kernel's level counts and verdict equal the
-    per-z oracle's, whether it counts a class in one run, in runs of one x
+    per-z oracle's, whether it counts a class in one run, in runs of one row
     (any limit below 1024) or in runs that end at 3 rows, or both refuse a
     class of mixed eccentricities; returns how many sides were refused."""
     mixed = 0
@@ -354,7 +354,7 @@ def _check_against_oracle(g):
         # every count 0, or every count one too high: at level 1 each
         # common neighbour counts only itself, once
         ("nearer_rows", lambda g, rows: [], tutte_coxeter(), "Y"),
-        ("nearer_rows", lambda g, rows: plus_one(core.nearer_rows(g, rows)), incidence_graph(symplectic_gq(3)), "Y"),
+        ("nearer_rows", nearer_rows_plus_one, incidence_graph(symplectic_gq(3)), "Y"),
         # the q = 4 hyperoval design's blocks see counts 1 and 2 at level 3,
         # which plane 0 splits and plane 1 tells apart
         ("plane_counts", first_split_only, incidence_graph(hyperoval_design()), "Yprime"),

@@ -19,6 +19,7 @@ from spbibd.core import (
     IncidenceStructure,
     IntersectionArray,
     build_bipartite,
+    nearer_rows,
     plane_counts,
     validate_structure,
 )
@@ -41,7 +42,6 @@ from spbibd.graph import (
     all_distances,
     bfs_distances,
     local_intersection_numbers,
-    nearer_planes,
 )
 from spbibd.homogeneity import (
     VERDICT_ALMOST_ONLY,
@@ -105,9 +105,9 @@ def plus_one(planes: list[int]) -> list[int]:
     return out + [carry] if carry else out
 
 
-def nearer_planes_plus_one(g: BipartiteGraph, order: list[int]) -> list[int]:
-    """graph.nearer_planes with every pair's count one too high."""
-    return plus_one(nearer_planes(g, order))
+def nearer_rows_plus_one(g: BipartiteGraph, rows: list[tuple[int, list[int]]]) -> list[int]:
+    """core.nearer_rows with every pair's count one too high."""
+    return plus_one(nearer_rows(g, rows))
 
 
 def first_split_only(planes: list[int], mask: int) -> list[tuple[int, int]]:
